@@ -3,13 +3,90 @@
 #include <cassert>
 #include <cmath>
 
+#include "arith/small_int.h"
+
 namespace lyric {
+
+static_assert(sizeof(Rational) == 32, "Rational is two 16-byte BigInts");
+
+using arith_internal::FitsInt64;
+using arith_internal::Gcd64;
+using arith_internal::Magnitude;
+
+namespace {
+
+// The int64 fast paths below take reduced operands with positive
+// denominators and produce the reduced result in *num / *den. They return
+// false, leaving the outputs unspecified, when a value they need leaves
+// int64; the caller then takes the BigInt path, which yields the same
+// canonical value.
+
+// a/b + c/d (Knuth, TAOCP 4.5.1). `c` is wide so that subtraction can pass
+// -INT64_MIN.
+bool AddSmall(int64_t a, int64_t b, __int128 c, int64_t d, int64_t* num,
+              int64_t* den) {
+  if (b == 1 && d == 1) {
+    __int128 t = a + c;
+    if (!FitsInt64(t)) return false;
+    *num = static_cast<int64_t>(t);
+    *den = 1;
+    return true;
+  }
+  // g1 = gcd(b, d) divides the new denominator b*d/g1; only its common
+  // factor g2 with the numerator t needs removing.
+  int64_t g1 = static_cast<int64_t>(Gcd64(b, d));
+  int64_t b1 = b / g1;
+  int64_t d1 = d / g1;
+  __int128 t = static_cast<__int128>(a) * d1 + c * b1;
+  if (!FitsInt64(t)) return false;
+  if (t == 0) {
+    *num = 0;
+    *den = 1;
+    return true;
+  }
+  int64_t g2 = g1 == 1 ? 1
+                       : static_cast<int64_t>(Gcd64(
+                             Magnitude(static_cast<int64_t>(t)), g1));
+  __int128 new_den = static_cast<__int128>(b1) * (d / g2);
+  if (!FitsInt64(new_den)) return false;
+  *num = static_cast<int64_t>(t) / g2;
+  *den = static_cast<int64_t>(new_den);
+  return true;
+}
+
+// (a/b) * (c/d), cancelling a with d and c with b before multiplying.
+bool MulSmall(int64_t a, int64_t b, int64_t c, int64_t d, int64_t* num,
+              int64_t* den) {
+  if (a == 0 || c == 0) {
+    *num = 0;
+    *den = 1;
+    return true;
+  }
+  // Both gcds divide a positive int64 denominator, so they fit int64.
+  int64_t g1 = static_cast<int64_t>(Gcd64(Magnitude(a), d));
+  int64_t g2 = static_cast<int64_t>(Gcd64(Magnitude(c), b));
+  __int128 n = static_cast<__int128>(a / g1) * (c / g2);
+  __int128 m = static_cast<__int128>(b / g2) * (d / g1);
+  if (!FitsInt64(n) || !FitsInt64(m)) return false;
+  *num = static_cast<int64_t>(n);
+  *den = static_cast<int64_t>(m);
+  return true;
+}
+
+}  // namespace
 
 Rational::Rational(BigInt num, BigInt den)
     : num_(std::move(num)), den_(std::move(den)) {
   assert(!den_.IsZero() && "Rational with zero denominator");
   if (den_.IsZero()) den_ = BigInt(1);  // Degrade gracefully in release.
   Normalize();
+}
+
+Rational Rational::Reduced(int64_t num, int64_t den) {
+  Rational out;
+  out.num_.small_ = num;
+  out.den_.small_ = den;
+  return out;
 }
 
 void Rational::Normalize() {
@@ -82,31 +159,67 @@ Rational Rational::operator-() const {
 }
 
 Rational Rational::operator+(const Rational& o) const {
+  int64_t n, d;
+  if (BothSmall(o) && AddSmall(num_.small_, den_.small_, o.num_.small_,
+                               o.den_.small_, &n, &d)) {
+    return Reduced(n, d);
+  }
   return Rational(num_ * o.den_ + o.num_ * den_, den_ * o.den_);
 }
 
 Rational Rational::operator-(const Rational& o) const {
+  int64_t n, d;
+  if (BothSmall(o) &&
+      AddSmall(num_.small_, den_.small_, -static_cast<__int128>(o.num_.small_),
+               o.den_.small_, &n, &d)) {
+    return Reduced(n, d);
+  }
   return Rational(num_ * o.den_ - o.num_ * den_, den_ * o.den_);
 }
 
 Rational Rational::operator*(const Rational& o) const {
+  int64_t n, d;
+  if (BothSmall(o) && MulSmall(num_.small_, den_.small_, o.num_.small_,
+                               o.den_.small_, &n, &d)) {
+    return Reduced(n, d);
+  }
   return Rational(num_ * o.num_, den_ * o.den_);
 }
 
 Rational Rational::operator/(const Rational& o) const {
   assert(!o.IsZero() && "Rational division by zero");
   if (o.IsZero()) return Rational();
+  // Multiply by the inverse d/c with the sign moved to the numerator;
+  // -INT64_MIN has no int64 denominator, so that case takes the BigInt path.
+  int64_t n, d;
+  if (BothSmall(o) && o.num_.small_ != INT64_MIN) {
+    int64_t c = o.num_.small_;
+    int64_t inv_num = c < 0 ? -o.den_.small_ : o.den_.small_;
+    int64_t inv_den = c < 0 ? -c : c;
+    if (MulSmall(num_.small_, den_.small_, inv_num, inv_den, &n, &d)) {
+      return Reduced(n, d);
+    }
+  }
   return Rational(num_ * o.den_, den_ * o.num_);
 }
 
 int Rational::Compare(const Rational& o) const {
   // Denominators are positive, so cross-multiplication preserves order.
+  if (BothSmall(o)) {
+    __int128 l = static_cast<__int128>(num_.small_) * o.den_.small_;
+    __int128 r = static_cast<__int128>(o.num_.small_) * den_.small_;
+    return l < r ? -1 : (l > r ? 1 : 0);
+  }
   return (num_ * o.den_).Compare(o.num_ * den_);
 }
 
 Rational Rational::Inverse() const {
   assert(!IsZero() && "inverse of zero");
   if (IsZero()) return Rational();
+  if (BothSmall(*this) && num_.small_ != INT64_MIN) {
+    return num_.small_ > 0 ? Reduced(den_.small_, num_.small_)
+                           : Reduced(-den_.small_, -num_.small_);
+  }
   return Rational(den_, num_);
 }
 

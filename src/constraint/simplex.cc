@@ -40,9 +40,9 @@ struct CoreSolution {
   std::vector<Rational> point;  // one value per column
 };
 
-// A dense two-phase primal simplex over exact rationals. Columns are
-// non-negative decision variables; rows are equality constraints (callers
-// add slack columns for inequalities).
+// A two-phase primal simplex over exact rationals on a dense tableau whose
+// pivots skip zero cells. Columns are non-negative decision variables; rows
+// are equality constraints (callers add slack columns for inequalities).
 class CoreLp {
  public:
   explicit CoreLp(size_t num_cols) : num_cols_(num_cols) {}
@@ -90,7 +90,9 @@ class CoreLp {
     for (size_t j = num_cols_; j < total_cols; ++j) z[j] = Rational(-1);
     // Artificials are basic with cost -1: fold their rows into z.
     for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < total_cols; ++j) z[j] += rows_[i][j];
+      for (size_t j = 0; j < total_cols; ++j) {
+        if (!rows_[i][j].IsZero()) z[j] += rows_[i][j];
+      }
       zval -= rhs_[i];
     }
     static obs::Counter& phase1_iters =
@@ -128,7 +130,9 @@ class CoreLp {
       size_t b = basis_[i];
       if (b < num_cols_ && !obj[b].IsZero()) {
         Rational c = obj[b];
-        for (size_t j = 0; j < total_cols; ++j) z2[j] -= c * rows_[i][j];
+        for (size_t j = 0; j < total_cols; ++j) {
+          if (!rows_[i][j].IsZero()) z2[j] -= c * rows_[i][j];
+        }
         z2val += c * rhs_[i];
       }
     }
@@ -207,30 +211,38 @@ class CoreLp {
     }
   }
 
+  // Pivots on (row, col). Elimination touches only the columns where the
+  // pivot row is non-zero: elsewhere x - f * 0 == x exactly, so the sparse
+  // update yields the very tableau the dense one would.
   void Pivot(size_t row, size_t col, std::vector<Rational>* z, Rational* zval,
              size_t total_cols) {
     LYRIC_OBS_COUNT("simplex.pivots");
-    Rational p = rows_[row][col];
-    assert(!p.IsZero());
-    Rational inv = p.Inverse();
-    for (size_t j = 0; j < total_cols; ++j) rows_[row][j] *= inv;
+    std::vector<Rational>& prow = rows_[row];
+    assert(!prow[col].IsZero());
+    Rational inv = prow[col].Inverse();
+    pivot_cols_.clear();
+    for (size_t j = 0; j < total_cols; ++j) {
+      if (prow[j].IsZero()) continue;
+      prow[j] *= inv;
+      pivot_cols_.push_back(j);
+    }
     rhs_[row] *= inv;
+    // Subtracts f times the pivot row from `target`, f = target[col], and
+    // returns f.
+    auto eliminate = [&](std::vector<Rational>& target) {
+      Rational f = target[col];
+      if (!f.IsZero()) {
+        for (size_t j : pivot_cols_) target[j] -= f * prow[j];
+      }
+      return f;
+    };
     for (size_t i = 0; i < rows_.size(); ++i) {
       if (i == row) continue;
-      Rational f = rows_[i][col];
-      if (f.IsZero()) continue;
-      for (size_t j = 0; j < total_cols; ++j) {
-        rows_[i][j] -= f * rows_[row][j];
-      }
-      rhs_[i] -= f * rhs_[row];
+      Rational f = eliminate(rows_[i]);
+      if (!f.IsZero()) rhs_[i] -= f * rhs_[row];
     }
-    Rational fz = (*z)[col];
-    if (!fz.IsZero()) {
-      for (size_t j = 0; j < total_cols; ++j) {
-        (*z)[j] -= fz * rows_[row][j];
-      }
-      *zval += fz * rhs_[row];
-    }
+    Rational fz = eliminate(*z);
+    if (!fz.IsZero()) *zval += fz * rhs_[row];
     basis_[row] = col;
   }
 
@@ -238,6 +250,7 @@ class CoreLp {
   std::vector<std::vector<Rational>> rows_;
   std::vector<Rational> rhs_;
   std::vector<size_t> basis_;
+  std::vector<size_t> pivot_cols_;  // Pivot's non-zero columns (reused).
 };
 
 // ---------------------------------------------------------------------------

@@ -272,12 +272,20 @@ std::vector<Oid> Database::Extent(const std::string& class_name) const {
   for (const auto& [oid, rec] : objects_) {
     if (schema_.IsSubclass(rec.class_name, class_name)) out.push_back(oid);
   }
+  // Instance-of facts: views over stored objects and classified literals.
+  // Skip only the oids the loop above already added.
   for (const auto& [oid, classes] : extra_classes_) {
     bool member = false;
     for (const std::string& cls : classes) {
       if (schema_.IsSubclass(cls, class_name)) member = true;
     }
-    if (member && !objects_.count(oid)) out.push_back(oid);
+    if (!member) continue;
+    auto it = objects_.find(oid);
+    if (it != objects_.end() &&
+        schema_.IsSubclass(it->second.class_name, class_name)) {
+      continue;
+    }
+    out.push_back(oid);
   }
   // CST oids by dimension.
   auto dim = ParseCstClassName(class_name);

@@ -273,6 +273,30 @@ TEST_F(EvaluatorTest, RegionClassificationView) {
   EXPECT_TRUE(db_.InstanceOf(ids_.my_desk, cls));
 }
 
+TEST_F(EvaluatorTest, ViewOverStoredObjectsHasExtent) {
+  // A view over existing Object_in_Room objects records instance-of facts
+  // for stored objects; its extent (FROM, Database::Extent) must list them
+  // once, and the superclass extent must not repeat them.
+  ASSERT_TRUE(office::AddScaledDesks(&db_, 3, 1).ok());
+  const size_t room_objects = Run("SELECT O FROM Object_in_Room O").size();
+  Evaluator ev(&db_);
+  ResultSet created =
+      ev.Execute(
+            "CREATE VIEW Whole_Room AS SUBCLASS OF Object_in_Room "
+            "SELECT O FROM Object_in_Room O WHERE O.location[L] and "
+            "L(x, y) |= (-100 <= x and x <= 100 and -100 <= y and y <= 100)")
+          .value();
+  ASSERT_EQ(created.size(), room_objects);
+  ASSERT_GE(room_objects, 2u);
+
+  ResultSet members = Run("SELECT V FROM Whole_Room V");
+  EXPECT_EQ(members.size(), room_objects);
+  EXPECT_EQ(db_.Extent("Whole_Room").size(), room_objects);
+  EXPECT_TRUE(db_.InstanceOf(created.rows()[0][0], "Whole_Room"));
+  EXPECT_EQ(db_.Extent("Object_in_Room").size(), room_objects);
+  EXPECT_EQ(Run("SELECT O FROM Object_in_Room O").size(), room_objects);
+}
+
 TEST_F(EvaluatorTest, ResultDeduplicated) {
   // Two identical FROM items over the same class with distinct vars give
   // one row after projection to a constant-ish column.

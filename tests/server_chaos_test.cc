@@ -112,8 +112,10 @@ Serverd LaunchServerd(const std::string& store, int64_t crash_at,
                       uint64_t drain_deadline_ms) {
   static std::atomic<int> launch_seq{0};
   Serverd sd;
-  sd.port_file =
-      TempPath("chaos_port." + std::to_string(launch_seq.fetch_add(1)));
+  // The pid keeps test processes that ctest runs in parallel from
+  // reading each other's port files.
+  sd.port_file = TempPath("chaos_port." + std::to_string(::getpid()) + "." +
+                          std::to_string(launch_seq.fetch_add(1)));
   ::unlink(sd.port_file.c_str());
 
   pid_t pid = ::fork();
@@ -163,6 +165,7 @@ bool AwaitReady(Serverd* sd, int timeout_ms = 10000) {
     int port = 0;
     if (in && (in >> port) && port > 0) {
       sd->port = static_cast<uint16_t>(port);
+      ::unlink(sd->port_file.c_str());
       return true;
     }
     int status = 0;

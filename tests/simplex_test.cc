@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "constraint/fourier_motzkin.h"
+#include "constraint/solver_cache.h"
+
 namespace lyric {
 namespace {
 
@@ -259,6 +262,49 @@ TEST_P(SimplexRandomized, OptimumDominatesInteriorPoint) {
   // the reported value.
   EXPECT_EQ(obj.Eval(sol.point).value(), sol.value);
   EXPECT_TRUE(c.Eval(sol.point).value());
+}
+
+// Independent kernel oracle: on seeded conjunctions of =, <= and < atoms
+// over at most four variables, simplex satisfiability must agree with full
+// Fourier-Motzkin elimination, i.e. ProjectOnto(c, {}) is not False.
+// ProjectOnto calls no simplex, and the SolverCache is disabled so that
+// every verdict is computed rather than recalled.
+TEST_P(SimplexRandomized, SatisfiabilityMatchesFourierMotzkin) {
+  struct CacheOff {
+    size_t saved = SolverCache::Global().capacity();
+    CacheOff() { SolverCache::Global().set_capacity(0); }
+    ~CacheOff() { SolverCache::Global().set_capacity(saved); }
+  } cache_off;
+  std::mt19937_64 rng(GetParam() + 100);
+  VarId vars[4] = {Variable::Intern("ox"), Variable::Intern("oy"),
+                   Variable::Intern("oz"), Variable::Intern("ow")};
+  auto small = [&](int64_t span) {
+    return Rational(static_cast<int64_t>(rng() % (2 * span + 1)) - span);
+  };
+  const RelOp kOps[3] = {RelOp::kEq, RelOp::kLe, RelOp::kLt};
+  int verdicts[2] = {0, 0};
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t num_vars = 1 + rng() % 4;
+    const size_t num_atoms = 2 + rng() % 6;
+    Conjunction c;
+    for (size_t i = 0; i < num_atoms; ++i) {
+      LinearExpr e = LinearExpr::Constant(small(4));
+      for (size_t k = 0; k < num_vars; ++k) e.AddTerm(vars[k], small(3));
+      // Equalities are rarer so that most systems keep some freedom.
+      RelOp op = kOps[rng() % 5 == 0 ? 0 : 1 + rng() % 2];
+      c.Add(LinearConstraint(e, op));
+    }
+    bool by_simplex = Simplex::IsSatisfiable(c).value();
+    Result<Conjunction> projected = FourierMotzkin::ProjectOnto(c, VarSet{});
+    ASSERT_TRUE(projected.ok()) << projected.status();
+    ASSERT_TRUE(projected->FreeVars().empty());
+    bool by_fm = *projected != Conjunction::False();
+    EXPECT_EQ(by_simplex, by_fm) << c.ToString();
+    ++verdicts[by_simplex ? 1 : 0];
+  }
+  // The draw must exercise both verdicts.
+  EXPECT_GT(verdicts[0], 0);
+  EXPECT_GT(verdicts[1], 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomized,
