@@ -88,7 +88,6 @@ void RunPaperQuery(benchmark::State& state, bool capped) {
   if (capped) limits.max_concurrent = 4;
   exec::QueryScheduler sched(limits);
   EvalOptions opts;
-  opts.threads = 1;
   opts.scheduler = &sched;
   Evaluator ev(&db, opts);
   const char* kQuery = "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]";

@@ -8,8 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_common.h"
-#include "constraint/solver_cache.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
 
@@ -81,45 +79,6 @@ void BM_PairQueryByDbSize(benchmark::State& state) {
   state.counters["objects"] = static_cast<double>(state.range(0) + 1);
 }
 BENCHMARK(BM_PairQueryByDbSize)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-
-// The same filter query at a fixed data size, sweeping worker threads:
-// §5's per-tuple independence means wall time should drop near-linearly
-// until the chunk count or the machine runs out. `cache_hit_rate` tracks
-// how much satisfiability work the solver memo cache absorbed across
-// iterations (the first iteration seeds it, later ones mostly hit).
-void BM_FilterQueryByThreads(benchmark::State& state) {
-  Database db = MakeDb(128);
-  const char* q =
-      "SELECT O FROM Object_in_Room O "
-      "WHERE O.location[L] and SAT(L(x, y) and 0 <= x and x <= 10 and "
-      "0 <= y and y <= 5)";
-  SolverCache::Global().Clear();
-  SolverCache::Stats before = SolverCache::Global().stats();
-  {
-    bench::CounterDeltas deltas(state);
-    for (auto _ : state) {
-      EvalOptions opts;
-      opts.threads = static_cast<size_t>(state.range(0));
-      Evaluator ev(&db, opts);
-      auto r = ev.Execute(q);
-      benchmark::DoNotOptimize(r);
-    }
-  }
-  SolverCache::Stats after = SolverCache::Global().stats();
-  uint64_t hits = after.hits - before.hits;
-  uint64_t misses = after.misses - before.misses;
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["cache_hit_rate"] =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-}
-BENCHMARK(BM_FilterQueryByThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace lyric

@@ -6,11 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-
 #include "bench_common.h"
 #include "constraint/solver_cache.h"
-#include "obs/metrics.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
 
@@ -65,12 +62,10 @@ void BM_PaperQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PaperQuery)->DenseRange(0, 5);
 
-// The parallel sweep: the Q5-style entailment filter over a database
-// scaled to enough room objects that the per-binding chunks actually
-// occupy every worker. Wall time at Arg(t) vs Arg(1) is the speedup CI
-// records (BENCH_parallel.json); `cache_hit_rate` shows how much of the
-// solver work the memo cache absorbed.
-void BM_PaperQueryThreads(benchmark::State& state) {
+// The Q5-style entailment filter over a database scaled to 48 extra
+// desks; `cache_hit_rate` shows how much of the solver work the memo
+// cache absorbed.
+void BM_ScaledEntailmentFilter(benchmark::State& state) {
   Database db;
   (void)office::BuildOfficeDatabase(&db);
   (void)office::AddScaledDesks(&db, 48, /*seed=*/77);
@@ -83,9 +78,7 @@ void BM_PaperQueryThreads(benchmark::State& state) {
   {
     bench::CounterDeltas deltas(state);
     for (auto _ : state) {
-      EvalOptions opts;
-      opts.threads = static_cast<size_t>(state.range(0));
-      Evaluator ev(&db, opts);
+      Evaluator ev(&db);
       auto r = ev.Execute(q);
       benchmark::DoNotOptimize(r);
     }
@@ -93,26 +86,18 @@ void BM_PaperQueryThreads(benchmark::State& state) {
   SolverCache::Stats after = SolverCache::Global().stats();
   uint64_t hits = after.hits - before.hits;
   uint64_t misses = after.misses - before.misses;
-  state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["cache_hit_rate"] =
       hits + misses == 0
           ? 0.0
           : static_cast<double>(hits) / static_cast<double>(hits + misses);
 }
-BENCHMARK(BM_PaperQueryThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+BENCHMARK(BM_ScaledEntailmentFilter)->UseRealTime();
 
-// The same sweep with the resource governor armed at generous limits
+// The same query with the resource governor armed at generous limits
 // (nothing trips; every cancellation checkpoint and accounting hook
-// runs). Wall time here vs BM_PaperQueryThreads at the same thread count
-// is the governor overhead the CI budget caps at 5% — both series land
-// in BENCH_parallel.json (the filter matches the shared prefix), so a
-// creeping checkpoint cost is visible run over run.
-void BM_PaperQueryThreadsGoverned(benchmark::State& state) {
+// runs). Wall time here vs BM_ScaledEntailmentFilter is the governor
+// overhead, so a creeping checkpoint cost is visible run over run.
+void BM_ScaledEntailmentFilterGoverned(benchmark::State& state) {
   Database db;
   (void)office::BuildOfficeDatabase(&db);
   (void)office::AddScaledDesks(&db, 48, /*seed=*/77);
@@ -124,7 +109,6 @@ void BM_PaperQueryThreadsGoverned(benchmark::State& state) {
   uint64_t trips = 0;
   for (auto _ : state) {
     EvalOptions opts;
-    opts.threads = static_cast<size_t>(state.range(0));
     opts.deadline_ms = 600'000;
     opts.memory_budget = 1ull << 40;
     opts.max_pivots = 1ull << 40;
@@ -134,63 +118,10 @@ void BM_PaperQueryThreadsGoverned(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
     if (r.ok() && !r->governor_status().ok()) ++trips;
   }
-  state.counters["threads"] = static_cast<double>(state.range(0));
   // Any trip at these limits is a governor bug; surface it in the output.
   state.counters["governor_trips"] = static_cast<double>(trips);
 }
-BENCHMARK(BM_PaperQueryThreadsGoverned)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime();
-
-// The flight-recorder acceptance check: Histogram::Record (bucket + count
-// + sum adds, max CAS) must stay within 2x of the Timer::Record it
-// replaced on the hot paths. Both are measured back-to-back over the same
-// value stream and the ratio lands in the counters, so the budget is
-// checked from this bench's own output rather than a separate harness.
-void BM_HistogramVsTimerRecord(benchmark::State& state) {
-  obs::Timer& timer =
-      obs::Registry::Global().GetTimer("bench.record_timer");
-  obs::Histogram& hist =
-      obs::Registry::Global().GetHistogram("bench.record_hist");
-  constexpr int kBatch = 4096;
-  // A latency-shaped value stream (spread across buckets so the
-  // histogram's bucket-index path sees realistic inputs).
-  uint64_t values[kBatch];
-  uint64_t v = 1;
-  for (int i = 0; i < kBatch; ++i) {
-    v = v * 2862933555777941757ull + 3037000493ull;  // splitmix-ish LCG
-    values[i] = (v >> 24) % 10'000'000;              // 0..10ms in ns
-  }
-
-  uint64_t timer_ns = 0, hist_ns = 0;
-  for (auto _ : state) {
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kBatch; ++i) timer.Record(values[i]);
-    auto t1 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kBatch; ++i) hist.Record(values[i]);
-    auto t2 = std::chrono::steady_clock::now();
-    timer_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    hist_ns += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
-            .count());
-    benchmark::ClobberMemory();
-  }
-  const double records =
-      static_cast<double>(state.iterations()) * kBatch;
-  state.counters["timer_ns_per_record"] =
-      static_cast<double>(timer_ns) / records;
-  state.counters["histogram_ns_per_record"] =
-      static_cast<double>(hist_ns) / records;
-  state.counters["ratio"] = timer_ns == 0
-                                ? 0.0
-                                : static_cast<double>(hist_ns) /
-                                      static_cast<double>(timer_ns);
-  state.SetItemsProcessed(static_cast<int64_t>(records) * 2);
-}
-BENCHMARK(BM_HistogramVsTimerRecord);
+BENCHMARK(BM_ScaledEntailmentFilterGoverned)->UseRealTime();
 
 }  // namespace
 }  // namespace lyric

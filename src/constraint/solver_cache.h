@@ -20,7 +20,7 @@
 // deterministic and thread-agnostic.
 //
 // The cache is sharded (hash-picked shard, one mutex each) so concurrent
-// evaluator workers rarely contend, and size-bounded with per-shard LRU
+// queries rarely contend, and size-bounded with per-shard LRU
 // eviction. Hits/misses/evictions feed the obs metrics registry
 // ("solver_cache.*"); lyric_shell's `.cache` prints them.
 

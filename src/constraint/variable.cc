@@ -10,7 +10,7 @@ namespace lyric {
 
 namespace {
 
-// Thread-safe: the parallel evaluator interns variables from worker
+// Thread-safe: concurrent queries intern variables from their own
 // threads. Names live in a deque so the references handed out by Name()
 // stay stable across later interning. Reads (Name/Count) vastly outnumber
 // writes once a workload warms up, hence the reader/writer lock.

@@ -23,12 +23,12 @@ using VarId = uint32_t;
 /// A set of variable ids, ordered for deterministic iteration.
 using VarSet = std::set<VarId>;
 
-/// Process-wide variable interner. Thread-safe: the parallel evaluator
-/// interns query and freshened-bound variables from worker threads
-/// concurrently. Fresh() ids depend on call order and are therefore not
-/// deterministic across schedules — nothing rendered to users may depend
-/// on a fresh id's spelling (CstObject::CanonicalString renames bound
-/// variables by first occurrence for exactly this reason).
+/// Process-wide variable interner. Thread-safe: concurrent queries intern
+/// query and freshened-bound variables from their own threads. Fresh()
+/// ids depend on call order and are therefore not deterministic across
+/// schedules — nothing rendered to users may depend on a fresh id's
+/// spelling (CstObject::CanonicalString renames bound variables by first
+/// occurrence for exactly this reason).
 class Variable {
  public:
   /// Returns the id for `name`, interning it on first use.

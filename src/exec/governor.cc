@@ -1,10 +1,10 @@
 #include "exec/governor.h"
 
-#include <cstdlib>
 #include <string>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace lyric {
 namespace exec {
@@ -12,15 +12,6 @@ namespace exec {
 namespace {
 
 thread_local CancellationToken* t_current_token = nullptr;
-
-std::optional<uint64_t> EnvUint64(const char* name) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return std::nullopt;
-  return static_cast<uint64_t>(value);
-}
 
 void CountTrip(LimitKind kind) {
   obs::Registry::Global()
@@ -160,8 +151,8 @@ Status CancellationToken::ToStatus() const {
     sync::MutexLock lock(site_mu_);
     site = trip_site_;
   }
-  // Messages stay stable across serial/parallel runs: limit + first site
-  // only, no data-dependent progress counters.
+  // Messages stay stable across runs: limit + first site only, no
+  // data-dependent progress counters.
   std::string msg = "query exceeded ";
   msg += LimitKindToString(kind);
   msg += " limit (tripped at ";

@@ -5,8 +5,8 @@
 // instances inside them) quantifier elimination and DNF expansion blow up
 // — the failure mode the alibi-query case study (PAPERS.md) documents for
 // real constraint-database workloads. A production engine must bound that
-// work and degrade gracefully instead of hanging N worker threads or
-// aborting on std::bad_alloc.
+// work and degrade gracefully instead of hanging the server's exec
+// threads or aborting on std::bad_alloc.
 //
 // The model (docs/ROBUSTNESS.md):
 //
@@ -14,9 +14,9 @@
 //     deadline, kernel memory budget, simplex pivot cap, DNF disjunct cap
 //     — plus the usage counters and the sticky "tripped" record.
 //   * The evaluator installs the token as an *ambient* thread-local
-//     (GovernorScope) on the query thread and on every worker inside its
-//     chunk task, so the constraint kernels observe it without threading
-//     a parameter through every call signature.
+//     (GovernorScope) on the query thread, so the constraint kernels
+//     observe it without threading a parameter through every call
+//     signature.
 //   * Kernels check cooperatively: hot loops call the cheap counting
 //     hooks (AccountPivots / AccountKernelMemory / AccountDisjuncts,
 //     relaxed atomics), and every Result-bearing kernel entry point calls
@@ -107,8 +107,8 @@ struct GovernorReport {
 /// Shared cancellation state for one governed query. Thread-safe: the
 /// accounting hooks are relaxed atomics, Check samples the deadline.
 /// Trips are sticky — once a limit is exceeded every subsequent Check
-/// returns the same typed Status, so serial and parallel evaluations of
-/// the same query report identical codes.
+/// returns the same typed Status, so repeat evaluations of the same query
+/// report identical codes.
 class CancellationToken {
  public:
   explicit CancellationToken(const GovernorLimits& limits);
@@ -145,7 +145,7 @@ class CancellationToken {
   /// kDeadlineExceeded for deadline trips, kResourceExhausted for
   /// memory/pivot/disjunct trips. Messages are stable — they name the
   /// limit and the first trip site, never data-dependent progress — so
-  /// serial and parallel runs report byte-identical statuses.
+  /// repeat runs report byte-identical statuses.
   Status ToStatus() const;
 
   LimitKind tripped_kind() const {
@@ -187,8 +187,8 @@ class CancellationToken {
 
 /// Installs a token as the current thread's ambient governor for the
 /// scope's lifetime (restores the previous one on exit, so scopes nest).
-/// The evaluator opens one on the query thread and one inside each worker
-/// task; kernels read it through Current().
+/// The evaluator opens one on the query thread; kernels read it through
+/// Current().
 class GovernorScope {
  public:
   explicit GovernorScope(CancellationToken* token);

@@ -7,20 +7,12 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace lyric {
 namespace exec {
 
 namespace {
-
-std::optional<uint64_t> EnvUint64(const char* name) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return std::nullopt;
-  return static_cast<uint64_t>(value);
-}
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -60,8 +52,6 @@ std::string SchedulerStats::ToString() const {
   out += std::to_string(admitted);
   out += " queued=";
   out += std::to_string(queued);
-  out += " degraded=";
-  out += std::to_string(degraded);
   out += " shed=";
   out += std::to_string(shed);
   out += " (expired=";
@@ -75,7 +65,7 @@ AdmissionTicket& AdmissionTicket::operator=(AdmissionTicket&& other) noexcept {
     Release();
     scheduler_ = other.scheduler_;
     memory_ = other.memory_;
-    degraded_ = other.degraded_;
+    queued_ = other.queued_;
     queue_wait_ns_ = other.queue_wait_ns_;
     start_ = other.start_;
     other.scheduler_ = nullptr;
@@ -123,14 +113,6 @@ void QueryScheduler::PublishGaugesLocked() const {
   active_gauge.Set(static_cast<int64_t>(active_));
   waiting_gauge.Set(static_cast<int64_t>(waiting));
   reserved_gauge.Set(static_cast<int64_t>(reserved_memory_));
-}
-
-bool QueryScheduler::UnderPressureLocked() const {
-  for (const Waiter& w : waiters_) {
-    if (!w.granted) return true;
-  }
-  return limits_.max_total_memory.has_value() &&
-         reserved_memory_ > *limits_.max_total_memory / 2;
 }
 
 uint64_t QueryScheduler::RetryAfterHintLocked() const {
@@ -186,16 +168,11 @@ void QueryScheduler::GrantWaitersLocked() {
       break;
     }
     best->granted = true;
-    // A grant made off the queue happened under contention by definition:
-    // downgrade to serial execution so slots drain faster.
-    best->degraded = true;
     ++active_;
     peak_active_ = std::max(peak_active_, active_);
     reserved_memory_ += best->memory;
     ++admitted_;
-    ++degraded_;
     LYRIC_OBS_COUNT("scheduler.admitted");
-    LYRIC_OBS_COUNT("scheduler.degraded");
     granted_any = true;
   }
   // Grants can originate from Release, Configure, or a newly queued
@@ -228,21 +205,16 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
       reserved_memory_ + request.memory_budget <= *limits_.max_total_memory;
 
   if (!forced_shed && slot_free && memory_fits && waiters_.empty()) {
-    const bool degraded = UnderPressureLocked();
     ++active_;
     peak_active_ = std::max(peak_active_, active_);
     reserved_memory_ += request.memory_budget;
     ++admitted_;
     LYRIC_OBS_COUNT("scheduler.admitted");
-    if (degraded) {
-      ++degraded_;
-      LYRIC_OBS_COUNT("scheduler.degraded");
-    }
     // A direct grant waited zero time; recording it keeps the queue-wait
     // percentiles honest (p50 over all admissions, not just queued ones).
     LYRIC_OBS_RECORD("scheduler.queue_wait", 0);
     PublishGaugesLocked();
-    AdmissionTicket ticket(this, request.memory_budget, degraded);
+    AdmissionTicket ticket(this, request.memory_budget);
     ticket.start_ = now;
     return ticket;
   }
@@ -305,7 +277,8 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
     }
   }
 
-  AdmissionTicket ticket(this, it->memory, it->degraded);
+  AdmissionTicket ticket(this, it->memory);
+  ticket.queued_ = true;
   ticket.start_ = now;
   ticket.queue_wait_ns_ = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -339,7 +312,6 @@ SchedulerStats QueryScheduler::stats() const {
   out.admitted = admitted_;
   out.queued = queued_;
   out.shed = shed_;
-  out.degraded = degraded_;
   out.expired = expired_;
   out.active = active_;
   for (const Waiter& w : waiters_) {

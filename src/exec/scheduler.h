@@ -13,10 +13,6 @@
 //   queue    no slot (or no ledger headroom): park the arrival in a
 //            deadline-aware priority queue — earliest declared deadline
 //            first, FIFO (arrival order) among equal deadlines.
-//   degrade  a grant made under pressure (the grant came off the queue,
-//            or reserved memory exceeds half the ledger) is downgraded to
-//            serial single-thread execution — finish more queries sooner
-//            before starting to reject any.
 //   shed     the queue is full, the queue timeout elapses, or the query's
 //            own deadline expires while it waits: fail fast with a typed
 //            kUnavailable Status carrying a computed retry-after hint
@@ -27,8 +23,8 @@
 // injected-fault failures while never retrying kDeadlineExceeded partials.
 //
 // With no limits configured (the default) Admit is a single mutex
-// acquisition that increments the ledger — no queueing, no degradation —
-// so unscheduled workloads keep their exact behavior.
+// acquisition that increments the ledger — no queueing — so unscheduled
+// workloads keep their exact behavior.
 
 #ifndef LYRIC_EXEC_SCHEDULER_H_
 #define LYRIC_EXEC_SCHEDULER_H_
@@ -95,7 +91,6 @@ struct SchedulerStats {
   uint64_t admitted = 0;   ///< Grants (direct + from the queue), lifetime.
   uint64_t queued = 0;     ///< Arrivals that had to wait, lifetime.
   uint64_t shed = 0;       ///< Arrivals rejected with kUnavailable.
-  uint64_t degraded = 0;   ///< Grants downgraded to serial execution.
   uint64_t expired = 0;    ///< Sheds caused by deadline/timeout in queue.
   uint64_t active = 0;     ///< Currently executing scheduled queries.
   uint64_t waiting = 0;    ///< Currently queued arrivals.
@@ -123,10 +118,8 @@ class AdmissionTicket {
 
   /// True when this ticket holds a slot.
   bool admitted() const { return scheduler_ != nullptr; }
-  /// True when the grant was made under pressure: the holder should run
-  /// serially (threads=1) so the process finishes queries instead of
-  /// oversubscribing workers.
-  bool degraded() const { return degraded_; }
+  /// True when the grant came off the wait queue rather than directly.
+  bool queued() const { return queued_; }
   /// Time this admission spent parked in the wait queue (0 for a direct
   /// grant). Feeds the per-query log record.
   uint64_t queue_wait_ns() const { return queue_wait_ns_; }
@@ -136,12 +129,12 @@ class AdmissionTicket {
 
  private:
   friend class QueryScheduler;
-  AdmissionTicket(QueryScheduler* scheduler, uint64_t memory, bool degraded)
-      : scheduler_(scheduler), memory_(memory), degraded_(degraded) {}
+  AdmissionTicket(QueryScheduler* scheduler, uint64_t memory)
+      : scheduler_(scheduler), memory_(memory) {}
 
   QueryScheduler* scheduler_ = nullptr;
   uint64_t memory_ = 0;
-  bool degraded_ = false;
+  bool queued_ = false;
   uint64_t queue_wait_ns_ = 0;
   std::chrono::steady_clock::time_point start_{};
 };
@@ -191,7 +184,6 @@ class QueryScheduler {
     bool has_deadline = false;
     uint64_t memory = 0;
     bool granted = false;
-    bool degraded = false;
   };
 
   void Release(uint64_t memory, std::chrono::steady_clock::time_point start)
@@ -199,8 +191,6 @@ class QueryScheduler {
   /// Grants queued waiters in priority order while slots and ledger
   /// headroom last.
   void GrantWaitersLocked() LYRIC_REQUIRES(mu_);
-  /// True when a grant made now should be degraded to serial execution.
-  bool UnderPressureLocked() const LYRIC_REQUIRES(mu_);
   /// Builds the typed shed status with the retry-after hint.
   Status ShedLocked(const char* why) LYRIC_REQUIRES(mu_);
   uint64_t RetryAfterHintLocked() const LYRIC_REQUIRES(mu_);
@@ -222,7 +212,6 @@ class QueryScheduler {
   uint64_t admitted_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t queued_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t shed_ LYRIC_GUARDED_BY(mu_) = 0;
-  uint64_t degraded_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t expired_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t peak_active_ LYRIC_GUARDED_BY(mu_) = 0;
   /// EWMA of completed-query durations in ms; feeds the retry-after hint.

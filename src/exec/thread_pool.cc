@@ -30,8 +30,8 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Submit(std::function<void()> task) {
   // Simulated scheduling failure: degrade to inline execution on the
-  // caller. Correctness is unaffected — chunk tasks are independent and
-  // the latch still counts down — only parallelism is lost.
+  // caller. Correctness is unaffected — the task still runs and notifies
+  // its waiter — only concurrency is lost.
   if (fault::Enabled() && fault::Inject(fault::kSiteThreadPool)) {
     LYRIC_OBS_COUNT("exec.tasks_inline_degraded");
     task();
@@ -51,8 +51,8 @@ void ThreadPool::WorkerLoop() {
     {
       sync::MutexLock lock(mu_);
       while (!shutting_down_ && queue_.empty()) cv_.Wait(mu_);
-      // Drain before exiting so every submitted task runs (chunk results
-      // the merge is waiting on must materialize even during shutdown).
+      // Drain before exiting so every submitted task runs (a caller may
+      // be waiting on its result even during shutdown).
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -66,27 +66,17 @@ size_t ThreadPool::HardwareThreads() {
   return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
-void ChunkLatch::Done(size_t chunk_index) {
-  {
-    sync::MutexLock lock(mu_);
-    if (chunk_index < done_bits_.size() && !done_bits_[chunk_index]) {
-      done_bits_[chunk_index] = true;
-      ++completed_;
-    }
-  }
+void Notification::Notify() {
+  sync::MutexLock lock(mu_);
+  notified_ = true;
+  // Signal under the lock: the waiter may destroy this object as soon as
+  // it sees notified_, so nothing may touch it after the unlock.
   cv_.NotifyAll();
 }
 
-void ChunkLatch::WaitFor(size_t chunk_index) {
+void Notification::Wait() {
   sync::MutexLock lock(mu_);
-  while (chunk_index < done_bits_.size() && !done_bits_[chunk_index]) {
-    cv_.Wait(mu_);
-  }
-}
-
-void ChunkLatch::WaitAll() {
-  sync::MutexLock lock(mu_);
-  while (completed_ != total_) cv_.Wait(mu_);
+  while (!notified_) cv_.Wait(mu_);
 }
 
 }  // namespace exec

@@ -1,16 +1,14 @@
-// A fixed-size worker pool for parallel query evaluation.
+// A fixed-size worker pool, and the one-shot Notification its callers
+// wait on.
 //
-// The LyriC evaluator's hot loop is embarrassingly parallel: each candidate
-// binding's WHERE-clause satisfiability/entailment test is an independent
-// simplex/Fourier-Motzkin problem (the PTIME data-complexity argument of §5
-// is per-tuple). The pool runs those per-chunk tasks concurrently; the
-// evaluator merges chunk results back in input order so parallel output is
-// byte-identical to serial output (see docs/PARALLELISM.md).
+// lyric_serverd's exec pool is the one user: each session's reader thread
+// submits a decoded query to the pool and waits on a Notification for the
+// answer (net/server.cc), so requests on one connection stay ordered and
+// concurrency comes from other sessions. Each query evaluates serially on
+// the pool thread that runs it.
 //
 // The pool is deliberately small: submit closures, destruction drains the
-// queue and joins. No futures, no work stealing — the evaluator partitions
-// work into contiguous chunks up front and synchronizes per chunk with
-// ChunkLatch below.
+// queue and joins. No futures, no work stealing.
 
 #ifndef LYRIC_EXEC_THREAD_POOL_H_
 #define LYRIC_EXEC_THREAD_POOL_H_
@@ -59,31 +57,17 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// A one-shot countdown latch: the evaluator submits N chunk tasks, each
-/// task counts down once, and the merging thread waits for a *prefix* of
-/// chunks (WaitFor(k) returns once at least k chunks completed). Prefix
-/// waiting lets the merge commit chunk i as soon as chunks 0..i are done,
-/// without a full barrier over the whole batch.
-class ChunkLatch {
+/// A one-shot event: a task calls Notify() once when it is done, and the
+/// thread that submitted it blocks in Wait() until then.
+class Notification {
  public:
-  explicit ChunkLatch(size_t total)
-      : total_(total), done_bits_(total, false) {}
-
-  /// Marks one chunk (by index) complete.
-  void Done(size_t chunk_index) LYRIC_EXCLUDES(mu_);
-
-  /// Blocks until chunk `chunk_index` has completed.
-  void WaitFor(size_t chunk_index) LYRIC_EXCLUDES(mu_);
-
-  /// Blocks until every chunk has completed.
-  void WaitAll() LYRIC_EXCLUDES(mu_);
+  void Notify() LYRIC_EXCLUDES(mu_);
+  void Wait() LYRIC_EXCLUDES(mu_);
 
  private:
-  sync::Mutex mu_{sync::LockRank::kChunkLatch, "chunk_latch"};
+  sync::Mutex mu_{sync::LockRank::kNotification, "notification"};
   sync::CondVar cv_;
-  const size_t total_;
-  std::vector<bool> done_bits_ LYRIC_GUARDED_BY(mu_);
-  size_t completed_ LYRIC_GUARDED_BY(mu_) = 0;
+  bool notified_ LYRIC_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace exec

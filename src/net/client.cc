@@ -24,7 +24,6 @@ Result<QueryResponse> Client::Execute(const std::string& query) {
   request.query = query;
   request.deadline_ms = options_.deadline_ms;
   request.memory_budget = options_.memory_budget;
-  request.threads = options_.threads;
   request.max_rows = options_.max_rows;
   request.analyze_first = options_.analyze_first;
   return Execute(request);

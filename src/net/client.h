@@ -48,7 +48,6 @@ struct ClientOptions {
   /// request built by hand overrides them field by field.
   std::optional<uint64_t> deadline_ms;
   std::optional<uint64_t> memory_budget;
-  uint32_t threads = 0;
   uint64_t max_rows = 0;
   bool analyze_first = false;
   /// Receive-side frame payload cap.

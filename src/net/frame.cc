@@ -162,7 +162,7 @@ std::string EncodeQueryRequest(const QueryRequest& req) {
   w.U8(flags);
   w.U64(req.deadline_ms.value_or(0));
   w.U64(req.memory_budget.value_or(0));
-  w.U32(req.threads);
+  w.U32(0);  // Reserved: senders write 0, receivers ignore it.
   w.U64(req.max_rows);
   w.Str(req.query);
   return w.Take();
@@ -173,9 +173,10 @@ Status DecodeQueryRequest(const std::string& payload, QueryRequest* out) {
   uint8_t flags = 0;
   uint64_t deadline_ms = 0;
   uint64_t memory_budget = 0;
+  uint32_t reserved = 0;
   QueryRequest req;
   if (!r.U8(&flags) || !r.U64(&deadline_ms) || !r.U64(&memory_budget) ||
-      !r.U32(&req.threads) || !r.U64(&req.max_rows) || !r.Str(&req.query)) {
+      !r.U32(&reserved) || !r.U64(&req.max_rows) || !r.Str(&req.query)) {
     return Status::InvalidArgument("frame: truncated QueryRequest payload");
   }
   if (!r.AtEnd()) {
@@ -206,7 +207,7 @@ std::string EncodeQueryResponse(const QueryResponse& resp) {
     w.Str(resp.governor_report);
     w.Str(resp.admission_mode);
     w.U64(resp.queue_wait_ns);
-    w.U32(resp.threads_used);
+    w.U32(0);  // Reserved: senders write 0, receivers ignore it.
     w.U32(resp.server_retries);
   }
   return w.Take();
@@ -259,9 +260,10 @@ Status DecodeQueryResponse(const std::string& payload, QueryResponse* out) {
       resp.diagnostics.push_back(std::move(diag));
     }
     uint32_t governor_code = 0;
+    uint32_t reserved = 0;
     if (!r.U32(&governor_code) || !r.Str(&resp.governor_report) ||
         !r.Str(&resp.admission_mode) || !r.U64(&resp.queue_wait_ns) ||
-        !r.U32(&resp.threads_used) || !r.U32(&resp.server_retries)) {
+        !r.U32(&reserved) || !r.U32(&resp.server_retries)) {
       return Status::InvalidArgument(
           "frame: truncated QueryResponse report section");
     }
@@ -305,7 +307,6 @@ QueryResponse ResponseFromResult(const Result<ResultSet>& result) {
   }
   resp.admission_mode = rs.admission().mode;
   resp.queue_wait_ns = rs.admission().queue_wait_ns;
-  resp.threads_used = rs.admission().threads;
   resp.server_retries = rs.admission().retries;
   return resp;
 }

@@ -124,8 +124,6 @@ struct QueryRequest {
   std::optional<uint64_t> deadline_ms;
   /// Kernel memory budget in bytes (EvalOptions::memory_budget).
   std::optional<uint64_t> memory_budget;
-  /// Worker threads for this query; 0 keeps the server default.
-  uint32_t threads = 0;
   /// Row cap; 0 keeps the server default.
   uint64_t max_rows = 0;
   /// Run the static analyzer first (diagnostics ride the response).
@@ -157,12 +155,11 @@ struct QueryResponse {
   /// Admission report: how the server's scheduler treated the query.
   std::string admission_mode = "off";
   uint64_t queue_wait_ns = 0;
-  uint32_t threads_used = 1;
   uint32_t server_retries = 0;
 
   /// The deterministic face of the response: status, rendered table,
-  /// truncation flag, diagnostics. Byte-identical across serial, parallel
-  /// and remote evaluation of the same query over the same data; timing
+  /// truncation flag, diagnostics. Byte-identical across in-process and
+  /// remote evaluation of the same query over the same data; timing
   /// and admission fields are deliberately excluded. Differential tests
   /// and lyric_loadgen compare these.
   std::string Fingerprint() const;

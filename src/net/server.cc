@@ -363,12 +363,12 @@ Status Server::ServeOneFrame(Session* session) {
       // Dispatch the evaluation onto the pool and wait: requests on one
       // connection stay ordered, concurrency comes from other sessions.
       QueryResponse response;
-      exec::ChunkLatch latch(1);
-      pool_->Submit([this, &request, &response, &latch] {
+      exec::Notification answered;
+      pool_->Submit([this, &request, &response, &answered] {
         response = HandleQuery(request);
-        latch.Done(0);
+        answered.Notify();
       });
-      latch.WaitFor(0);
+      answered.Wait();
       st = SendFrame(session->socket, FrameType::kResult,
                      EncodeQueryResponse(response));
       // Only after the answer is on the wire (or the transport died) is
@@ -415,7 +415,6 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
   if (request.memory_budget.has_value()) {
     opts.memory_budget = request.memory_budget;
   }
-  if (request.threads != 0) opts.threads = request.threads;
   if (request.max_rows != 0) opts.max_rows = request.max_rows;
   if (request.analyze_first) opts.analyze_first = true;
   if (options_.scheduler != nullptr) opts.scheduler = options_.scheduler;

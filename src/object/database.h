@@ -86,7 +86,7 @@ class Database {
   /// Interns a CST object by canonical form and returns its oid.
   /// Thread-safe, and order-independent: the oid IS the canonical form, so
   /// concurrent interleavings produce identical oids and an identical
-  /// store (the parallel evaluator's workers intern freely).
+  /// store (concurrent queries intern freely).
   Result<Oid> InternCst(const CstObject& obj) LYRIC_EXCLUDES(*cst_mu_);
   /// The CST object denoted by a CST oid. Thread-safe against InternCst.
   Result<CstObject> GetCst(const Oid& oid) const LYRIC_EXCLUDES(*cst_mu_);
@@ -124,9 +124,10 @@ class Database {
   Schema schema_;
   MethodRegistry methods_;
   std::map<Oid, ObjectRecord> objects_;
-  // Guards cst_store_ only: CST interning is the one database write the
-  // parallel evaluator's workers perform (via SELECT construction and the
-  // builtin CST methods); every other mutation stays on the merge thread.
+  // Guards cst_store_ only: CST interning is the one database write a
+  // read query performs (via SELECT construction and the builtin CST
+  // methods), so concurrent read queries share it; schema mutations are
+  // serialized by the caller (lyric_serverd's exclusive schema gate).
   // Held by pointer so Database remains movable (sync::Mutex, like
   // std::mutex, is not).
   std::unique_ptr<sync::Mutex> cst_mu_ =

@@ -146,20 +146,6 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(
   // Gauges are point-in-time, not cumulative: the delta carries this
   // snapshot's value unchanged.
   out.gauges = gauges;
-  for (const auto& [name, stats] : timers) {
-    auto it = before.timers.find(name);
-    TimerStats delta = stats;
-    if (it != before.timers.end()) {
-      delta.count = stats.count >= it->second.count
-                        ? stats.count - it->second.count
-                        : 0;
-      delta.total_ns = stats.total_ns >= it->second.total_ns
-                           ? stats.total_ns - it->second.total_ns
-                           : 0;
-      // max_ns is not subtractive; keep the later snapshot's max.
-    }
-    out.timers[name] = delta;
-  }
   for (const auto& [name, stats] : histograms) {
     auto it = before.histograms.find(name);
     HistogramStats delta = stats;
@@ -193,9 +179,6 @@ std::string MetricsSnapshot::ToString() const {
   for (const auto& [name, value] : gauges) {
     if (value != 0) width = std::max(width, name.size());
   }
-  for (const auto& [name, stats] : timers) {
-    if (stats.count != 0) width = std::max(width, name.size());
-  }
   for (const auto& [name, stats] : histograms) {
     if (stats.count != 0) width = std::max(width, name.size());
   }
@@ -208,13 +191,6 @@ std::string MetricsSnapshot::ToString() const {
     if (value == 0) continue;
     out += "  " + name + std::string(width + 2 - name.size(), ' ') +
            std::to_string(value) + " (gauge)\n";
-  }
-  for (const auto& [name, stats] : timers) {
-    if (stats.count == 0) continue;
-    out += "  " + name + std::string(width + 2 - name.size(), ' ') +
-           std::to_string(stats.count) + " calls, total " +
-           FormatNs(stats.total_ns) + ", max " + FormatNs(stats.max_ns) +
-           "\n";
   }
   for (const auto& [name, stats] : histograms) {
     if (stats.count == 0) continue;
@@ -248,21 +224,6 @@ std::string MetricsSnapshot::ToJson() const {
     out += JsonEscape(name);
     out += "\": ";
     out += std::to_string(value);
-  }
-  out += "}, \"timers\": {";
-  first = true;
-  for (const auto& [name, stats] : timers) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    out += JsonEscape(name);
-    out += "\": {\"count\": ";
-    out += std::to_string(stats.count);
-    out += ", \"total_ns\": ";
-    out += std::to_string(stats.total_ns);
-    out += ", \"max_ns\": ";
-    out += std::to_string(stats.max_ns);
-    out += '}';
   }
   out += "}, \"histograms\": {";
   first = true;
@@ -305,16 +266,8 @@ std::string MetricsSnapshot::ToPrometheus() const {
     out += "# TYPE " + pname + " gauge\n";
     out += pname + " " + std::to_string(value) + "\n";
   }
-  // Timers and histograms record nanoseconds; the "_ns" suffix makes the
-  // unit explicit in the series name.
-  for (const auto& [name, stats] : timers) {
-    std::string pname = PrometheusName(name) + "_ns";
-    out += "# TYPE " + pname + " summary\n";
-    out += pname + "_sum " + std::to_string(stats.total_ns) + "\n";
-    out += pname + "_count " + std::to_string(stats.count) + "\n";
-    out += "# TYPE " + pname + "_max gauge\n";
-    out += pname + "_max " + std::to_string(stats.max_ns) + "\n";
-  }
+  // Histograms record nanoseconds; the "_ns" suffix makes the unit
+  // explicit in the series name.
   for (const auto& [name, stats] : histograms) {
     std::string pname = PrometheusName(name) + "_ns";
     out += "# TYPE " + pname + " summary\n";
@@ -429,16 +382,6 @@ Gauge& Registry::GetGauge(const std::string& name) {
   return *it->second;
 }
 
-Timer& Registry::GetTimer(const std::string& name) {
-  sync::MutexLock lock(mu_);
-  auto it = timers_.find(name);
-  if (it == timers_.end()) {
-    it = timers_.emplace(name, std::unique_ptr<Timer>(new Timer(name)))
-             .first;
-  }
-  return *it->second;
-}
-
 Histogram& Registry::GetHistogram(const std::string& name) {
   sync::MutexLock lock(mu_);
   auto it = histograms_.find(name);
@@ -458,13 +401,6 @@ MetricsSnapshot Registry::Snapshot() const {
   }
   for (const auto& [name, gauge] : gauges_) {
     out.gauges[name] = gauge->value();
-  }
-  for (const auto& [name, timer] : timers_) {
-    MetricsSnapshot::TimerStats stats;
-    stats.count = timer->count_.load(std::memory_order_relaxed);
-    stats.total_ns = timer->total_ns_.load(std::memory_order_relaxed);
-    stats.max_ns = timer->max_ns_.load(std::memory_order_relaxed);
-    out.timers[name] = stats;
   }
   for (const auto& [name, hist] : histograms_) {
     MetricsSnapshot::HistogramStats stats;
@@ -487,11 +423,6 @@ void Registry::ResetForTesting() {
   }
   for (auto& [name, gauge] : gauges_) {
     gauge->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, timer] : timers_) {
-    timer->count_.store(0, std::memory_order_relaxed);
-    timer->total_ns_.store(0, std::memory_order_relaxed);
-    timer->max_ns_.store(0, std::memory_order_relaxed);
   }
   for (auto& [name, hist] : histograms_) {
     hist->count_.store(0, std::memory_order_relaxed);

@@ -10,11 +10,9 @@
 // cost. Histograms bucket recorded values (by convention: nanoseconds)
 // into log-linear buckets — 16 linear sub-buckets per power of two, so
 // any recorded value lands within ~6% of its bucket's upper edge — and a
-// Record is three relaxed adds plus a max CAS, within 2x of the old
-// count/total/max Timer (bench_paper_queries reports the measured ratio).
-// Reading is the only operation that takes a lock: Registry::Snapshot()
-// copies every value under the registry mutex, so hot paths never contend
-// with readers.
+// Record is three relaxed adds plus a max CAS. Reading is the only
+// operation that takes a lock: Registry::Snapshot() copies every value
+// under the registry mutex, so hot paths never contend with readers.
 //
 // Usage on a hot path — resolve the handle once per call site:
 //
@@ -93,36 +91,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// A named latency accumulator: count, total and max of recorded
-/// durations. Record with ScopedTimer or Record(nanos). Superseded by
-/// Histogram on the hot paths (which adds percentiles for the same
-/// order-of-magnitude record cost) but kept for call sites that only
-/// need count/total/max.
-class Timer {
- public:
-  void Record(uint64_t nanos) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    total_ns_.fetch_add(nanos, std::memory_order_relaxed);
-    uint64_t prev = max_ns_.load(std::memory_order_relaxed);
-    while (prev < nanos &&
-           !max_ns_.compare_exchange_weak(prev, nanos,
-                                          std::memory_order_relaxed)) {
-    }
-  }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class Registry;
-  explicit Timer(std::string name) : name_(std::move(name)) {}
-  Timer(const Timer&) = delete;
-  Timer& operator=(const Timer&) = delete;
-
-  std::string name_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> total_ns_{0};
-  std::atomic<uint64_t> max_ns_{0};
-};
-
 /// A log-linear histogram of uint64 values (by convention nanoseconds).
 ///
 /// Bucketing: values below 16 get exact buckets; above that, each power
@@ -189,25 +157,6 @@ class Histogram {
   std::atomic<uint64_t> buckets_[kNumBuckets]{};
 };
 
-/// RAII wall-clock measurement into a Timer.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Timer& timer)
-      : timer_(timer), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    timer_.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Timer& timer_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// RAII wall-clock measurement into a Histogram (nanoseconds).
 class ScopedHistogramTimer {
  public:
@@ -229,12 +178,6 @@ class ScopedHistogramTimer {
 
 /// A point-in-time copy of every registered metric.
 struct MetricsSnapshot {
-  struct TimerStats {
-    uint64_t count = 0;
-    uint64_t total_ns = 0;
-    uint64_t max_ns = 0;
-  };
-
   struct HistogramStats {
     uint64_t count = 0;
     uint64_t sum = 0;
@@ -254,7 +197,6 @@ struct MetricsSnapshot {
 
   std::map<std::string, uint64_t> counters;
   std::map<std::string, int64_t> gauges;
-  std::map<std::string, TimerStats> timers;
   std::map<std::string, HistogramStats> histograms;
 
   /// Per-metric difference `this - before` (counters are monotonic, so the
@@ -269,14 +211,14 @@ struct MetricsSnapshot {
   /// histograms print count, p50/p90/p99/p999 and max as durations).
   std::string ToString() const;
 
-  /// {"counters": {...}, "gauges": {...}, "timers": {...},
+  /// {"counters": {...}, "gauges": {...},
   ///  "histograms": {name: {count, sum, max, mean, p50, p90, p99, p999}}}.
   std::string ToJson() const;
 
   /// Prometheus text exposition (version 0.0.4): counters as
-  /// `lyric_<name>_total`, gauges as gauges, timers and histograms as
-  /// summaries (histograms carry quantile series). Metric names are
-  /// sanitized (non-[a-zA-Z0-9_:] -> '_').
+  /// `lyric_<name>_total`, gauges as gauges, histograms as summaries
+  /// with quantile series. Metric names are sanitized
+  /// (non-[a-zA-Z0-9_:] -> '_').
   std::string ToPrometheus() const;
 };
 
@@ -288,7 +230,6 @@ class Registry {
 
   Counter& GetCounter(const std::string& name) LYRIC_EXCLUDES(mu_);
   Gauge& GetGauge(const std::string& name) LYRIC_EXCLUDES(mu_);
-  Timer& GetTimer(const std::string& name) LYRIC_EXCLUDES(mu_);
   Histogram& GetHistogram(const std::string& name) LYRIC_EXCLUDES(mu_);
 
   MetricsSnapshot Snapshot() const LYRIC_EXCLUDES(mu_);
@@ -309,12 +250,11 @@ class Registry {
   // The registry lock guards only the name -> object maps; the metric
   // objects themselves are atomics, updated lock-free after resolution.
   // Ranked after every subsystem lock (counters resolve under them) and
-  // before the sinks (query log, trace lanes).
+  // before the query-log sink.
   mutable sync::Mutex mu_{sync::LockRank::kObsRegistry, "obs_registry"};
   std::map<std::string, std::unique_ptr<Counter>> counters_
       LYRIC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ LYRIC_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Timer>> timers_ LYRIC_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       LYRIC_GUARDED_BY(mu_);
 };

@@ -21,7 +21,7 @@ struct QueryProfile {
   MetricsSnapshot counters_before;
   MetricsSnapshot counters_after;
 
-  /// Counter/timer deltas attributable to this query.
+  /// Counter and histogram deltas attributable to this query.
   MetricsSnapshot CounterDeltas() const {
     return counters_after.DeltaSince(counters_before);
   }

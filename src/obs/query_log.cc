@@ -107,7 +107,6 @@ std::string QueryLogRecord::ToJson() const {
   AppendField(&out, "duration_ns", duration_ns, &first);
   AppendField(&out, "queue_wait_ns", queue_wait_ns, &first);
   AppendField(&out, "rows", rows, &first);
-  AppendField(&out, "threads", static_cast<uint64_t>(threads), &first);
   AppendField(&out, "retries", static_cast<uint64_t>(retries), &first);
   AppendField(&out, "cache_hits", cache_hits, &first);
   AppendField(&out, "cache_misses", cache_misses, &first);

@@ -39,12 +39,11 @@ struct QueryLogRecord {
   uint64_t query_hash = 0; // stable hash of the query text
   std::string query;       // leading fragment of the query text
   std::string status;      // "ok" or the error category
-  std::string admission;   // "direct", "queued", "degraded", "shed", "off"
+  std::string admission;   // "direct", "queued", "shed", "off"
   std::string governor;    // "", "deadline", "memory", "cancelled"
   uint64_t duration_ns = 0;
   uint64_t queue_wait_ns = 0;
   uint64_t rows = 0;
-  uint32_t threads = 0;
   uint32_t retries = 0;
   uint64_t cache_hits = 0;       // solver-cache deltas over this query
   uint64_t cache_misses = 0;

@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <map>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -11,7 +10,7 @@ namespace obs {
 
 namespace {
 
-thread_local internal::TraceLane* g_current_lane = nullptr;
+thread_local TraceCollector* g_current = nullptr;
 
 std::string FormatDurNs(uint64_t ns) {
   char buf[32];
@@ -30,20 +29,20 @@ void AppendPretty(const SpanNode& node, int depth, std::string* out) {
   }
 }
 
-void AppendChromeEvents(const SpanNode& node, int tid, bool* first,
+void AppendChromeEvents(const SpanNode& node, bool* first,
                         std::string* out) {
   if (!*first) *out += ",\n";
   *first = false;
   char buf[96];
   std::snprintf(buf, sizeof(buf),
                 "\"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
-                "\"pid\": 1, \"tid\": %d}",
+                "\"pid\": 1, \"tid\": 1}",
                 static_cast<double>(node.start_ns) / 1e3,
-                static_cast<double>(node.dur_ns) / 1e3, tid);
+                static_cast<double>(node.dur_ns) / 1e3);
   *out += "{\"name\": \"" + JsonEscape(node.name) +
           "\", \"cat\": \"lyric\", " + buf;
   for (const auto& child : node.children) {
-    AppendChromeEvents(*child, tid, first, out);
+    AppendChromeEvents(*child, first, out);
   }
 }
 
@@ -67,9 +66,6 @@ size_t SpanNode::CountChildren(const std::string& child_name) const {
 TraceCollector::TraceCollector()
     : base_(std::chrono::steady_clock::now()) {
   root_.name = "query";
-  main_lane_.collector = this;
-  main_lane_.root = &root_;
-  main_lane_.current = &root_;
 }
 
 uint64_t TraceCollector::NowNs() const {
@@ -82,82 +78,26 @@ void TraceCollector::Finish() {
   if (finished_) return;
   finished_ = true;
   root_.dur_ns = NowNs();
-  main_lane_.current = &root_;
-}
-
-internal::TraceLane* TraceCollector::RegisterWorkerLane() {
-  auto worker = std::make_unique<WorkerLane>();
-  worker->thread = std::this_thread::get_id();
-  worker->lane.collector = this;
-  worker->lane.root = &worker->container;
-  worker->lane.current = &worker->container;
-  internal::TraceLane* lane = &worker->lane;
-  sync::MutexLock lock(lanes_mu_);
-  worker_lanes_.push_back(std::move(worker));
-  return lane;
-}
-
-std::vector<TraceCollector::WorkerLaneView> TraceCollector::worker_lanes()
-    const {
-  std::vector<WorkerLaneView> out;
-  sync::MutexLock lock(lanes_mu_);
-  out.reserve(worker_lanes_.size());
-  for (const auto& worker : worker_lanes_) {
-    out.push_back(WorkerLaneView{worker->thread, &worker->container});
-  }
-  return out;
+  current_ = &root_;
 }
 
 std::string TraceCollector::ToPrettyString() const {
   std::string out;
   AppendPretty(root_, 0, &out);
-  std::map<std::thread::id, int> tids;
-  sync::MutexLock lock(lanes_mu_);
-  for (const auto& worker : worker_lanes_) {
-    if (worker->container.children.empty()) continue;
-    auto it = tids.find(worker->thread);
-    if (it == tids.end()) {
-      it = tids.emplace(worker->thread,
-                        static_cast<int>(tids.size()) + 2).first;
-    }
-    out += "[worker tid=" + std::to_string(it->second) + "]\n";
-    for (const auto& child : worker->container.children) {
-      AppendPretty(*child, 1, &out);
-    }
-  }
   return out;
 }
 
 std::string TraceCollector::ToChromeTraceJson() const {
   std::string out = "{\"traceEvents\": [\n";
   bool first = true;
-  AppendChromeEvents(root_, /*tid=*/1, &first, &out);
-  // Worker lanes: one tid per distinct worker thread, assigned in
-  // lane-registration order starting at 2. The container node itself is
-  // bookkeeping, not a stage — only its children are emitted.
-  std::map<std::thread::id, int> tids;
-  sync::MutexLock lock(lanes_mu_);
-  for (const auto& worker : worker_lanes_) {
-    auto it = tids.find(worker->thread);
-    if (it == tids.end()) {
-      it = tids.emplace(worker->thread,
-                        static_cast<int>(tids.size()) + 2).first;
-    }
-    for (const auto& child : worker->container.children) {
-      AppendChromeEvents(*child, it->second, &first, &out);
-    }
-  }
+  AppendChromeEvents(root_, &first, &out);
   out += "\n]}\n";
   return out;
 }
 
-TraceCollector* TraceCollector::Current() {
-  return g_current_lane == nullptr ? nullptr : g_current_lane->collector;
-}
-
 ScopedTraceSession::ScopedTraceSession(TraceCollector* collector)
-    : collector_(collector), previous_(g_current_lane) {
-  g_current_lane = collector_ == nullptr ? nullptr : &collector_->main_lane_;
+    : collector_(collector), previous_(g_current) {
+  g_current = collector_;
 }
 
 ScopedTraceSession::~ScopedTraceSession() { Stop(); }
@@ -166,19 +106,7 @@ void ScopedTraceSession::Stop() {
   if (stopped_) return;
   stopped_ = true;
   if (collector_ != nullptr) collector_->Finish();
-  g_current_lane = previous_;
-}
-
-WorkerTraceScope::WorkerTraceScope(TraceCollector* collector) {
-  if (collector == nullptr) return;
-  previous_ = g_current_lane;
-  g_current_lane = collector->RegisterWorkerLane();
-  active_ = true;
-}
-
-WorkerTraceScope::~WorkerTraceScope() {
-  if (!active_) return;
-  g_current_lane = previous_;
+  g_current = previous_;
 }
 
 namespace {
@@ -193,32 +121,22 @@ bool TraceFault() {
 }  // namespace
 
 Span::Span(const char* name) {
-  internal::TraceLane* lane = g_current_lane;
-  if (lane == nullptr || TraceFault()) return;
-  Open(lane, name);
-}
-
-Span::Span(const char* name, size_t index) {
-  internal::TraceLane* lane = g_current_lane;
-  if (lane == nullptr || TraceFault()) return;
-  Open(lane, std::string(name) + "[" + std::to_string(index) + "]");
-}
-
-void Span::Open(internal::TraceLane* lane, std::string name) {
-  lane_ = lane;
-  parent_ = lane->current;
+  TraceCollector* collector = g_current;
+  if (collector == nullptr || TraceFault()) return;
+  collector_ = collector;
+  parent_ = collector->current_;
   auto node = std::make_unique<SpanNode>();
-  node->name = std::move(name);
-  node->start_ns = lane->collector->NowNs();
+  node->name = name;
+  node->start_ns = collector->NowNs();
   node_ = node.get();
   parent_->children.push_back(std::move(node));
-  lane->current = node_;
+  collector->current_ = node_;
 }
 
 Span::~Span() {
   if (node_ == nullptr) return;
-  node_->dur_ns = lane_->collector->NowNs() - node_->start_ns;
-  lane_->current = parent_;
+  node_->dur_ns = collector_->NowNs() - node_->start_ns;
+  collector_->current_ = parent_;
 }
 
 }  // namespace obs

@@ -7,16 +7,9 @@
 // Tracing is opt-in and zero-overhead when off: a Span constructed while
 // no collector is installed on the current thread is a single
 // thread_local null check. Install a collector with ScopedTraceSession
-// (the evaluator does this when EvalOptions::collect_trace is set).
-//
-// Parallel evaluation traces across threads: each worker thread that
-// wants its spans recorded opens a WorkerTraceScope against the query's
-// collector, which registers a per-thread span lane. Lanes are written
-// only by their owning thread (no locking on the span hot path); the
-// evaluator joins its workers before the trace is read, which orders all
-// lane writes before export. The Chrome export assigns each distinct
-// recording thread its own `tid` (the query thread is tid 1), so a
-// threads=4 evaluation renders as parallel worker rows.
+// (the evaluator does this when EvalOptions::collect_trace is set). A
+// collector records the spans of the one thread that installed it, so
+// span recording takes no lock.
 
 #ifndef LYRIC_OBS_TRACE_H_
 #define LYRIC_OBS_TRACE_H_
@@ -25,15 +18,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "util/sync.h"
 
 namespace lyric {
 namespace obs {
-
-class TraceCollector;
 
 /// One node of a trace tree: a named stage with a start offset and
 /// duration (nanoseconds relative to the collector's start).
@@ -49,84 +37,41 @@ struct SpanNode {
   size_t CountChildren(const std::string& child_name) const;
 };
 
-namespace internal {
-
-/// A single-writer span sink — the unit the Span hot path sees through
-/// the thread_local. The collector's main lane aliases its root tree;
-/// each WorkerTraceScope owns a lane whose root is a container node
-/// holding the worker's top-level spans.
-struct TraceLane {
-  TraceCollector* collector = nullptr;
-  SpanNode* root = nullptr;
-  SpanNode* current = nullptr;
-};
-
-}  // namespace internal
-
-/// Collects span trees for one query evaluation: a main tree rooted at
-/// "query" on the installing thread, plus one lane per worker thread that
-/// opened a WorkerTraceScope.
+/// Collects the span tree of one query evaluation, rooted at "query",
+/// on the thread that installed it.
 class TraceCollector {
  public:
   TraceCollector();
+
+  TraceCollector(const TraceCollector&) = delete;
+  TraceCollector& operator=(const TraceCollector&) = delete;
 
   /// Closes the root span at the current time (idempotent; also called by
   /// ScopedTraceSession when the session ends).
   void Finish();
 
-  /// The main-thread span tree (rooted at "query").
+  /// The span tree (rooted at "query").
   const SpanNode& root() const { return root_; }
 
-  /// One registered worker lane: the thread that recorded it and its
-  /// container node (children are the spans recorded on that thread).
-  struct WorkerLaneView {
-    std::thread::id thread;
-    const SpanNode* spans;
-  };
-  /// Worker lanes in registration order. Read only after the worker
-  /// threads have been joined.
-  std::vector<WorkerLaneView> worker_lanes() const LYRIC_EXCLUDES(lanes_mu_);
-
-  /// Indented stage breakdown with durations; worker lanes follow the
-  /// main tree under "[worker tid=N]" headers.
-  std::string ToPrettyString() const LYRIC_EXCLUDES(lanes_mu_);
+  /// Indented stage breakdown with durations.
+  std::string ToPrettyString() const;
 
   /// Chrome trace_event JSON: {"traceEvents": [{"name", "ph": "X", "ts",
-  /// "dur", "pid", "tid"}, ...]} with microsecond timestamps. The main
-  /// thread is tid 1; each distinct worker thread gets the next integer
-  /// tid in lane-registration order.
-  std::string ToChromeTraceJson() const LYRIC_EXCLUDES(lanes_mu_);
-
-  /// The collector installed on this thread (via ScopedTraceSession or
-  /// WorkerTraceScope), or nullptr.
-  static TraceCollector* Current();
+  /// "dur", "pid", "tid"}, ...]} with microsecond timestamps, all on
+  /// tid 1.
+  std::string ToChromeTraceJson() const;
 
  private:
   friend class Span;
   friend class ScopedTraceSession;
-  friend class WorkerTraceScope;
-
-  struct WorkerLane {
-    internal::TraceLane lane;
-    std::thread::id thread;
-    SpanNode container;
-  };
 
   uint64_t NowNs() const;
-  internal::TraceLane* RegisterWorkerLane() LYRIC_EXCLUDES(lanes_mu_);
 
   SpanNode root_;
-  internal::TraceLane main_lane_;
+  // The innermost open span; new spans become its children.
+  SpanNode* current_ = &root_;
   std::chrono::steady_clock::time_point base_;
   bool finished_ = false;
-
-  // Guards lane registration only; span recording is lock-free within a
-  // lane, and export happens after the owning threads are joined.
-  // root_/finished_/main_lane_ are single-owner: written by the query
-  // thread only, read after workers join — deliberately unguarded.
-  mutable sync::Mutex lanes_mu_{sync::LockRank::kTraceLanes, "trace_lanes"};
-  std::vector<std::unique_ptr<WorkerLane>> worker_lanes_
-      LYRIC_GUARDED_BY(lanes_mu_);
 };
 
 /// Installs a TraceCollector as the current thread's collector for the
@@ -146,26 +91,8 @@ class ScopedTraceSession {
 
  private:
   TraceCollector* collector_;
-  internal::TraceLane* previous_;
+  TraceCollector* previous_;
   bool stopped_ = false;
-};
-
-/// Routes this thread's spans into a fresh worker lane of `collector`
-/// for the scope's lifetime. A no-op when `collector` is null, so worker
-/// code can pass the (possibly absent) query collector unconditionally.
-/// The owning query thread must join this worker before exporting the
-/// trace.
-class WorkerTraceScope {
- public:
-  explicit WorkerTraceScope(TraceCollector* collector);
-  ~WorkerTraceScope();
-
-  WorkerTraceScope(const WorkerTraceScope&) = delete;
-  WorkerTraceScope& operator=(const WorkerTraceScope&) = delete;
-
- private:
-  internal::TraceLane* previous_ = nullptr;
-  bool active_ = false;
 };
 
 /// RAII scoped span. A no-op (one thread_local load) when no collector is
@@ -173,18 +100,13 @@ class WorkerTraceScope {
 class Span {
  public:
   explicit Span(const char* name);
-  /// Indexed stage, e.g. Span("where", 3) -> "where[3]". The string is
-  /// only built when a collector is active.
-  Span(const char* name, size_t index);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  void Open(internal::TraceLane* lane, std::string name);
-
-  internal::TraceLane* lane_ = nullptr;
+  TraceCollector* collector_ = nullptr;
   SpanNode* node_ = nullptr;
   SpanNode* parent_ = nullptr;
 };

@@ -1,16 +1,12 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "constraint/solver_cache.h"
 #include "exec/governor.h"
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
-#include "util/fault.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -20,18 +16,6 @@
 #include "query/path_walker.h"
 
 namespace lyric {
-
-size_t DefaultEvalThreads() {
-  static const size_t threads = [] {
-    const char* env = std::getenv("LYRIC_THREADS");
-    if (env == nullptr || *env == '\0') return size_t{1};
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || v == 0) return size_t{1};
-    return static_cast<size_t>(v > 64 ? 64 : v);
-  }();
-  return threads;
-}
 
 namespace {
 
@@ -132,7 +116,6 @@ struct AdmissionDepthScope {
 struct EvalLogInfo {
   const char* admission = "off";
   uint64_t queue_wait_ns = 0;
-  uint32_t threads = 1;
 };
 thread_local EvalLogInfo t_eval_log;
 
@@ -230,7 +213,6 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
     AdmissionInfo admission;
     admission.mode = t_eval_log.admission;
     admission.queue_wait_ns = t_eval_log.queue_wait_ns;
-    admission.threads = t_eval_log.threads;
     admission.retries = retries;
     r->set_admission(std::move(admission));
   }
@@ -242,7 +224,6 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
   rec.duration_ns = duration_ns;
   rec.queue_wait_ns = t_eval_log.queue_wait_ns;
   rec.admission = t_eval_log.admission;
-  rec.threads = t_eval_log.threads;
   rec.retries = retries;
   rec.cache_hits = cache_after.hits - cache_before.hits;
   rec.cache_misses = cache_after.misses - cache_before.misses;
@@ -673,9 +654,8 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
   // -- Admission control (docs/ROBUSTNESS.md) -----------------------------
   // Reconfigure the scheduler when any knob is set (0 clears a limit),
   // then ask for a slot. A shed admission returns the typed kUnavailable
-  // error here — ExecuteWithRetry may retry it — and a degraded grant
-  // forces the scan serial below. Nested executions on this thread skip
-  // admission: the outer query's ticket covers them.
+  // error here — ExecuteWithRetry may retry it. Nested executions on this
+  // thread skip admission: the outer query's ticket covers them.
   exec::QueryScheduler& scheduler = options_.scheduler != nullptr
                                         ? *options_.scheduler
                                         : exec::QueryScheduler::Global();
@@ -712,9 +692,7 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
       return admitted.status();
     }
     ticket = std::move(*admitted);
-    t_eval_log.admission = ticket.degraded()            ? "degraded"
-                           : ticket.queue_wait_ns() > 0 ? "queued"
-                                                        : "direct";
+    t_eval_log.admission = ticket.queued() ? "queued" : "direct";
     t_eval_log.queue_wait_ns = ticket.queue_wait_ns();
   }
   AdmissionDepthScope admission_depth;
@@ -737,9 +715,7 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
   // Arm the resource governor when any limit is configured — after the
   // pre-flight, so limits govern data-dependent evaluation and cannot
   // trip inside the (bounded) static analysis. The token lives on this
-  // frame and outlives every worker (ExecuteParallel joins before
-  // returning); the scope makes it ambient for the kernels on this
-  // thread, and workers re-install it inside their chunk tasks.
+  // frame; the scope makes it ambient for the kernels on this thread.
   exec::GovernorLimits limits;
   limits.deadline_ms = options_.deadline_ms;
   limits.memory_budget = options_.memory_budget;
@@ -774,22 +750,6 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
     LYRIC_ASSIGN_OR_RETURN(bindings, EnumerateFrom(query));
   }
   LYRIC_OBS_COUNT_N("evaluator.bindings_enumerated", bindings.size());
-
-  // CREATE VIEW materializes objects and schema mid-scan, so it stays on
-  // one thread; a single binding has nothing to partition.
-  size_t threads = options_.threads < 1 ? 1 : options_.threads;
-  // Graceful degradation: a ticket granted under ledger pressure runs the
-  // scan serially so the process drains queries before shedding any
-  // (byte-identical output either way — docs/PARALLELISM.md).
-  if (ticket.degraded()) threads = 1;
-  const bool parallel = threads > 1 && !query.is_view && bindings.size() > 1;
-  if (outermost) {
-    t_eval_log.threads = static_cast<uint32_t>(parallel ? threads : 1);
-  }
-  if (parallel) {
-    return ExecuteParallel(query, declared, std::move(out), bindings,
-                           threads);
-  }
 
   for (const Binding& base : bindings) {
     // Governed scans check the token between bindings so queries whose
@@ -857,9 +817,7 @@ Result<bool> Evaluator::CommitOutcome(const ast::Query& query,
   for (auto& [binding, rows] : outcome.per_survivor) {
     for (std::vector<Oid>& row : rows) {
       // Safety valve: stop at the limit instead of over-producing. The
-      // rows already collected are a correct prefix of the answer. The
-      // check counts committed merged rows — never per-worker rows — so
-      // serial and parallel runs truncate at the identical row.
+      // rows already collected are a correct prefix of the answer.
       if (out->size() >= options_.max_rows) {
         LYRIC_OBS_COUNT("evaluator.rows_truncated");
         out->set_truncated(true);
@@ -873,123 +831,6 @@ Result<bool> Evaluator::CommitOutcome(const ast::Query& query,
     }
   }
   return true;
-}
-
-Result<ResultSet> Evaluator::ExecuteParallel(
-    const ast::Query& query, const std::set<std::string>& declared,
-    ResultSet out, const std::vector<Binding>& bindings, size_t threads) {
-  // Chunk so each worker sees several chunks (tail-balancing) without
-  // making chunks so small the latch traffic dominates.
-  const size_t target_chunks = threads * 4;
-  const size_t chunk_size =
-      std::max<size_t>(1, (bindings.size() + target_chunks - 1) /
-                              target_chunks);
-  const size_t num_chunks = (bindings.size() + chunk_size - 1) / chunk_size;
-  LYRIC_OBS_COUNT_N("evaluator.parallel_chunks", num_chunks);
-  LYRIC_OBS_COUNT("evaluator.parallel_queries");
-
-  std::vector<std::vector<BindingOutcome>> chunk_results(num_chunks);
-  exec::ChunkLatch latch(num_chunks);
-  // Raised by the merge thread on error or truncation; workers poll it
-  // between bindings and skip the remaining work (their chunks merge as
-  // empty, which the merge loop never reaches).
-  std::atomic<bool> cancel{false};
-  // The query thread's governor token (if any); workers re-install it so
-  // the kernels they run observe the same limits, and a trip on any
-  // worker promptly stops all of them.
-  exec::CancellationToken* token = exec::GovernorScope::Current();
-  // The query thread's trace collector (null unless a session is active);
-  // each worker task opens a lane on it so the parallel scan's spans land
-  // in the trace under that worker's thread id.
-  obs::TraceCollector* collector = obs::TraceCollector::Current();
-  {
-    exec::ThreadPool pool(std::min(threads, num_chunks));
-    for (size_t ci = 0; ci < num_chunks; ++ci) {
-      pool.Submit([this, &query, &declared, &bindings, &chunk_results,
-                   &latch, &cancel, token, collector, ci, chunk_size] {
-        exec::GovernorScope worker_scope(token);
-        obs::WorkerTraceScope trace_scope(collector);
-        obs::Span chunk_span("chunk", ci);
-        const size_t begin = ci * chunk_size;
-        const size_t end = std::min(begin + chunk_size, bindings.size());
-        std::vector<BindingOutcome>& results = chunk_results[ci];
-        results.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          if (cancel.load(std::memory_order_relaxed)) break;
-          if (token != nullptr) {
-            token->CheckDeadline("evaluator.worker");
-            if (token->stopped()) break;
-            token->AccountBinding();
-          }
-          results.push_back(EvalOneBinding(query, bindings[i], declared));
-        }
-        latch.Done(ci);
-      });
-    }
-
-    // Deterministic merge: chunks commit strictly in input order, so the
-    // output (rows, diagnostics, truncation point) is byte-identical to
-    // the serial scan. Merge-side spans record on the query thread's main
-    // lane; worker-side spans land in the per-thread lanes registered
-    // above and are merged into the trace export by thread id.
-    Result<ResultSet> merged = [&]() -> Result<ResultSet> {
-      for (size_t ci = 0; ci < num_chunks; ++ci) {
-        {
-          obs::Span span("chunk_wait");
-          latch.WaitFor(ci);
-        }
-        // Simulated lost chunk at the merge: drop the workers' outcomes
-        // and recompute the chunk inline on the merge thread (the
-        // governor token is ambient here), keeping the committed output
-        // byte-identical to a clean run — the contract the merge fault
-        // gate verifies.
-        if (fault::Enabled() && fault::Inject(fault::kSiteMerge)) {
-          LYRIC_OBS_COUNT("evaluator.merge_recomputed");
-          const size_t begin = ci * chunk_size;
-          const size_t end = std::min(begin + chunk_size, bindings.size());
-          std::vector<BindingOutcome> redo;
-          redo.reserve(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            if (token != nullptr && token->stopped()) break;
-            redo.push_back(EvalOneBinding(query, bindings[i], declared));
-          }
-          chunk_results[ci] = std::move(redo);
-        }
-        obs::Span span("chunk_merge");
-        for (BindingOutcome& outcome : chunk_results[ci]) {
-          Result<bool> keep_going =
-              CommitOutcome(query, std::move(outcome), &out);
-          if (!keep_going.ok()) {
-            cancel.store(true, std::memory_order_relaxed);
-            if (token != nullptr && keep_going.status().IsGovernorTrip()) {
-              // The merged prefix committed so far is valid; convert the
-              // trip into the partial-result contract. The Status is the
-              // token's sticky trip record, so serial and parallel runs
-              // of the same query report the identical code and message.
-              return GovernedPartial(std::move(out), *token);
-            }
-            return keep_going.status();
-          }
-          if (!*keep_going) {
-            cancel.store(true, std::memory_order_relaxed);
-            return std::move(out);
-          }
-        }
-      }
-      if (token != nullptr && token->stopped()) {
-        // Workers stopped between bindings without any outcome carrying
-        // the trip status (e.g. a deadline expiring during the scan of a
-        // kernel-free query): the merge saw only OK outcomes, but the
-        // result is still a prefix.
-        return GovernedPartial(std::move(out), *token);
-      }
-      return std::move(out);
-    }();
-    // Workers may still be running cancelled chunks; they must finish
-    // before chunk_results/cancel/latch leave scope (the pool dtor joins).
-    latch.WaitAll();
-    return merged;
-  }
 }
 
 }  // namespace lyric

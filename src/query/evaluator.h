@@ -28,11 +28,6 @@
 
 namespace lyric {
 
-/// The default worker-thread count: the LYRIC_THREADS environment
-/// variable clamped to [1, 64] (CI sweeps it), 1 when unset or
-/// unparseable. Read once per process.
-size_t DefaultEvalThreads();
-
 /// Evaluator knobs.
 struct EvalOptions {
   /// Materialize SELECT projections by quantifier elimination (prints the
@@ -65,14 +60,6 @@ struct EvalOptions {
   /// profile still only attaches to the ResultSet under collect_trace).
   /// Unset defaults to LYRIC_SLOW_MS; 0 disables promotion.
   std::optional<uint64_t> slow_ms;
-  /// Worker threads for per-binding WHERE/SELECT evaluation (each
-  /// candidate binding's satisfiability/entailment work is an independent
-  /// simplex problem — §5's PTIME argument is per-tuple). 1 = serial. The
-  /// chunked results merge back in input order, so parallel output is
-  /// byte-identical to serial output (docs/PARALLELISM.md). CREATE VIEW
-  /// queries always run serially: materialization mutates the schema
-  /// mid-scan. Default: DefaultEvalThreads().
-  size_t threads = DefaultEvalThreads();
   /// When set, re-bounds the process-wide SolverCache before evaluation
   /// (entries; 0 disables memoization). Unset leaves the global
   /// configuration (LYRIC_CACHE_CAPACITY env, default 4096) alone.
@@ -98,8 +85,8 @@ struct EvalOptions {
   /// -- Admission control (docs/ROBUSTNESS.md) -------------------------
   /// Every Execute passes through the process-wide QueryScheduler before
   /// evaluating: with no limits configured admission is free; with a cap
-  /// the query may queue, run degraded (serial), or be shed with a typed
-  /// kUnavailable + retry-after. The three knobs below, when set,
+  /// the query may queue or be shed with a typed kUnavailable +
+  /// retry-after. The three knobs below, when set,
   /// reconfigure the scheduler (0 clears the corresponding limit) — the
   /// same idiom as cache_capacity. Process defaults come from
   /// LYRIC_MAX_CONCURRENT / LYRIC_QUEUE_CAPACITY / LYRIC_QUEUE_TIMEOUT_MS.
@@ -137,10 +124,8 @@ class Evaluator {
 
  private:
   /// The WHERE/SELECT product of one FROM binding: every surviving
-  /// (extended) binding paired with its SELECT rows, in evaluation order.
-  /// Computed on worker threads in parallel mode; `status` carries the
-  /// first failure. The merge commits rows strictly in input order so
-  /// truncation counts committed merged rows, never per-worker rows.
+  /// (extended) binding paired with its SELECT rows, in evaluation order;
+  /// `status` carries the first failure.
   struct BindingOutcome {
     Status status = Status::OK();
     std::vector<std::pair<Binding, std::vector<std::vector<Oid>>>>
@@ -162,21 +147,14 @@ class Evaluator {
                                      uint32_t* retries);
   Result<ResultSet> ExecuteImpl(const ast::Query& query);
   /// Runs WHERE + SELECT for one base binding (no ResultSet mutation, no
-  /// view materialization — safe on worker threads).
+  /// view materialization).
   BindingOutcome EvalOneBinding(const ast::Query& query, const Binding& base,
                                 const std::set<std::string>& declared);
   /// Commits one outcome's rows into `out` in order; returns false when
   /// the result hit max_rows (caller stops committing). Runs view
-  /// materialization for serial view queries.
+  /// materialization for view queries.
   Result<bool> CommitOutcome(const ast::Query& query, BindingOutcome outcome,
                              ResultSet* out);
-  /// The chunked parallel scan: partitions `bindings`, evaluates chunks on
-  /// a worker pool, merges deterministically in input order.
-  Result<ResultSet> ExecuteParallel(const ast::Query& query,
-                                    const std::set<std::string>& declared,
-                                    ResultSet out,
-                                    const std::vector<Binding>& bindings,
-                                    size_t threads);
   Result<std::vector<Binding>> EnumerateFrom(const ast::Query& query) const;
   Result<std::vector<Binding>> EvalWhere(const ast::WhereExpr& where,
                                          const Binding& binding,

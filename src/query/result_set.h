@@ -21,12 +21,10 @@ namespace lyric {
 /// facts, not part of the deterministic answer — differential tests
 /// compare results without them.
 struct AdmissionInfo {
-  /// "off" (no scheduling), "direct", "queued", or "degraded".
+  /// "off" (no scheduling), "direct", or "queued".
   std::string mode = "off";
   /// Time spent parked in the scheduler's wait queue (0 for direct).
   uint64_t queue_wait_ns = 0;
-  /// Worker threads the evaluation actually used (1 after degradation).
-  uint32_t threads = 1;
   /// Transient (kUnavailable) failures retried away before this result.
   uint32_t retries = 0;
 };
@@ -93,7 +91,7 @@ class ResultSet {
   }
 
   /// The admission-control record of the evaluation (mode, queue wait,
-  /// degraded thread count, retries). Default-constructed ("off") for
+  /// retries). Default-constructed ("off") for
   /// nested evaluations — only the outermost Execute is scheduled.
   const AdmissionInfo& admission() const { return admission_; }
   void set_admission(AdmissionInfo admission) {

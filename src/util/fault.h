@@ -25,8 +25,6 @@
 //   thread_pool   Submit degrades to inline execution on the caller
 //   alloc         kernel memory accounting trips the governor budget
 //   shell         lyric_shell statement loop throws (exception hardening)
-//   merge         a parallel chunk's results are lost at the ordered merge;
-//                 the merge thread recomputes the chunk inline
 //   trace         a trace span fails to open and is dropped (observability
 //                 loss only — query results unaffected)
 //   scheduler     admission control sheds the arrival as if the wait queue
@@ -55,7 +53,6 @@ inline constexpr const char* kSiteSerializer = "serializer";
 inline constexpr const char* kSiteThreadPool = "thread_pool";
 inline constexpr const char* kSiteAlloc = "alloc";
 inline constexpr const char* kSiteShell = "shell";
-inline constexpr const char* kSiteMerge = "merge";
 inline constexpr const char* kSiteTrace = "trace";
 inline constexpr const char* kSiteScheduler = "scheduler";
 inline constexpr const char* kSiteNet = "net";

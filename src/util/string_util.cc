@@ -1,6 +1,9 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdlib>
+#include <system_error>
 
 namespace lyric {
 
@@ -23,6 +26,21 @@ std::string ToLower(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+std::optional<uint64_t> ParseUint64(std::string_view text) {
+  // from_chars takes no sign and no leading space for unsigned types.
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<uint64_t> EnvUint64(const char* name) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return std::nullopt;
+  return ParseUint64(text);
 }
 
 }  // namespace lyric

@@ -3,7 +3,10 @@
 #ifndef LYRIC_UTIL_STRING_UTIL_H_
 #define LYRIC_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lyric {
@@ -17,6 +20,14 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// Lower-cases ASCII characters of `s`.
 std::string ToLower(const std::string& s);
+
+/// Parses `text` as a decimal uint64: one or more digits and nothing
+/// else (no sign, no spaces), within range. nullopt otherwise.
+std::optional<uint64_t> ParseUint64(std::string_view text);
+
+/// The environment variable `name` parsed by ParseUint64; nullopt when
+/// it is unset or malformed.
+std::optional<uint64_t> EnvUint64(const char* name);
 
 }  // namespace lyric
 

@@ -120,8 +120,8 @@ enum class LockRank : int {
   kScheduler = 10,
   /// ThreadPool task queue (exec/thread_pool.h).
   kThreadPool = 20,
-  /// ChunkLatch completion bits (exec/thread_pool.h).
-  kChunkLatch = 22,
+  /// Notification flag (exec/thread_pool.h).
+  kNotification = 22,
   /// PagedStore engine lock (storage/paged_store.h): serializes B-tree
   /// structure changes and batch application. Held across buffer-pool
   /// fetches and WAL appends, so it ranks before both.
@@ -146,8 +146,6 @@ enum class LockRank : int {
   /// QueryLog ring + JSONL sink (obs/query_log.h). Gauge handles must
   /// be resolved BEFORE taking this lock (registry ranks first).
   kQueryLog = 60,
-  /// TraceCollector worker-lane registration (obs/trace.h).
-  kTraceLanes = 70,
   /// Variable interner (constraint/variable.cc). Near-leaf: any
   /// subsystem may intern or resolve a name under its own lock.
   kVarInterner = 80,

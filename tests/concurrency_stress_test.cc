@@ -59,9 +59,7 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
   // Serial baseline answers first, before any contention.
   std::vector<std::string> expected;
   for (const char* q : kPaperQueries) {
-    EvalOptions opts;
-    opts.threads = 1;
-    Evaluator ev(&db_, opts);
+    Evaluator ev(&db_);
     auto r = ev.Execute(q);
     ASSERT_TRUE(r.ok()) << q << "\n -> " << r.status();
     expected.push_back(r->ToString());
@@ -88,7 +86,6 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
   for (int id = 0; id < kExecutors; ++id) {
     workers.emplace_back([&, id] {
       EvalOptions opts;
-      opts.threads = 2;
       opts.deadline_ms = 60000;
       Evaluator ev(&db_, opts);
       int i = id;
@@ -113,7 +110,6 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
   for (int id = 0; id < kChurners; ++id) {
     workers.emplace_back([&] {
       EvalOptions opts;
-      opts.threads = 1;
       opts.max_pivots = 1;
       Evaluator ev(&db_, opts);
       while (!stop.load(std::memory_order_relaxed)) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "constraint/solver_cache.h"
@@ -124,31 +125,22 @@ TEST_F(FaultTest, SolverCacheFaultsAreTransparentToResults) {
 }
 
 TEST_F(FaultTest, ThreadPoolFaultDegradesToInlineExecution) {
-  Database db;
-  ASSERT_TRUE(office::BuildOfficeDatabase(&db).ok());
-  ASSERT_TRUE(office::AddScaledDesks(&db, 12, /*seed=*/5).ok());
-
-  EvalOptions serial;
-  serial.threads = 1;
-  Evaluator serial_ev(&db, serial);
-  auto expected = serial_ev.Execute(kQuery);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  // Every Submit degrades to the caller's thread: still correct, still
-  // byte-identical to the serial answer (the merge order is positional).
+  // Every Submit runs its task on the caller before returning, so the
+  // server's submit-and-wait dispatch finds its answer already there.
   ASSERT_TRUE(fault::ConfigureForTesting("thread_pool:1.0"));
-  EvalOptions parallel;
-  parallel.threads = 4;
-  Evaluator parallel_ev(&db, parallel);
-  auto degraded = parallel_ev.Execute(kQuery);
-  ASSERT_TRUE(degraded.ok()) << degraded.status();
-  EXPECT_EQ(degraded->ToString(), expected->ToString());
-
-  // Probabilistic degradation (some tasks inline, some pooled) too.
-  ASSERT_TRUE(fault::ConfigureForTesting("thread_pool:0.5:3"));
-  auto mixed = parallel_ev.Execute(kQuery);
-  ASSERT_TRUE(mixed.ok()) << mixed.status();
-  EXPECT_EQ(mixed->ToString(), expected->ToString());
+  obs::Counter& inlined =
+      obs::Registry::Global().GetCounter("exec.tasks_inline_degraded");
+  const uint64_t before = inlined.value();
+  exec::ThreadPool pool(2);
+  std::thread::id ran_on;
+  exec::Notification done;
+  pool.Submit([&ran_on, &done] {
+    ran_on = std::this_thread::get_id();
+    done.Notify();
+  });
+  done.Wait();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(inlined.value(), before + 1);
 }
 
 TEST_F(FaultTest, SerializerFaultsFailWithCleanStatusAndNoMutation) {
@@ -190,39 +182,6 @@ TEST_F(FaultTest, ThreadPoolDirectSubmitSurvivesInjection) {
   }
   // Every task ran exactly once whether it was pooled or inlined.
   EXPECT_EQ(ran.load(), 32);
-}
-
-TEST_F(FaultTest, MergeFaultRecomputesChunksTransparently) {
-  Database db;
-  ASSERT_TRUE(office::BuildOfficeDatabase(&db).ok());
-  ASSERT_TRUE(office::AddScaledDesks(&db, 12, /*seed=*/5).ok());
-
-  EvalOptions serial;
-  serial.threads = 1;
-  Evaluator serial_ev(&db, serial);
-  auto expected = serial_ev.Execute(kQuery);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-
-  // Every chunk handoff is "lost": the merge thread recomputes each chunk
-  // inline. Slower, never wrong.
-  ASSERT_TRUE(fault::ConfigureForTesting("merge:1.0"));
-  uint64_t before =
-      obs::Registry::Global().GetCounter("evaluator.merge_recomputed").value();
-  EvalOptions parallel;
-  parallel.threads = 4;
-  Evaluator parallel_ev(&db, parallel);
-  auto recomputed = parallel_ev.Execute(kQuery);
-  ASSERT_TRUE(recomputed.ok()) << recomputed.status();
-  EXPECT_EQ(recomputed->ToString(), expected->ToString());
-  EXPECT_GT(
-      obs::Registry::Global().GetCounter("evaluator.merge_recomputed").value(),
-      before);
-
-  // Probabilistic loss (some chunks survive, some recompute) too.
-  ASSERT_TRUE(fault::ConfigureForTesting("merge:0.5:11"));
-  auto mixed = parallel_ev.Execute(kQuery);
-  ASSERT_TRUE(mixed.ok()) << mixed.status();
-  EXPECT_EQ(mixed->ToString(), expected->ToString());
 }
 
 TEST_F(FaultTest, TraceFaultDropsSpansNeverResults) {

@@ -85,11 +85,26 @@ TEST(QueryRequestWire, RoundTripAllFields) {
   req.query = "SELECT O FROM Object_in_Room O";
   req.deadline_ms = 250;
   req.memory_budget = 1u << 20;
-  req.threads = 4;
   req.max_rows = 99;
   req.analyze_first = true;
   QueryRequest back;
   ASSERT_TRUE(DecodeQueryRequest(EncodeQueryRequest(req), &back).ok());
+  EXPECT_EQ(req, back);
+}
+
+// The u32 after the budget is a reserved slot: senders write 0 and
+// receivers accept any value, so the layout keeps protocol version 1.
+TEST(QueryRequestWire, ReservedSlotIsWrittenZeroAndIgnored) {
+  QueryRequest req;
+  req.query = "SELECT X FROM Desk X";
+  req.max_rows = 7;
+  std::string payload = EncodeQueryRequest(req);
+  constexpr size_t kReservedAt = 1 + 8 + 8;  // flags, deadline, budget
+  ASSERT_GT(payload.size(), kReservedAt + 4);
+  EXPECT_EQ(payload.substr(kReservedAt, 4), std::string(4, '\0'));
+  payload.replace(kReservedAt, 4, std::string(4, '\xff'));
+  QueryRequest back;
+  ASSERT_TRUE(DecodeQueryRequest(payload, &back).ok());
   EXPECT_EQ(req, back);
 }
 
@@ -135,7 +150,6 @@ QueryResponse SampleResponse() {
   resp.governor_report = "governor: tripped deadline after 3ms";
   resp.admission_mode = "queued";
   resp.queue_wait_ns = 12345;
-  resp.threads_used = 2;
   resp.server_retries = 1;
   return resp;
 }
@@ -153,7 +167,6 @@ TEST(QueryResponseWire, RoundTripFullResult) {
   EXPECT_EQ(back.governor_report, resp.governor_report);
   EXPECT_EQ(back.admission_mode, resp.admission_mode);
   EXPECT_EQ(back.queue_wait_ns, resp.queue_wait_ns);
-  EXPECT_EQ(back.threads_used, resp.threads_used);
   EXPECT_EQ(back.server_retries, resp.server_retries);
   EXPECT_EQ(back.Fingerprint(), resp.Fingerprint());
 }

@@ -2,10 +2,9 @@
 // disjunct caps trip with typed statuses and partial-progress
 // diagnostics, and never leave the engine (Database, SolverCache) in a
 // state that corrupts later queries. Covers the PR-4 acceptance
-// criteria: a Figure-2 paper query under a tiny deadline (serial and 4
-// threads) returns kDeadlineExceeded, and an adversarial DNF-blowup
-// query trips max_disjuncts with kResourceExhausted instead of
-// exhausting memory.
+// criteria: a Figure-2 paper query under a tiny deadline returns
+// kDeadlineExceeded, and an adversarial DNF-blowup query trips
+// max_disjuncts with kResourceExhausted instead of exhausting memory.
 
 #include "exec/governor.h"
 
@@ -175,7 +174,6 @@ TEST_F(GovernorTest, ReportToStringNamesEveryCounter) {
 
 TEST_F(GovernorTest, DeadlineTripsFigure2QuerySerial) {
   EvalOptions opts;
-  opts.threads = 1;
   opts.deadline_ms = 0;  // Already expired: trips at the first checkpoint.
   ResultSet r = Run(kFigure2Query, opts);
   EXPECT_TRUE(r.governor_status().IsDeadlineExceeded())
@@ -194,29 +192,6 @@ TEST_F(GovernorTest, DeadlineTripsFigure2QuerySerial) {
   EXPECT_EQ(full.size(), 1u);
 }
 
-TEST_F(GovernorTest, DeadlineTripsFigure2QueryParallel) {
-  EvalOptions serial_opts;
-  serial_opts.threads = 1;
-  serial_opts.deadline_ms = 0;
-  ResultSet serial = Run(kFigure2Query, serial_opts);
-
-  EvalOptions parallel_opts;
-  parallel_opts.threads = 4;
-  parallel_opts.deadline_ms = 0;
-  ResultSet parallel = Run(kFigure2Query, parallel_opts);
-
-  // Both report the same typed code with diagnostics attached.
-  EXPECT_TRUE(serial.governor_status().IsDeadlineExceeded());
-  EXPECT_TRUE(parallel.governor_status().IsDeadlineExceeded());
-  EXPECT_EQ(parallel.governor_report().tripped, LimitKind::kDeadline);
-  EXPECT_FALSE(parallel.governor_report().site.empty());
-
-  // And the engine still answers unlimited queries afterwards.
-  ResultSet full = Run(kFigure2Query, EvalOptions{});
-  EXPECT_TRUE(full.governor_status().ok());
-  EXPECT_EQ(full.size(), 1u);
-}
-
 // -- End-to-end: adversarial DNF blowup under max_disjuncts ----------------
 
 // ANDs of ORs: the CST-expression body multiplies out through Dnf::And
@@ -230,7 +205,6 @@ constexpr const char* kBlowupQuery =
 
 TEST_F(GovernorTest, DnfBlowupTripsMaxDisjuncts) {
   EvalOptions opts;
-  opts.threads = 1;
   opts.max_disjuncts = 32;
   Evaluator ev(&db_, opts);
   auto r = ev.Execute(kBlowupQuery);
@@ -261,7 +235,6 @@ TEST_F(GovernorTest, UnlimitedBlowupQueryStillCompletes) {
 
 TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
   EvalOptions opts;
-  opts.threads = 1;
   opts.max_pivots = 1;
   // Entailment forces simplex runs; one pivot cannot finish them.
   ResultSet r = Run(
@@ -285,7 +258,6 @@ TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
 
 TEST_F(GovernorTest, MemoryBudgetTripsTableauAccounting) {
   EvalOptions opts;
-  opts.threads = 1;
   opts.memory_budget = 1;  // One byte: the first tableau trips it.
   ResultSet r = Run(
       "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
@@ -303,7 +275,6 @@ TEST_F(GovernorTest, InjectedAllocFaultTripsMemoryBudget) {
   // the site armed, the first accounted allocation trips.
   ASSERT_TRUE(fault::ConfigureForTesting("alloc:1.0:7"));
   EvalOptions opts;
-  opts.threads = 1;
   opts.memory_budget = 1ull << 40;  // Generous; only the fault trips it.
   ResultSet r = Run(
       "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "

@@ -38,7 +38,7 @@ std::string TempPath(const char* name) {
 
 // Drives enough of the engine that every metric family has members:
 // counters (kernels), gauges (cache/scheduler/log), histograms (solve,
-// canonicalize, query latency), timers (any legacy sites).
+// canonicalize, query latency).
 void RunWorkload() {
   Database db;
   auto ids = office::BuildOfficeDatabase(&db);

@@ -41,25 +41,12 @@ TEST(RegistryTest, SnapshotDelta) {
 
 TEST(RegistryTest, SnapshotJsonContainsMetrics) {
   Registry::Global().GetCounter("test.json_counter").Increment(3);
-  Timer& t = Registry::Global().GetTimer("test.json_timer");
-  t.Record(1000);
+  Registry::Global().GetHistogram("test.json_histogram").Record(1000);
   std::string json = Registry::Global().Snapshot().ToJson();
   EXPECT_NE(json.find("\"test.json_counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"test.json_timer\""), std::string::npos);
+  EXPECT_NE(json.find("\"test.json_histogram\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"timers\""), std::string::npos);
-}
-
-TEST(RegistryTest, TimerRecordsCountTotalMax) {
-  Timer& t = Registry::Global().GetTimer("test.timer_stats");
-  t.Record(100);
-  t.Record(300);
-  t.Record(200);
-  MetricsSnapshot snap = Registry::Global().Snapshot();
-  const auto& stats = snap.timers.at("test.timer_stats");
-  EXPECT_EQ(stats.count, 3u);
-  EXPECT_EQ(stats.total_ns, 600u);
-  EXPECT_EQ(stats.max_ns, 300u);
+  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
 TEST(RegistryTest, ConcurrentIncrementsAreExact) {
@@ -91,7 +78,6 @@ TEST(RegistryTest, CountMacroIncrements) {
 }
 
 TEST(TraceTest, SpanWithoutCollectorIsNoOp) {
-  ASSERT_EQ(TraceCollector::Current(), nullptr);
   Span span("orphan");  // Must not crash or allocate a tree anywhere.
   SUCCEED();
 }
@@ -100,14 +86,13 @@ TEST(TraceTest, CollectsNestedSpans) {
   TraceCollector collector;
   {
     ScopedTraceSession session(&collector);
-    EXPECT_EQ(TraceCollector::Current(), &collector);
     {
       Span outer("from");
       Span inner("where");
     }
     Span select("select");
   }
-  EXPECT_EQ(TraceCollector::Current(), nullptr);
+  Span after("after");  // The session is over: records nowhere.
   const SpanNode& root = collector.root();
   EXPECT_EQ(root.name, "query");
   ASSERT_EQ(root.children.size(), 2u);
@@ -117,15 +102,6 @@ TEST(TraceTest, CollectsNestedSpans) {
   EXPECT_NE(root.FindChild("select"), nullptr);
   EXPECT_EQ(root.CountChildren("from"), 1u);
   EXPECT_EQ(root.CountChildren("nope"), 0u);
-}
-
-TEST(TraceTest, IndexedSpanNames) {
-  TraceCollector collector;
-  {
-    ScopedTraceSession session(&collector);
-    Span s("where", 3);
-  }
-  EXPECT_NE(collector.root().FindChild("where[3]"), nullptr);
 }
 
 TEST(TraceTest, ChromeTraceJsonShape) {
@@ -160,11 +136,15 @@ TEST(TraceTest, SessionsNest) {
   ScopedTraceSession outer(&outer_collector);
   {
     ScopedTraceSession inner(&inner_collector);
-    EXPECT_EQ(TraceCollector::Current(), &inner_collector);
+    Span s("inner_stage");
   }
-  EXPECT_EQ(TraceCollector::Current(), &outer_collector);
+  { Span s("outer_stage"); }
   outer.Stop();
-  EXPECT_EQ(TraceCollector::Current(), nullptr);
+  { Span s("orphan"); }
+  EXPECT_NE(inner_collector.root().FindChild("inner_stage"), nullptr);
+  EXPECT_EQ(inner_collector.root().children.size(), 1u);
+  EXPECT_NE(outer_collector.root().FindChild("outer_stage"), nullptr);
+  EXPECT_EQ(outer_collector.root().children.size(), 1u);
 }
 
 TEST(LpStatusTest, StringRoundTrip) {
@@ -256,7 +236,9 @@ TEST(HistogramTest, BucketEdgesContainTheirValues) {
     size_t idx = Histogram::BucketIndex(v);
     ASSERT_LT(idx, Histogram::kNumBuckets) << v;
     EXPECT_GE(Histogram::BucketUpperEdge(idx), v) << v;
-    if (idx > 0) EXPECT_LT(Histogram::BucketUpperEdge(idx - 1), v) << v;
+    if (idx > 0) {
+      EXPECT_LT(Histogram::BucketUpperEdge(idx - 1), v) << v;
+    }
   }
 }
 

@@ -1,8 +1,9 @@
-// Determinism/stress test for the shared solver cache and the parallel
-// evaluator, intended to run under ThreadSanitizer (the CI TSan job runs
-// the full suite). Many threads hammer one SolverCache::Global() and one
-// shared Database with the §4.1 paper queries; every thread must get the
-// identical answer, and TSan must stay silent.
+// Determinism/stress test for the state concurrent queries share (the
+// solver cache, the CST store, the variable interner), intended to run
+// under ThreadSanitizer (the CI TSan job runs the full suite). Many
+// threads hammer one SolverCache::Global() and one shared Database with
+// the §4.1 paper queries; every thread must get the identical answer,
+// and TSan must stay silent.
 
 #include <gtest/gtest.h>
 
@@ -52,9 +53,7 @@ TEST_F(ParallelStressTest, ManyEvaluatorsOneSharedCache) {
   // Baseline answers, computed single-threaded.
   std::vector<std::string> expected;
   for (const char* q : kPaperQueries) {
-    EvalOptions opts;
-    opts.threads = 1;
-    Evaluator ev(&db_, opts);
+    Evaluator ev(&db_);
     auto r = ev.Execute(q);
     ASSERT_TRUE(r.ok()) << q << "\n -> " << r.status();
     expected.push_back(r->ToString());
@@ -71,9 +70,7 @@ TEST_F(ParallelStressTest, ManyEvaluatorsOneSharedCache) {
         // Stagger the query order per thread so cache fills race.
         for (size_t qi = 0; qi < std::size(kPaperQueries); ++qi) {
           size_t q = (qi + static_cast<size_t>(t)) % std::size(kPaperQueries);
-          EvalOptions opts;
-          opts.threads = 1;
-          Evaluator ev(&db_, opts);
+          Evaluator ev(&db_);
           auto r = ev.Execute(kPaperQueries[q]);
           if (!r.ok() || r->ToString() != expected[q]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -85,42 +82,6 @@ TEST_F(ParallelStressTest, ManyEvaluatorsOneSharedCache) {
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(SolverCache::Global().stats().hits, 0u);
-}
-
-// Concurrent evaluators that are THEMSELVES parallel: worker pools inside
-// worker pools, all sharing the global cache and the CST store.
-TEST_F(ParallelStressTest, NestedParallelEvaluators) {
-  const std::string query =
-      "SELECT O FROM Object_in_Room O "
-      "WHERE O.location[L] and L(x, y) |= (x <= 15 and y <= 8)";
-  std::string expected;
-  {
-    EvalOptions opts;
-    opts.threads = 1;
-    Evaluator ev(&db_, opts);
-    auto r = ev.Execute(query);
-    ASSERT_TRUE(r.ok()) << r.status();
-    expected = r->ToString();
-  }
-
-  constexpr int kOuter = 4;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kOuter; ++t) {
-    workers.emplace_back([this, &query, &expected, &mismatches] {
-      for (int round = 0; round < 3; ++round) {
-        EvalOptions opts;
-        opts.threads = 4;
-        Evaluator ev(&db_, opts);
-        auto r = ev.Execute(query);
-        if (!r.ok() || r->ToString() != expected) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Raw cache hammering: concurrent stores/lookups/evictions/re-bounds on a

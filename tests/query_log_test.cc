@@ -70,7 +70,6 @@ TEST_F(QueryLogTest, RecordJsonShape) {
   rec.admission = "direct";
   rec.duration_ns = 12345;
   rec.rows = 2;
-  rec.threads = 4;
   rec.truncated = true;
   std::string json = rec.ToJson();
   // Quotes in the query text must be escaped — the record is one JSONL
@@ -83,7 +82,6 @@ TEST_F(QueryLogTest, RecordJsonShape) {
   EXPECT_NE(json.find("\"admission\": \"direct\""), std::string::npos);
   EXPECT_NE(json.find("\"duration_ns\": 12345"), std::string::npos);
   EXPECT_NE(json.find("\"rows\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"truncated\": true"), std::string::npos);
   EXPECT_NE(json.find("\"slow\": false"), std::string::npos);
   // No stage profile attached -> the key is omitted entirely.
@@ -177,7 +175,6 @@ TEST_F(QueryLogTest, EvaluatorAppendsOneRecordPerQuery) {
   EXPECT_EQ(rec.query_hash, obs::HashQueryText("SELECT X FROM Desk X"));
   EXPECT_EQ(rec.status, "ok");
   EXPECT_EQ(rec.rows, r->size());
-  EXPECT_EQ(rec.threads, 1u);
   EXPECT_GT(rec.duration_ns, 0u);
   EXPECT_FALSE(rec.truncated);
   // No scheduler limits configured: admission is a direct grant.

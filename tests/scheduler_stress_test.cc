@@ -51,9 +51,7 @@ TEST_F(SchedulerStressTest, SixteenGovernedQueriesThroughATwoLaneScheduler) {
   // Unscheduled serial baseline, one answer per query text.
   std::vector<std::string> expected;
   for (const char* q : kPaperQueries) {
-    EvalOptions opts;
-    opts.threads = 1;
-    Evaluator ev(&db_, opts);
+    Evaluator ev(&db_);
     auto r = ev.Execute(q);
     ASSERT_TRUE(r.ok()) << q << "\n -> " << r.status();
     expected.push_back(r->ToString());
@@ -61,7 +59,7 @@ TEST_F(SchedulerStressTest, SixteenGovernedQueriesThroughATwoLaneScheduler) {
 
   // A private two-lane scheduler with a short queue, so the 16-thread
   // storm exercises every admission outcome: direct grants, queued
-  // (degraded) grants, and queue-full sheds.
+  // grants, and queue-full sheds.
   exec::SchedulerLimits limits;
   limits.max_concurrent = 2;
   limits.queue_capacity = 4;
@@ -86,7 +84,6 @@ TEST_F(SchedulerStressTest, SixteenGovernedQueriesThroughATwoLaneScheduler) {
   for (int id = 0; id < kThreads; ++id) {
     threads.emplace_back([&, id] {
       EvalOptions opts;
-      opts.threads = 4;  // Degraded grants must still match byte-for-byte.
       opts.deadline_ms = 60000;  // Governed, but never trips.
       opts.scheduler = &sched;
       opts.retry = exec::RetryPolicy{};  // Retries handled manually below.
@@ -161,9 +158,7 @@ TEST_F(SchedulerStressTest, EvaluatorRetryLoopRecoversShedsTransparently) {
 
   std::string expected;
   {
-    EvalOptions opts;
-    opts.threads = 1;
-    Evaluator ev(&db_, opts);
+    Evaluator ev(&db_);
     auto r = ev.Execute(kPaperQueries[0]);
     ASSERT_TRUE(r.ok()) << r.status();
     expected = r->ToString();
@@ -177,7 +172,6 @@ TEST_F(SchedulerStressTest, EvaluatorRetryLoopRecoversShedsTransparently) {
   for (int id = 0; id < kThreads; ++id) {
     threads.emplace_back([&, id] {
       EvalOptions opts;
-      opts.threads = 2;
       opts.deadline_ms = 60000;
       opts.scheduler = &sched;
       exec::RetryPolicy patient;
@@ -210,19 +204,16 @@ TEST_F(SchedulerStressTest, EvaluatorRetryLoopRecoversShedsTransparently) {
   EXPECT_EQ(stats.reserved_memory, 0u);
 }
 
-TEST_F(SchedulerStressTest, DegradedGrantForcesSerialExecution) {
-  // A queue grant flips the evaluator to threads=1; the answer must be
-  // byte-identical to the parallel one (docs/PARALLELISM.md invariant),
-  // and the degraded counter must record the downgrade.
+TEST_F(SchedulerStressTest, QueuedGrantReportsQueuedAdmission) {
+  // A query that waits for the single lane reports the "queued" admission
+  // mode with its wait, and answers exactly as an unscheduled run does.
   exec::SchedulerLimits limits;
   limits.max_concurrent = 1;
   exec::QueryScheduler sched(limits);
 
   std::string expected;
   {
-    EvalOptions opts;
-    opts.threads = 4;
-    Evaluator ev(&db_, opts);
+    Evaluator ev(&db_);
     auto r = ev.Execute(kPaperQueries[1]);
     ASSERT_TRUE(r.ok()) << r.status();
     expected = r->ToString();
@@ -232,26 +223,25 @@ TEST_F(SchedulerStressTest, DegradedGrantForcesSerialExecution) {
   auto held = sched.Admit(exec::AdmissionRequest{});
   ASSERT_TRUE(held.ok());
   std::atomic<bool> done{false};
-  std::string answer;
+  Result<ResultSet> queued = Status::Internal("not run");
   std::thread runner([&] {
     EvalOptions opts;
-    opts.threads = 4;
     opts.deadline_ms = 60000;
     opts.scheduler = &sched;
     Evaluator ev(&db_, opts);
-    auto r = ev.Execute(kPaperQueries[1]);
-    ASSERT_TRUE(r.ok()) << r.status();
-    answer = r->ToString();
+    queued = ev.Execute(kPaperQueries[1]);
     done.store(true);
   });
   ASSERT_TRUE(sched.WaitForWaiters(1, 5000));
   EXPECT_FALSE(done.load());
   held->Release();
   runner.join();
-  EXPECT_EQ(answer, expected);
+  ASSERT_TRUE(queued.ok()) << queued.status();
+  EXPECT_EQ(queued->ToString(), expected);
+  EXPECT_EQ(queued->admission().mode, "queued");
+  EXPECT_GT(queued->admission().queue_wait_ns, 0u);
   exec::SchedulerStats stats = sched.stats();
   EXPECT_EQ(stats.queued, 1u);
-  EXPECT_EQ(stats.degraded, 1u);  // The queue grant ran serially.
   EXPECT_EQ(stats.active, 0u);
 }
 

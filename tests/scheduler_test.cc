@@ -1,5 +1,5 @@
 // QueryScheduler unit tests: the admission state machine (admit / queue /
-// degrade / shed) exercised deterministically on private scheduler
+// shed) exercised deterministically on private scheduler
 // instances, plus the RetryPolicy backoff contract. Threaded staging uses
 // WaitForWaiters so grant ordering is observed, never raced.
 
@@ -26,14 +26,14 @@ AdmissionRequest Req(std::optional<uint64_t> deadline_ms = std::nullopt,
   return r;
 }
 
-TEST(SchedulerTest, UnlimitedByDefaultAdmitsEverythingUndegraded) {
+TEST(SchedulerTest, UnlimitedByDefaultAdmitsEverythingDirectly) {
   QueryScheduler sched;
   std::vector<AdmissionTicket> tickets;
   for (int i = 0; i < 32; ++i) {
     auto t = sched.Admit(Req());
     ASSERT_TRUE(t.ok()) << t.status();
     EXPECT_TRUE(t->admitted());
-    EXPECT_FALSE(t->degraded());
+    EXPECT_FALSE(t->queued());
     tickets.push_back(std::move(*t));
   }
   SchedulerStats stats = sched.stats();
@@ -130,7 +130,7 @@ TEST(SchedulerTest, DeclaredDeadlineExpiresWhileQueued) {
   EXPECT_EQ(sched.stats().expired, 1u);
 }
 
-TEST(SchedulerTest, QueueGrantsAreDegradedAndFifoWithinDeadline) {
+TEST(SchedulerTest, QueueGrantsAreFifoWithinDeadline) {
   SchedulerLimits limits;
   limits.max_concurrent = 1;
   limits.queue_capacity = 8;
@@ -150,7 +150,7 @@ TEST(SchedulerTest, QueueGrantsAreDegradedAndFifoWithinDeadline) {
     threads.emplace_back([&sched, &mu, &grant_order, id, &deadlines] {
       auto t = sched.Admit(Req(deadlines[id]));
       ASSERT_TRUE(t.ok()) << t.status();
-      EXPECT_TRUE(t->degraded());  // Every grant off the queue degrades.
+      EXPECT_TRUE(t->queued());
       lyric::sync::MutexLock lock(mu);
       grant_order.push_back(id);
       // Hold briefly so the next grant happens strictly after this record.
@@ -164,22 +164,23 @@ TEST(SchedulerTest, QueueGrantsAreDegradedAndFifoWithinDeadline) {
   EXPECT_EQ(grant_order, (std::vector<int>{3, 1, 2, 0}));
   SchedulerStats stats = sched.stats();
   EXPECT_EQ(stats.queued, 4u);
-  EXPECT_EQ(stats.degraded, 4u);
   EXPECT_EQ(stats.active, 0u);
   EXPECT_EQ(stats.waiting, 0u);
 }
 
-TEST(SchedulerTest, DirectGrantDegradesUnderLedgerPressure) {
+TEST(SchedulerTest, DirectGrantUnderLedgerPressureIsNotQueued) {
   SchedulerLimits limits;
   limits.max_total_memory = 1000;
   QueryScheduler sched(limits);
-  auto a = sched.Admit(Req(std::nullopt, 600));  // 600/1000 > half: pressure.
+  auto a = sched.Admit(Req(std::nullopt, 600));  // 600/1000: over half.
   ASSERT_TRUE(a.ok());
-  EXPECT_FALSE(a->degraded());  // First grant saw an empty ledger.
+  // The ledger is past half but still has room: a direct grant.
   auto b = sched.Admit(Req(std::nullopt, 100));
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(b->degraded());
-  EXPECT_EQ(sched.stats().degraded, 1u);
+  EXPECT_FALSE(b->queued());
+  EXPECT_EQ(b->queue_wait_ns(), 0u);
+  EXPECT_EQ(sched.stats().queued, 0u);
+  EXPECT_EQ(sched.stats().reserved_memory, 700u);
 }
 
 TEST(SchedulerTest, MemoryGateQueuesUntilLedgerDrains) {

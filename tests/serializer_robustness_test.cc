@@ -3,7 +3,8 @@
 // target Database (LoadDatabase parses into a scratch database and only
 // moves it into the target once the whole payload applied).
 //
-// The checked-in corpus under tests/corpus/ seeds the corruption shapes
+// The checked-in corpus under tests/fuzz/corpus_serializer/ (also the
+// serializer fuzz target's seed corpus) holds the corruption shapes
 // (truncation, binary garbage, unterminated strings, dangling
 // references, duplicate oids, zero denominators, bracket damage); the
 // sweeps below generate hundreds more mechanically from a fresh dump.
@@ -18,7 +19,7 @@
 #include "storage/serializer.h"
 
 #ifndef LYRIC_TEST_CORPUS_DIR
-#define LYRIC_TEST_CORPUS_DIR "tests/corpus"
+#define LYRIC_TEST_CORPUS_DIR "tests/fuzz/corpus_serializer"
 #endif
 
 namespace lyric {

@@ -31,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -238,7 +239,6 @@ void PreserveDebris(const std::string& store, const std::string& tag) {
 net::ClientOptions PlainClient(uint16_t port) {
   net::ClientOptions opts;
   opts.port = port;
-  opts.threads = 1;
   return opts;
 }
 
@@ -454,7 +454,7 @@ TEST(ServerChaos, SigtermDrainDropsNoAcceptedQuery) {
   ASSERT_TRUE(AwaitReady(&sd));
 
   constexpr int kClients = 3;
-  std::atomic<uint64_t> ok_responses{0};
+  std::array<std::atomic<uint64_t>, kClients> ok_responses{};
   std::atomic<uint64_t> dropped_in_flight{0};
   std::vector<std::string> failures(kClients);
   std::vector<std::thread> threads;
@@ -476,13 +476,22 @@ TEST(ServerChaos, SigtermDrainDropsNoAcceptedQuery) {
           failures[c] = "eval: " + resp->status.ToString();
           return;
         }
-        ++ok_responses;
+        ++ok_responses[c];
       }
     });
   }
 
-  // Let the load establish, then SIGTERM mid-flight.
-  while (ok_responses.load() < 6) {
+  // Let the load establish on every client, then SIGTERM mid-flight. A
+  // client that has had an answer holds an accepted session, which is
+  // what the drain contract covers; one still connecting when the
+  // listener closes is refused or reset instead (docs/SERVER.md).
+  auto all_answered = [&] {
+    for (const std::atomic<uint64_t>& n : ok_responses) {
+      if (n.load() < 2) return false;
+    }
+    return true;
+  };
+  for (int spin = 0; spin < 10000 && !all_answered(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ::kill(sd.pid, SIGTERM);

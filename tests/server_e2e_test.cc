@@ -54,7 +54,6 @@ Database MakeDb(int scaled_desks) {
 net::ClientOptions TestClientOptions(uint16_t port, uint64_t seed = 1) {
   net::ClientOptions opts;
   opts.port = port;
-  opts.threads = 1;
   // Armed so the binary survives the net fault gate: injected transport
   // faults and sheds are absorbed deterministically.
   opts.retry.max_retries = 8;
@@ -67,7 +66,6 @@ net::ClientOptions TestClientOptions(uint16_t port, uint64_t seed = 1) {
 /// the same options the server applies.
 net::QueryResponse DirectEval(Database* db, const std::string& query,
                               EvalOptions opts) {
-  opts.threads = 1;
   opts.retry = exec::RetryPolicy{};  // Mirrors the server's forced default.
   Evaluator ev(db, opts);
   return net::ResponseFromResult(ev.Execute(query));
@@ -86,12 +84,10 @@ TEST(ServerE2E, ByteIdenticalUnderConcurrency) {
   Database db = MakeDb(10);
   net::ServerOptions sopts;
   sopts.exec_threads = 4;
-  sopts.eval.threads = 1;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 
   EvalOptions direct;
-  direct.threads = 1;
   std::vector<std::string> expected(kSuiteSize);
   for (size_t q = 0; q < kSuiteSize; ++q) {
     expected[q] = DirectEval(&db, kSuite[q], direct).Fingerprint();
@@ -187,7 +183,6 @@ TEST(ServerE2E, PartialTrailerTravels) {
   // "-- PARTIAL" trailer in the rendered table, matching direct
   // evaluation modulo the elapsed-ms token.
   net::ServerOptions sopts;
-  sopts.eval.threads = 1;
   sopts.eval.max_pivots = 20;
   // The governor report counts pivots actually spent, and a solver-cache
   // hit spends none — disable memoization on both sides so the counts in

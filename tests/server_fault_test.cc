@@ -54,7 +54,6 @@ TEST_F(ServerFaultTest, ServerKeepsServingThroughFaults) {
   exec::QueryScheduler scheduler(limits);
 
   net::ServerOptions sopts;
-  sopts.eval.threads = 1;
   sopts.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());

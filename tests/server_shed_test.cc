@@ -47,7 +47,6 @@ TEST(ServerShed, ShedCarriesRetryAfterOverTheWire) {
 
   net::ServerOptions sopts;
   sopts.exec_threads = 4;
-  sopts.eval.threads = 1;
   sopts.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
@@ -113,7 +112,6 @@ TEST(ServerShed, RetryPolicyConsumesHintsAndSucceeds) {
   exec::QueryScheduler scheduler(limits);
 
   net::ServerOptions sopts;
-  sopts.eval.threads = 1;
   sopts.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());

@@ -47,7 +47,6 @@ Database MakeOfficeDb() {
 net::ClientOptions PlainClient(uint16_t port) {
   net::ClientOptions opts;
   opts.port = port;
-  opts.threads = 1;
   return opts;
 }
 

@@ -186,7 +186,6 @@ TEST_F(TombstoneTest, RepeatGovernedQueryFailsFastWithIdenticalStatus) {
       "SELECT O FROM Object_in_Room O "
       "WHERE O.location[L] and L(x, y) |= x <= 12";
   EvalOptions governed;
-  governed.threads = 1;
   governed.max_pivots = 1;
 
   Evaluator ev(&db, governed);
@@ -211,7 +210,6 @@ TEST_F(TombstoneTest, RepeatGovernedQueryFailsFastWithIdenticalStatus) {
 
   // A generous budget ignores the tombstone and completes the query.
   EvalOptions generous;
-  generous.threads = 1;
   generous.max_pivots = 1000000;
   Evaluator wide(&db, generous);
   auto full = wide.Execute(kQuery);

@@ -27,15 +27,20 @@
 // retry-after hints), and responses that still end shed after the final
 // retry are counted (shed_final) rather than failed — a shed is the
 // admission contract working, not a wrong answer.
+//
+// Numeric flags take decimal digits only (--clients a comma-separated
+// list of them), within each flag's range; any bad flag prints the usage
+// and exits 2.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,18 +52,17 @@
 #include "net/server.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
+#include "util/string_util.h"
 
 namespace {
 
 using lyric::Database;
-using lyric::EvalOptions;
 using lyric::Evaluator;
 using lyric::Result;
 using lyric::ResultSet;
 using lyric::Status;
 
-/// The §4.1 worked examples plus scaled-database sweeps — the same suite
-/// the differential tests replay (tests/parallel_diff_test.cc).
+/// The §4.1 worked examples plus a scaled-database sweep.
 const char* kSuite[] = {
     "SELECT Y FROM Desk X WHERE X.drawer.extent[Y]",
     "SELECT CO, ((u, v) | E(w, z) and D(w, z, x, y, u, v) and x = 6 and "
@@ -72,7 +76,7 @@ constexpr size_t kSuiteSize = sizeof(kSuite) / sizeof(kSuite[0]);
 struct Options {
   std::vector<int> client_counts = {1, 8, 64};
   int rounds = 5;
-  double qps = 0;  // 0 = unpaced
+  uint64_t qps = 0;  // 0 = unpaced
   int scale = 12;
   size_t exec_threads = 4;
   uint64_t max_concurrent = 0;  // 0 = unlimited (no shedding)
@@ -83,14 +87,30 @@ struct Options {
   std::string out = "BENCH_server.json";
 };
 
-std::vector<int> ParseIntList(const std::string& text) {
-  std::vector<int> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::atoi(item.c_str()));
-  }
-  return out;
+// The largest --exec-threads and --clients entry: far more threads than
+// any host's cores.
+constexpr uint64_t kMaxThreads = 256;
+constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
+// At most one request per microsecond, the pacing clock's resolution.
+constexpr uint64_t kMaxQps = 1000000;
+
+void PrintUsage() {
+  std::cerr << "usage: lyric_loadgen [--clients 1,8,64] [--rounds N] "
+               "[--qps Q] [--scale N] [--exec-threads N] "
+               "[--max-concurrent N] [--queue-capacity N] [--retries N] "
+               "[--retry-base-ms MS] [--connect HOST:PORT] [--out FILE]\n";
+}
+
+// `text` as a decimal number in [lo, hi]; nullopt (with a message naming
+// `flag`) otherwise.
+std::optional<uint64_t> ParseFlagNumber(const char* flag,
+                                        const std::string& text,
+                                        uint64_t lo, uint64_t hi) {
+  const std::optional<uint64_t> n = lyric::ParseUint64(text);
+  if (n.has_value() && *n >= lo && *n <= hi) return n;
+  std::cerr << "loadgen: " << flag << " takes a number in [" << lo << ", "
+            << hi << "], not '" << text << "'\n";
+  return std::nullopt;
 }
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
@@ -103,42 +123,54 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       }
       return argv[++i];
     };
+    // Reads numeric `flag`'s value into n: decimal digits in [lo, hi].
+    uint64_t n = 0;
+    auto number = [&](const char* flag, uint64_t lo, uint64_t hi) {
+      const char* v = next(flag);
+      if (v == nullptr) return false;
+      const std::optional<uint64_t> parsed = ParseFlagNumber(flag, v, lo, hi);
+      if (parsed.has_value()) n = *parsed;
+      return parsed.has_value();
+    };
+    constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
     if (arg == "--clients") {
       const char* v = next("--clients");
       if (v == nullptr) return false;
-      opt->client_counts = ParseIntList(v);
+      opt->client_counts.clear();
+      std::stringstream ss(v);
+      std::string item;
+      while (std::getline(ss, item, ',')) {
+        const std::optional<uint64_t> count =
+            ParseFlagNumber("--clients", item, 1, kMaxThreads);
+        if (!count.has_value()) return false;
+        opt->client_counts.push_back(static_cast<int>(*count));
+      }
     } else if (arg == "--rounds") {
-      const char* v = next("--rounds");
-      if (v == nullptr) return false;
-      opt->rounds = std::atoi(v);
+      if (!number("--rounds", 0, kMaxInt)) return false;
+      opt->rounds = static_cast<int>(n);
     } else if (arg == "--qps") {
-      const char* v = next("--qps");
-      if (v == nullptr) return false;
-      opt->qps = std::atof(v);
+      if (!number("--qps", 0, kMaxQps)) return false;
+      opt->qps = n;
     } else if (arg == "--scale") {
-      const char* v = next("--scale");
-      if (v == nullptr) return false;
-      opt->scale = std::atoi(v);
+      if (!number("--scale", 0, kMaxInt)) return false;
+      opt->scale = static_cast<int>(n);
     } else if (arg == "--exec-threads") {
-      const char* v = next("--exec-threads");
-      if (v == nullptr) return false;
-      opt->exec_threads = static_cast<size_t>(std::atoi(v));
+      if (!number("--exec-threads", 1, kMaxThreads)) return false;
+      opt->exec_threads = static_cast<size_t>(n);
     } else if (arg == "--max-concurrent") {
-      const char* v = next("--max-concurrent");
-      if (v == nullptr) return false;
-      opt->max_concurrent = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--max-concurrent", 0, kNoMax)) return false;
+      opt->max_concurrent = n;
     } else if (arg == "--queue-capacity") {
-      const char* v = next("--queue-capacity");
-      if (v == nullptr) return false;
-      opt->queue_capacity = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--queue-capacity", 0, kNoMax)) return false;
+      opt->queue_capacity = n;
     } else if (arg == "--retries") {
-      const char* v = next("--retries");
-      if (v == nullptr) return false;
-      opt->retries = static_cast<uint32_t>(std::atoi(v));
+      if (!number("--retries", 0, std::numeric_limits<uint32_t>::max())) {
+        return false;
+      }
+      opt->retries = static_cast<uint32_t>(n);
     } else if (arg == "--retry-base-ms") {
-      const char* v = next("--retry-base-ms");
-      if (v == nullptr) return false;
-      opt->retry_base_ms = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--retry-base-ms", 0, kNoMax)) return false;
+      opt->retry_base_ms = n;
     } else if (arg == "--connect") {
       const char* v = next("--connect");
       if (v == nullptr) return false;
@@ -148,10 +180,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       if (v == nullptr) return false;
       opt->out = v;
     } else if (arg == "--help" || arg == "-h") {
-      std::cerr << "usage: lyric_loadgen [--clients 1,8,64] [--rounds N] "
-                   "[--qps Q] [--scale N] [--exec-threads N] "
-                   "[--max-concurrent N] [--retries N] [--retry-base-ms MS] "
-                   "[--connect HOST:PORT] [--out FILE]\n";
       return false;
     } else {
       std::cerr << "loadgen: unknown flag " << arg << "\n";
@@ -181,7 +209,10 @@ uint64_t Percentile(std::vector<uint64_t>& sorted, double p) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!ParseArgs(argc, argv, &opt)) return 2;
+  if (!ParseArgs(argc, argv, &opt)) {
+    PrintUsage();
+    return 2;
+  }
 
   Database db;
   auto ids = lyric::office::BuildOfficeDatabase(&db);
@@ -197,17 +228,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Requests pin threads=1 so the contract under test is the strongest
-  // one: every concurrent response byte-identical to a serial run.
-  EvalOptions base;
-  base.threads = 1;
-
   // Expected fingerprints from direct in-process evaluation. Evaluating
   // against the same Database the server serves is safe: the suite is
   // read-only and CST interning is content-addressed (order-independent).
   std::vector<std::string> expected(kSuiteSize);
   for (size_t i = 0; i < kSuiteSize; ++i) {
-    Evaluator ev(&db, base);
+    Evaluator ev(&db);
     expected[i] =
         lyric::net::ResponseFromResult(ev.Execute(kSuite[i])).Fingerprint();
   }
@@ -224,18 +250,22 @@ int main(int argc, char** argv) {
   std::unique_ptr<lyric::net::Server> server;
   if (!opt.connect.empty()) {
     const size_t colon = opt.connect.rfind(':');
-    if (colon == std::string::npos || colon + 1 >= opt.connect.size()) {
+    const std::optional<uint64_t> port =
+        colon == std::string::npos
+            ? std::nullopt
+            : ParseFlagNumber("--connect port", opt.connect.substr(colon + 1),
+                              1, 65535);
+    if (!port.has_value()) {
       std::cerr << "loadgen: --connect wants HOST:PORT, got '" << opt.connect
                 << "'\n";
+      PrintUsage();
       return 2;
     }
     target_host = opt.connect.substr(0, colon);
-    target_port = static_cast<uint16_t>(
-        std::atoi(opt.connect.c_str() + colon + 1));
+    target_port = static_cast<uint16_t>(*port);
   } else {
     lyric::net::ServerOptions server_options;
     server_options.exec_threads = opt.exec_threads;
-    server_options.eval = base;
     server_options.scheduler = &scheduler;
     server = std::make_unique<lyric::net::Server>(&db, server_options);
     Status st = server->Start();
@@ -269,14 +299,13 @@ int main(int argc, char** argv) {
           lyric::net::ClientOptions copt;
           copt.host = target_host;
           copt.port = target_port;
-          copt.threads = 1;
           copt.retry.max_retries = opt.retries;
           copt.retry.base_backoff_ms = opt.retry_base_ms;
           copt.retry.seed = static_cast<uint64_t>(c) + 1;
           lyric::net::Client client(copt);
           const auto interval =
               opt.qps > 0 ? std::chrono::microseconds(static_cast<int64_t>(
-                                1e6 / opt.qps))
+                                1000000 / opt.qps))
                           : std::chrono::microseconds(0);
           auto next_tick = std::chrono::steady_clock::now();
           for (int round = 0; round < opt.rounds; ++round) {

@@ -2,7 +2,7 @@
 //
 //   lyric_serverd [--host 127.0.0.1] [--port 7464] [--load dump.lyricdb]
 //                 [--store store.lyricpg] [--scale N] [--exec-threads N]
-//                 [--eval-threads N] [--max-rows N] [--max-concurrent N]
+//                 [--max-rows N] [--max-concurrent N]
 //                 [--queue-capacity N] [--queue-timeout-ms N]
 //                 [--max-memory BYTES] [--drain-deadline-ms N]
 //                 [--port-file PATH]
@@ -36,6 +36,9 @@
 // --port-file writes "PORT\n" atomically once the listener is live;
 // supervisors (the chaos harness) use it to discover an ephemeral port.
 //
+// Numeric flags take decimal digits only, within each flag's range; any
+// bad flag prints the usage and exits 2.
+//
 // The admission flags configure a scheduler owned by this process; with
 // none given the evaluator falls back to the process-wide scheduler and
 // its LYRIC_MAX_CONCURRENT / LYRIC_QUEUE_* environment limits.
@@ -52,8 +55,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,21 +67,26 @@
 #include "storage/file_io.h"
 #include "storage/paged_store.h"
 #include "storage/serializer.h"
+#include "util/string_util.h"
 
 namespace {
 
 using lyric::Database;
 using lyric::Status;
 
+// The largest --exec-threads: one pool thread per concurrently served
+// query, and far more than any host's cores.
+constexpr uint64_t kMaxExecThreads = 256;
+constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
+
 struct Options {
   std::string host = "127.0.0.1";
-  int port = 7464;
+  uint16_t port = 7464;
   std::string load;   // dump file; empty = built-in office database
   std::string store;  // PagedStore path; empty = memory-only serving
   std::string port_file;
   int scale = 0;
   size_t exec_threads = 0;  // 0 = hardware concurrency
-  size_t eval_threads = 0;  // 0 = evaluator default
   uint64_t max_rows = 0;
   uint64_t drain_deadline_ms = 5000;
   std::optional<uint64_t> max_concurrent;
@@ -86,6 +94,15 @@ struct Options {
   std::optional<uint64_t> queue_timeout_ms;
   std::optional<uint64_t> max_memory;
 };
+
+void PrintUsage() {
+  std::cerr << "usage: lyric_serverd [--host H] [--port P] "
+               "[--load FILE] [--store FILE] [--port-file PATH] "
+               "[--scale N] [--exec-threads N] "
+               "[--max-rows N] [--max-concurrent N] "
+               "[--queue-capacity N] [--queue-timeout-ms N] "
+               "[--max-memory BYTES] [--drain-deadline-ms N]\n";
+}
 
 bool ParseArgs(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
@@ -97,13 +114,27 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       }
       return argv[++i];
     };
+    // Reads numeric `flag`'s value into n: decimal digits in [lo, hi].
+    uint64_t n = 0;
+    auto number = [&](const char* flag, uint64_t lo, uint64_t hi) {
+      const char* v = next(flag);
+      if (v == nullptr) return false;
+      const std::optional<uint64_t> parsed = lyric::ParseUint64(v);
+      if (!parsed.has_value() || *parsed < lo || *parsed > hi) {
+        std::cerr << "lyric_serverd: " << flag << " takes a number in ["
+                  << lo << ", " << hi << "], not '" << v << "'\n";
+        return false;
+      }
+      n = *parsed;
+      return true;
+    };
     const char* v = nullptr;
     if (arg == "--host") {
       if ((v = next("--host")) == nullptr) return false;
       opt->host = v;
     } else if (arg == "--port") {
-      if ((v = next("--port")) == nullptr) return false;
-      opt->port = std::atoi(v);
+      if (!number("--port", 0, 65535)) return false;
+      opt->port = static_cast<uint16_t>(n);
     } else if (arg == "--load") {
       if ((v = next("--load")) == nullptr) return false;
       opt->load = v;
@@ -114,39 +145,33 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       if ((v = next("--port-file")) == nullptr) return false;
       opt->port_file = v;
     } else if (arg == "--scale") {
-      if ((v = next("--scale")) == nullptr) return false;
-      opt->scale = std::atoi(v);
+      if (!number("--scale", 0, std::numeric_limits<int>::max())) {
+        return false;
+      }
+      opt->scale = static_cast<int>(n);
     } else if (arg == "--exec-threads") {
-      if ((v = next("--exec-threads")) == nullptr) return false;
-      opt->exec_threads = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--eval-threads") {
-      if ((v = next("--eval-threads")) == nullptr) return false;
-      opt->eval_threads = static_cast<size_t>(std::atoi(v));
+      if (!number("--exec-threads", 1, kMaxExecThreads)) return false;
+      opt->exec_threads = static_cast<size_t>(n);
     } else if (arg == "--max-rows") {
-      if ((v = next("--max-rows")) == nullptr) return false;
-      opt->max_rows = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--max-rows", 0, kNoMax)) return false;
+      opt->max_rows = n;
     } else if (arg == "--drain-deadline-ms") {
-      if ((v = next("--drain-deadline-ms")) == nullptr) return false;
-      opt->drain_deadline_ms = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--drain-deadline-ms", 0, kNoMax)) return false;
+      opt->drain_deadline_ms = n;
     } else if (arg == "--max-concurrent") {
-      if ((v = next("--max-concurrent")) == nullptr) return false;
-      opt->max_concurrent = static_cast<uint64_t>(std::atoll(v));
+      // A cap of 0 would admit nothing.
+      if (!number("--max-concurrent", 1, kNoMax)) return false;
+      opt->max_concurrent = n;
     } else if (arg == "--queue-capacity") {
-      if ((v = next("--queue-capacity")) == nullptr) return false;
-      opt->queue_capacity = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--queue-capacity", 0, kNoMax)) return false;
+      opt->queue_capacity = n;
     } else if (arg == "--queue-timeout-ms") {
-      if ((v = next("--queue-timeout-ms")) == nullptr) return false;
-      opt->queue_timeout_ms = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--queue-timeout-ms", 0, kNoMax)) return false;
+      opt->queue_timeout_ms = n;
     } else if (arg == "--max-memory") {
-      if ((v = next("--max-memory")) == nullptr) return false;
-      opt->max_memory = static_cast<uint64_t>(std::atoll(v));
+      if (!number("--max-memory", 0, kNoMax)) return false;
+      opt->max_memory = n;
     } else if (arg == "--help" || arg == "-h") {
-      std::cerr << "usage: lyric_serverd [--host H] [--port P] "
-                   "[--load FILE] [--store FILE] [--port-file PATH] "
-                   "[--scale N] [--exec-threads N] [--eval-threads N] "
-                   "[--max-rows N] [--max-concurrent N] "
-                   "[--queue-capacity N] [--queue-timeout-ms N] "
-                   "[--max-memory BYTES] [--drain-deadline-ms N]\n";
       return false;
     } else {
       std::cerr << "lyric_serverd: unknown flag " << arg << "\n";
@@ -238,7 +263,10 @@ Status BuildInitialDatabase(const Options& opt, Database* db) {
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!ParseArgs(argc, argv, &opt)) return 2;
+  if (!ParseArgs(argc, argv, &opt)) {
+    PrintUsage();
+    return 2;
+  }
   if (!InstallSignalHandlers()) return 2;
 
   // -- hydrate -------------------------------------------------------------
@@ -313,9 +341,8 @@ int main(int argc, char** argv) {
   sopts.host = opt.host;
   sopts.port = opt.port;
   sopts.exec_threads = opt.exec_threads;
-  // 0 means "keep the evaluator default" for these flags — EvalOptions
-  // itself treats 0 literally (max_rows = 0 rejects every row).
-  if (opt.eval_threads > 0) sopts.eval.threads = opt.eval_threads;
+  // 0 means "keep the evaluator default" — EvalOptions itself treats 0
+  // literally (max_rows = 0 rejects every row).
   if (opt.max_rows > 0) sopts.eval.max_rows = opt.max_rows;
   if (limits.Any()) sopts.scheduler = &scheduler;
   sopts.store = store.get();

@@ -21,7 +21,6 @@
 //   .profile QUERY       run QUERY with tracing: stage breakdown + counters
 //   .trace on PATH       write a Chrome trace JSON per query to PATH
 //   .trace off           stop writing traces
-//   .threads [N]         show or set evaluator worker threads (1 = serial)
 //   .cache [N|clear]     solver memo cache: stats, re-bound, or clear
 //   .deadline [MS|off]   show or set the per-query wall-clock deadline
 //   .budget [BYTES|off]  show or set the per-query kernel memory budget
@@ -168,12 +167,11 @@ std::string LimitToString(const std::optional<uint64_t>& v,
   return v.has_value() ? std::to_string(*v) + unit : std::string("off");
 }
 
-// The operator's live view: the knobs `.deadline`/`.budget`/`.threads`/
-// `.cache`/`.admit` actually apply to the next statement, plus the
+// The operator's live view: the knobs `.deadline`/`.budget`/`.cache`/
+// `.admit` actually apply to the next statement, plus the
 // process-wide scheduler ledger — so `.stats` shows effective limits, not
 // just counters.
-void PrintEffectiveLimits(size_t threads,
-                          const std::optional<uint64_t>& deadline_ms,
+void PrintEffectiveLimits(const std::optional<uint64_t>& deadline_ms,
                           const std::optional<uint64_t>& budget) {
   exec::QueryScheduler& sched = exec::QueryScheduler::Global();
   exec::SchedulerLimits sl = sched.limits();
@@ -181,7 +179,6 @@ void PrintEffectiveLimits(size_t threads,
   std::cout << "effective limits:\n"
             << "  deadline = " << LimitToString(deadline_ms, "ms")
             << " | budget = " << LimitToString(budget, "B")
-            << " | threads = " << threads
             << " | cache = " << SolverCache::Global().capacity()
             << " entries\n"
             << "  admit: max_concurrent = "
@@ -218,7 +215,6 @@ int main(int argc, char** argv) {
   std::string line;
   std::string pending;
   std::string trace_path;  // non-empty: write a Chrome trace per query
-  size_t threads = DefaultEvalThreads();  // worker threads per query
   // Per-query governor limits; the defaults pick up LYRIC_DEADLINE_MS /
   // LYRIC_MEMORY_BUDGET through EvalOptions.
   std::optional<uint64_t> deadline_ms = EvalOptions{}.deadline_ms;
@@ -260,9 +256,7 @@ int main(int argc, char** argv) {
                      "  .profile QUERY       stage timings + counter "
                      "deltas for one query\n  .trace on PATH       write a "
                      "Chrome trace JSON per query to PATH\n  .trace off       "
-                     "    stop writing traces\n  .threads [N]         show or "
-                     "set evaluator worker threads (1 = serial;\n             "
-                     "          parallel results are byte-identical)\n"
+                     "    stop writing traces\n"
                      "  .cache [N|clear]     solver memo cache: show stats, "
                      "re-bound to N\n                       entries (0 "
                      "disables), or drop all entries\n  .deadline [MS|off]   "
@@ -280,7 +274,7 @@ int main(int argc, char** argv) {
                      "  anything else: a LyriC query ending in ';'\n";
       } else if (cmd == ".stats") {
         std::cout << obs::Registry::Global().Snapshot().ToString();
-        PrintEffectiveLimits(threads, deadline_ms, budget);
+        PrintEffectiveLimits(deadline_ms, budget);
       } else if (cmd == ".metrics") {
         std::istringstream as(arg);
         std::string fmt, path;
@@ -330,20 +324,6 @@ int main(int argc, char** argv) {
                       << qlog.total_appended() << " records)\n";
           }
         }
-      } else if (cmd == ".threads") {
-        if (arg.empty()) {
-          std::cout << "threads = " << threads << "\n";
-        } else {
-          char* end = nullptr;
-          unsigned long long n = std::strtoull(arg.c_str(), &end, 10);
-          if (end == arg.c_str() || *end != '\0' || n == 0 || n > 64) {
-            std::cout << "usage: .threads N  (1..64)\n";
-          } else {
-            threads = static_cast<size_t>(n);
-            std::cout << "threads = " << threads
-                      << (threads == 1 ? " (serial)" : "") << "\n";
-          }
-        }
       } else if (cmd == ".deadline") {
         SetLimit(".deadline", arg, "ms", &deadline_ms);
       } else if (cmd == ".budget") {
@@ -351,7 +331,7 @@ int main(int argc, char** argv) {
       } else if (cmd == ".admit") {
         exec::QueryScheduler& sched = exec::QueryScheduler::Global();
         if (arg.empty()) {
-          PrintEffectiveLimits(threads, deadline_ms, budget);
+          PrintEffectiveLimits(deadline_ms, budget);
         } else if (arg == "off") {
           sched.Configure(exec::SchedulerLimits{});
           std::cout << "admission control off\n";
@@ -396,7 +376,6 @@ int main(int argc, char** argv) {
       } else if (cmd == ".profile") {
         EvalOptions opts;
         opts.collect_trace = true;
-        opts.threads = threads;
         opts.deadline_ms = deadline_ms;
         opts.memory_budget = budget;
         Evaluator ev(&db, opts);
@@ -569,7 +548,6 @@ int main(int argc, char** argv) {
     if (line.find(';') == std::string::npos) continue;
     EvalOptions opts;
     opts.collect_trace = !trace_path.empty();
-    opts.threads = threads;
     opts.deadline_ms = deadline_ms;
     opts.memory_budget = budget;
     Evaluator ev(&db, opts);
