@@ -137,7 +137,6 @@ Status QueryScheduler::ShedLocked(const char* why) {
 }
 
 void QueryScheduler::GrantWaitersLocked() {
-  bool granted_any = false;
   for (;;) {
     if (limits_.max_concurrent.has_value() &&
         active_ >= *limits_.max_concurrent) {
@@ -173,12 +172,10 @@ void QueryScheduler::GrantWaitersLocked() {
     reserved_memory_ += best->memory;
     ++admitted_;
     LYRIC_OBS_COUNT("scheduler.admitted");
-    granted_any = true;
+    // Wake exactly the granted waiter. Under mu_, so it cannot erase
+    // itself before we unlock.
+    best->cv.NotifyOne();
   }
-  // Grants can originate from Release, Configure, or a newly queued
-  // arrival; the granted waiters sleep on cv_ either way, so the grant
-  // site itself wakes them (notify-under-lock is well-defined).
-  if (granted_any) cv_.NotifyAll();
 }
 
 Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
@@ -259,7 +256,7 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
     GrantWaitersLocked();
     while (!it->granted) {
       if (expires_at.has_value()) {
-        if (cv_.WaitUntil(mu_, *expires_at) && !it->granted) {
+        if (it->cv.WaitUntil(mu_, *expires_at) && !it->granted) {
           const bool own_deadline =
               it->has_deadline &&
               std::chrono::steady_clock::now() >= it->deadline_at;
@@ -272,7 +269,7 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
                                 : "queue wait timed out");
         }
       } else {
-        cv_.Wait(mu_);
+        it->cv.Wait(mu_);
       }
     }
   }

@@ -184,6 +184,8 @@ class QueryScheduler {
     bool has_deadline = false;
     uint64_t memory = 0;
     bool granted = false;
+    /// Signalled once, by the grant: a freed lane wakes only its waiter.
+    sync::CondVar cv;
   };
 
   void Release(uint64_t memory, std::chrono::steady_clock::time_point start)
@@ -202,7 +204,6 @@ class QueryScheduler {
   void PublishGaugesLocked() const LYRIC_REQUIRES(mu_);
 
   mutable sync::Mutex mu_{sync::LockRank::kScheduler, "scheduler"};
-  mutable sync::CondVar cv_;
   SchedulerLimits limits_ LYRIC_GUARDED_BY(mu_);
   std::list<Waiter> waiters_ LYRIC_GUARDED_BY(mu_);
   uint64_t next_seq_ LYRIC_GUARDED_BY(mu_) = 0;

@@ -80,10 +80,6 @@ Status Server::Start() {
   Status st = listener_.Bind(options_.host, options_.port);
   if (!st.ok()) return st;
   port_ = listener_.port();
-  const size_t workers = options_.exec_threads != 0
-                             ? options_.exec_threads
-                             : exec::ThreadPool::HardwareThreads();
-  pool_ = std::make_unique<exec::ThreadPool>(workers);
   // A store that arrived already poisoned (e.g. its last pre-handoff
   // commit failed) starts the server in read-only rather than letting
   // the first CREATE discover it.
@@ -217,9 +213,6 @@ void Server::Stop() {
     if (session->reader.joinable()) session->reader.join();
     ActiveGauge().Add(-1);
   }
-  // Readers are gone, so no task can still be queued; destroying the
-  // pool drains stragglers and joins the workers.
-  pool_.reset();
   listener_.Close();
 }
 
@@ -284,7 +277,8 @@ void Server::ServeConnection(Session* session) {
     Status st = ServeOneFrame(session);
     if (!st.ok()) break;
   }
-  session->socket.Close();
+  // Shut down, not close (see Session::socket): the peer sees EOF now.
+  session->socket.ShutdownBoth();
   session->done.store(true, std::memory_order_release);
 }
 
@@ -360,17 +354,8 @@ Status Server::ServeOneFrame(Session* session) {
         break;
       }
       InFlightGauge().Add(1);
-      // Dispatch the evaluation onto the pool and wait: requests on one
-      // connection stay ordered, concurrency comes from other sessions.
-      QueryResponse response;
-      exec::Notification answered;
-      pool_->Submit([this, &request, &response, &answered] {
-        response = HandleQuery(request);
-        answered.Notify();
-      });
-      answered.Wait();
       st = SendFrame(session->socket, FrameType::kResult,
-                     EncodeQueryResponse(response));
+                     EncodeQueryResponse(HandleQuery(request)));
       // Only after the answer is on the wire (or the transport died) is
       // the query no longer in flight — the drain contract is "accepted
       // queries get their responses delivered", not just "evaluated".
@@ -423,7 +408,7 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
   // server-side loop that inherited LYRIC_RETRY from the environment.
   if (!opts.retry.has_value()) opts.retry = exec::RetryPolicy{};
 
-  // Exception firewall: a pool worker must never unwind into
+  // Exception firewall: the reader thread must never unwind into
   // std::terminate, whatever the evaluator throws.
   try {
     if (IsSchemaMutation(request.query)) {

@@ -4,18 +4,17 @@
 //
 //   * one accept thread owns the Listener; each accepted connection gets
 //     a Session (id, socket, reader thread) in a registry guarded by a
-//     kNetSession-ranked mutex. Reader threads are cheap — they spend
-//     their lives blocked in recv().
-//   * a reader thread parses one frame at a time and dispatches query
-//     evaluation onto the server's exec::ThreadPool, then waits for the
-//     result before reading the next frame — requests on one connection
-//     are strictly ordered, concurrency comes from having many
-//     connections share the pool.
-//   * per-request deadline/budget/thread options overlay the server's
-//     base EvalOptions, so the PR-5 admission machinery (queueing,
-//     degrade-to-serial, typed kUnavailable sheds with retry-after
-//     hints) and the PR-4 governor (PARTIAL results) are end-to-end
-//     visible on the wire.
+//     kNetSession-ranked mutex.
+//   * a reader thread parses one frame at a time and evaluates each
+//     query itself before reading the next frame — requests on one
+//     connection are strictly ordered, concurrency comes from having
+//     many connections. The QueryScheduler is the one cap on queries
+//     evaluating at once; every wait happens in its deadline-aware
+//     queue.
+//   * per-request deadline/budget/row options overlay the server's base
+//     EvalOptions, so the PR-5 admission machinery (queueing, typed
+//     kUnavailable sheds with retry-after hints) and the PR-4 governor
+//     (PARTIAL results) are end-to-end visible on the wire.
 //   * CREATE VIEW queries mutate the schema, which concurrent readers
 //     scan unlocked; a server-wide SharedMutex (rank kNetSchemaGate)
 //     serializes them: shared for reads, exclusive for view creation.
@@ -59,7 +58,6 @@
 #include <thread>
 
 #include "exec/scheduler.h"
-#include "exec/thread_pool.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "object/database.h"
@@ -81,9 +79,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read Server::port() after Start.
   uint16_t port = 0;
-  /// Workers in the evaluation pool requests are dispatched onto.
-  /// 0 = exec::ThreadPool::HardwareThreads().
-  size_t exec_threads = 0;
   /// Receive-side frame payload cap.
   uint32_t max_payload_bytes = kMaxPayloadBytes;
   /// Base evaluation options; per-request fields overlay these. The
@@ -118,12 +113,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, spawns the pool and the accept thread. InvalidArgument if
-  /// already started; bind failures pass through.
+  /// Binds and spawns the accept thread. InvalidArgument if already
+  /// started; bind failures pass through.
   Status Start();
 
   /// Idempotent full teardown: stops accepting, shuts down every
-  /// session's socket, joins reader threads, drains the pool.
+  /// session's socket, joins reader threads.
   void Stop();
 
   /// Starts a graceful drain (idempotent): stops accepting (the
@@ -174,6 +169,9 @@ class Server {
   /// One connection: identity, transport, and its reader thread.
   struct Session {
     uint64_t id = 0;
+    /// The reader only shuts it down when it finishes; the fd closes
+    /// when the Session is destroyed after the reader is joined, so
+    /// Stop's ShutdownBoth never races a close (or a reused fd number).
     Socket socket;
     std::thread reader;
     /// Set by the reader as its last act; the accept loop and Stop reap
@@ -183,9 +181,9 @@ class Server {
 
   void AcceptLoop();
   void ServeConnection(Session* session);
-  /// Write-through after a successful schema mutation; called on a pool
-  /// worker holding the exclusive schema gate. Non-OK poisons -> the
-  /// server enters read-only and the status becomes the response.
+  /// Write-through after a successful schema mutation; called on a
+  /// reader thread holding the exclusive schema gate. Non-OK poisons ->
+  /// the server enters read-only and the status becomes the response.
   Status SyncStore() LYRIC_EXCLUDES(lifecycle_mu_);
   /// The degraded-mode cause message ("" while healthy).
   std::string DegradedCauseMessage() const LYRIC_EXCLUDES(lifecycle_mu_);
@@ -206,7 +204,6 @@ class Server {
   ServerOptions options_;
   Listener listener_;
   uint16_t port_ = 0;
-  std::unique_ptr<exec::ThreadPool> pool_;
   std::thread accept_thread_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
@@ -233,7 +230,7 @@ class Server {
       LYRIC_GUARDED_BY(mu_);
   uint64_t next_session_id_ LYRIC_GUARDED_BY(mu_) = 1;
 
-  /// Readers share, CREATE VIEW excludes. Acquired on pool workers for
+  /// Readers share, CREATE VIEW excludes. Acquired on reader threads for
   /// the duration of one evaluation; ranked before every lock evaluation
   /// takes (docs/CONCURRENCY.md).
   sync::SharedMutex schema_gate_{sync::LockRank::kNetSchemaGate,

@@ -8,9 +8,9 @@
 // the buffer or returns the error (with clean end-of-stream
 // distinguished for frame-boundary closes).
 //
-// Deliberately synchronous: connections get cheap blocked reader threads
-// and evaluation is dispatched onto the exec::ThreadPool (see server.h),
-// so there is no event loop to integrate with.
+// Deliberately synchronous: each connection gets a blocking reader thread
+// that also evaluates its queries (see server.h), so there is no event
+// loop to integrate with.
 
 #ifndef LYRIC_NET_SOCKET_H_
 #define LYRIC_NET_SOCKET_H_

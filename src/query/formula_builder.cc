@@ -162,7 +162,8 @@ Result<DisjunctiveExistential> FormulaBuilder::BuildPred(
   target.reserve(names.size());
   for (const std::string& n : names) target.push_back(Variable::Intern(n));
   // Duplicate names in an invocation (e.g. O(x, x)) mean equality of the
-  // two dimensions: rename through fresh variables and equate.
+  // two dimensions: rename through fresh variables, equate, and project
+  // the fresh helpers away so they are bound, not free.
   {
     std::set<VarId> seen;
     std::vector<std::pair<VarId, VarId>> dup_eq;
@@ -182,6 +183,9 @@ Result<DisjunctiveExistential> FormulaBuilder::BuildPred(
                                      LinearExpr::Var(fresh)));
       }
       body = body.And(DisjunctiveExistential::FromConjunction(eqs));
+      VarSet keep = body.FreeVars();
+      for (const auto& [orig, fresh] : dup_eq) keep.erase(fresh);
+      body = body.Project(keep);
     }
     return body;
   }

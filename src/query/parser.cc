@@ -16,6 +16,12 @@ using ast::SelectItem;
 using ast::SignatureItem;
 using ast::WhereExpr;
 
+// Parentheses, `not`, unary minus, `exists` and projections together nest
+// at most this deep (the evaluator's WHERE bound). Each level is a stack
+// frame, and backtracking over nested parentheses costs time superlinear
+// in the depth, so one deep frame must not crash or stall the parser.
+constexpr int kMaxNesting = 64;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -83,6 +89,14 @@ class Parser {
   size_t error_offset() const { return error_offset_; }
   size_t error_length() const { return error_length_; }
 
+  // A nesting overflow decides the outcome even when backtracking
+  // swallowed it on the way up.
+  template <typename T>
+  Result<T> Outcome(Result<T> parsed) const {
+    if (!too_deep_.ok()) return too_deep_;
+    return parsed;
+  }
+
  private:
   // --- token plumbing -----------------------------------------------------
 
@@ -121,6 +135,7 @@ class Parser {
                               Describe(Cur()) + "')");
   }
   void RecordError() {
+    if (!too_deep_.ok()) return;  // The overflow keeps its position.
     error_offset_ = Cur().offset;
     if (Cur().kind == TokenKind::kEnd) {
       error_length_ = 1;
@@ -135,6 +150,25 @@ class Parser {
       return t.text;
     }
     return TokenKindToString(t.kind);
+  }
+
+  // Runs `parse` one nesting level deeper; `offset` is where the level
+  // opens. Past kMaxNesting the parse fails there, and from then on every
+  // level fails at once, so backtracking cannot retry other readings.
+  template <typename Parse>
+  auto Nested(size_t offset, Parse parse) -> decltype(parse()) {
+    if (too_deep_.ok() && depth_ >= kMaxNesting) {
+      error_offset_ = offset;
+      error_length_ = 1;
+      too_deep_ = Status::ParseError(
+          "nesting deeper than " + std::to_string(kMaxNesting) +
+          " levels at offset " + std::to_string(offset));
+    }
+    if (!too_deep_.ok()) return too_deep_;
+    ++depth_;
+    auto out = parse();
+    --depth_;
+    return out;
   }
 
   // --- pieces --------------------------------------------------------------
@@ -276,7 +310,8 @@ class Parser {
   Result<std::unique_ptr<ArithExpr>> ParseFactor() {
     size_t offset = Cur().offset;
     if (Accept(TokenKind::kMinus)) {
-      LYRIC_ASSIGN_OR_RETURN(auto operand, ParseFactor());
+      LYRIC_ASSIGN_OR_RETURN(auto operand,
+                             Nested(offset, [&] { return ParseFactor(); }));
       auto node = std::make_unique<ArithExpr>();
       node->kind = ArithExpr::Kind::kNeg;
       node->offset = offset;
@@ -292,7 +327,8 @@ class Parser {
       return node;
     }
     if (Accept(TokenKind::kLParen)) {
-      LYRIC_ASSIGN_OR_RETURN(auto inner, ParseArith());
+      LYRIC_ASSIGN_OR_RETURN(auto inner,
+                             Nested(offset, [&] { return ParseArith(); }));
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return inner;
     }
@@ -364,7 +400,8 @@ class Parser {
   Result<std::unique_ptr<Formula>> ParseFormulaNot() {
     size_t offset = Cur().offset;
     if (Accept(TokenKind::kNot)) {
-      LYRIC_ASSIGN_OR_RETURN(auto operand, ParseFormulaNot());
+      LYRIC_ASSIGN_OR_RETURN(auto operand,
+                             Nested(offset, [&] { return ParseFormulaNot(); }));
       auto node = std::make_unique<Formula>();
       node->kind = Formula::Kind::kNot;
       node->offset = offset;
@@ -395,7 +432,8 @@ class Parser {
     }
     if (!Accept(TokenKind::kRParen)) return fail();
     if (!Accept(TokenKind::kBar)) return fail();
-    LYRIC_ASSIGN_OR_RETURN(auto body, ParseFormulaOr());
+    LYRIC_ASSIGN_OR_RETURN(auto body,
+                           Nested(offset, [&] { return ParseFormulaOr(); }));
     LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
     auto node = std::make_unique<Formula>();
     node->kind = Formula::Kind::kProject;
@@ -418,7 +456,8 @@ class Parser {
         if (!Accept(TokenKind::kComma)) break;
       }
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kDot));
-      LYRIC_ASSIGN_OR_RETURN(auto body, ParseFormulaPrimary());
+      LYRIC_ASSIGN_OR_RETURN(
+          auto body, Nested(offset, [&] { return ParseFormulaPrimary(); }));
       node->children.push_back(std::move(body));
       return node;
     }
@@ -448,7 +487,8 @@ class Parser {
         pos_ = save;
       }
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kLParen));
-      LYRIC_ASSIGN_OR_RETURN(auto inner, ParseFormulaOr());
+      LYRIC_ASSIGN_OR_RETURN(auto inner,
+                             Nested(offset, [&] { return ParseFormulaOr(); }));
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return inner;
     }
@@ -538,11 +578,13 @@ class Parser {
 
   // A formula operand for |=: projection, pred use, or '(' formula ')'.
   Result<std::unique_ptr<Formula>> ParseFormulaOperand() {
+    size_t offset = Cur().offset;
     if (At(TokenKind::kLParen)) {
       auto proj = TryParseProjection();
       if (proj.ok()) return std::move(proj).value();
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kLParen));
-      LYRIC_ASSIGN_OR_RETURN(auto inner, ParseFormulaOr());
+      LYRIC_ASSIGN_OR_RETURN(auto inner,
+                             Nested(offset, [&] { return ParseFormulaOr(); }));
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return inner;
     }
@@ -633,7 +675,8 @@ class Parser {
   Result<std::unique_ptr<WhereExpr>> ParseWhereNot() {
     size_t offset = Cur().offset;
     if (Accept(TokenKind::kNot)) {
-      LYRIC_ASSIGN_OR_RETURN(auto operand, ParseWhereNot());
+      LYRIC_ASSIGN_OR_RETURN(auto operand,
+                             Nested(offset, [&] { return ParseWhereNot(); }));
       auto node = std::make_unique<WhereExpr>();
       node->kind = WhereExpr::Kind::kNot;
       node->offset = offset;
@@ -675,7 +718,7 @@ class Parser {
     if (At(TokenKind::kLParen)) {
       size_t save = pos_;
       ++pos_;
-      auto inner = ParseWhereOr();
+      auto inner = Nested(offset, [&] { return ParseWhereOr(); });
       if (inner.ok() && Accept(TokenKind::kRParen)) {
         return std::move(inner).value();
       }
@@ -722,6 +765,8 @@ class Parser {
   size_t pos_ = 0;
   size_t error_offset_ = 0;
   size_t error_length_ = 1;
+  int depth_ = 0;
+  Status too_deep_;  // Set once, by the first nesting overflow.
 };
 
 }  // namespace
@@ -729,7 +774,7 @@ class Parser {
 Result<ast::Query> ParseQuery(const std::string& text) {
   LYRIC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
   Parser parser(std::move(tokens));
-  return parser.ParseQuery();
+  return parser.Outcome(parser.ParseQuery());
 }
 
 Result<ast::Query> ParseQuery(const std::string& text, Diagnostic* diag) {
@@ -743,7 +788,7 @@ Result<ast::Query> ParseQuery(const std::string& text, Diagnostic* diag) {
     return tokens.status();
   }
   Parser parser(std::move(tokens).value());
-  Result<ast::Query> query = parser.ParseQuery();
+  Result<ast::Query> query = parser.Outcome(parser.ParseQuery());
   if (!query.ok() && diag != nullptr) {
     *diag = MakeDiag(DiagCode::kSyntaxError,
                      {parser.error_offset(), parser.error_length()},
@@ -755,7 +800,7 @@ Result<ast::Query> ParseQuery(const std::string& text, Diagnostic* diag) {
 Result<ast::Formula> ParseFormula(const std::string& text) {
   LYRIC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
   Parser parser(std::move(tokens));
-  return parser.ParseStandaloneFormula();
+  return parser.Outcome(parser.ParseStandaloneFormula());
 }
 
 Result<ast::Formula> ParseFormulaPrefix(const std::vector<Token>& tokens,
@@ -765,7 +810,7 @@ Result<ast::Formula> ParseFormulaPrefix(const std::vector<Token>& tokens,
   Parser parser(std::move(rest));
   size_t consumed = 0;
   LYRIC_ASSIGN_OR_RETURN(ast::Formula f,
-                         parser.ParsePrefixFormula(&consumed));
+                         parser.Outcome(parser.ParsePrefixFormula(&consumed)));
   *pos += consumed;
   return f;
 }

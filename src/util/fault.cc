@@ -28,8 +28,8 @@ struct Site {
 
 struct Config {
   sync::Mutex mu{sync::LockRank::kFaultConfig, "fault_config"};  // Leaf lock.
-  // Stable addresses: Inject keeps a Site* after releasing mu (sites are
-  // only ever replaced wholesale before injection begins).
+  // Inject decides under mu, so a concurrent reconfiguration may free
+  // the old sites without pulling one out from under a decision.
   std::vector<std::unique_ptr<Site>> sites LYRIC_GUARDED_BY(mu);
   std::once_flag env_once;
 };
@@ -125,23 +125,24 @@ void InitFromEnv() {
 bool Inject(const char* site) {
   if (!Enabled()) return false;
   Config& config = GlobalConfig();
-  Site* match = nullptr;
   {
     sync::MutexLock lock(config.mu);
+    Site* match = nullptr;
     for (const auto& s : config.sites) {
       if (s->name == site) {
         match = s.get();
         break;
       }
     }
+    if (match == nullptr) return false;
+    uint64_t index = match->calls.fetch_add(1, std::memory_order_relaxed);
+    if (match->threshold == 0) return false;
+    uint64_t draw = SplitMix64(match->seed * 0x2545f4914f6cdd1dull + index);
+    if (match->threshold != ~uint64_t{0} && draw >= match->threshold) {
+      return false;
+    }
   }
-  if (match == nullptr) return false;
-  uint64_t index = match->calls.fetch_add(1, std::memory_order_relaxed);
-  if (match->threshold == 0) return false;
-  uint64_t draw = SplitMix64(match->seed * 0x2545f4914f6cdd1dull + index);
-  if (match->threshold != ~uint64_t{0} && draw >= match->threshold) {
-    return false;
-  }
+  // Counted outside mu: the registry lock ranks before this leaf lock.
   {
     static obs::Counter& injected =
         obs::Registry::Global().GetCounter("fault.injected");

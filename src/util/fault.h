@@ -22,7 +22,6 @@
 // Sites (see docs/ROBUSTNESS.md for the failure each one simulates):
 //   solver_cache  lookups miss / stores drop (recompute paths)
 //   serializer    load/save fail with an injected Status
-//   thread_pool   Submit degrades to inline execution on the caller
 //   alloc         kernel memory accounting trips the governor budget
 //   shell         lyric_shell statement loop throws (exception hardening)
 //   trace         a trace span fails to open and is dropped (observability
@@ -50,7 +49,6 @@ namespace fault {
 /// Canonical site names (shared by production sites and tests).
 inline constexpr const char* kSiteSolverCache = "solver_cache";
 inline constexpr const char* kSiteSerializer = "serializer";
-inline constexpr const char* kSiteThreadPool = "thread_pool";
 inline constexpr const char* kSiteAlloc = "alloc";
 inline constexpr const char* kSiteShell = "shell";
 inline constexpr const char* kSiteTrace = "trace";
@@ -67,8 +65,7 @@ bool Enabled();
 bool Inject(const char* site);
 
 /// Replaces the configuration with `spec` (same grammar as LYRIC_FAULT;
-/// empty disables everything). Resets per-site call counters. Tests only —
-/// not safe concurrently with in-flight Inject calls on other threads.
+/// empty disables everything). Resets per-site call counters. Tests only.
 /// Returns false (leaving the previous config) when `spec` is malformed.
 bool ConfigureForTesting(const std::string& spec);
 

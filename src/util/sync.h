@@ -1,8 +1,8 @@
 // Annotated synchronization primitives: the one place in the codebase
 // that is allowed to touch std::mutex.
 //
-// Every shared-state subsystem (scheduler ledger, thread-pool queue,
-// solver-cache shards, obs registry, query-log ring, trace lanes, CST
+// Every shared-state subsystem (server sessions, scheduler ledger,
+// storage engine, solver-cache shards, obs registry, query-log ring, CST
 // store, variable interner, fault config) locks through the wrappers
 // below, for two machine-checked guarantees:
 //
@@ -118,10 +118,6 @@ enum class LockRank : int {
   kNetLifecycle = 8,
   /// QueryScheduler admission ledger + wait queue (exec/scheduler.h).
   kScheduler = 10,
-  /// ThreadPool task queue (exec/thread_pool.h).
-  kThreadPool = 20,
-  /// Notification flag (exec/thread_pool.h).
-  kNotification = 22,
   /// PagedStore engine lock (storage/paged_store.h): serializes B-tree
   /// structure changes and batch application. Held across buffer-pool
   /// fetches and WAL appends, so it ranks before both.

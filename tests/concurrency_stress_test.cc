@@ -1,6 +1,6 @@
 // Cross-subsystem concurrency stress (ISSUE 7): hammer every lock in the
 // docs/CONCURRENCY.md hierarchy at once — governed query execution
-// (scheduler, thread pool, solver cache, governor, variable interner),
+// (scheduler, solver cache, governor, variable interner),
 // Prometheus exposition (registry), query-log appends with a rotating
 // sink, and tombstone churn (the cache-shard -> governor ForceTrip
 // nesting plus wholesale Clear()). With LYRIC_RANK_CHECK on (the

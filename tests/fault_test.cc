@@ -1,17 +1,14 @@
 // Fault-injection layer: spec parsing, deterministic decisions, and the
 // contract at every production site — injected failures degrade service
-// (recompute, inline execution, a typed Status) and never corrupt state.
+// (recompute, a typed Status) and never corrupt state.
 
 #include "util/fault.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "constraint/solver_cache.h"
-#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
@@ -35,7 +32,7 @@ TEST_F(FaultTest, AcceptsWellFormedSpecs) {
   EXPECT_TRUE(fault::ConfigureForTesting("solver_cache:0.5"));
   EXPECT_TRUE(fault::ConfigureForTesting("serializer:1.0:42"));
   EXPECT_TRUE(
-      fault::ConfigureForTesting("solver_cache:0.25:1,thread_pool:0.75:2"));
+      fault::ConfigureForTesting("solver_cache:0.25:1,scheduler:0.75:2"));
   EXPECT_TRUE(fault::ConfigureForTesting("alloc:0"));
   EXPECT_TRUE(fault::ConfigureForTesting(""));  // Disables everything.
   EXPECT_FALSE(fault::Enabled());
@@ -124,25 +121,6 @@ TEST_F(FaultTest, SolverCacheFaultsAreTransparentToResults) {
   EXPECT_EQ(half->ToString(), clean->ToString());
 }
 
-TEST_F(FaultTest, ThreadPoolFaultDegradesToInlineExecution) {
-  // Every Submit runs its task on the caller before returning, so the
-  // server's submit-and-wait dispatch finds its answer already there.
-  ASSERT_TRUE(fault::ConfigureForTesting("thread_pool:1.0"));
-  obs::Counter& inlined =
-      obs::Registry::Global().GetCounter("exec.tasks_inline_degraded");
-  const uint64_t before = inlined.value();
-  exec::ThreadPool pool(2);
-  std::thread::id ran_on;
-  exec::Notification done;
-  pool.Submit([&ran_on, &done] {
-    ran_on = std::this_thread::get_id();
-    done.Notify();
-  });
-  done.Wait();
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-  EXPECT_EQ(inlined.value(), before + 1);
-}
-
 TEST_F(FaultTest, SerializerFaultsFailWithCleanStatusAndNoMutation) {
   Database db;
   ASSERT_TRUE(office::BuildOfficeDatabase(&db).ok());
@@ -168,20 +146,6 @@ TEST_F(FaultTest, SerializerFaultsFailWithCleanStatusAndNoMutation) {
   ASSERT_TRUE(fault::ConfigureForTesting(""));
   EXPECT_TRUE(Serializer::LoadDatabase(dump, &target).ok());
   EXPECT_EQ(target.ObjectCount(), db.ObjectCount());
-}
-
-TEST_F(FaultTest, ThreadPoolDirectSubmitSurvivesInjection) {
-  ASSERT_TRUE(fault::ConfigureForTesting("thread_pool:0.5:9"));
-  std::atomic<int> ran{0};
-  {
-    exec::ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    }
-    // Destruction drains the queue and joins the workers.
-  }
-  // Every task ran exactly once whether it was pooled or inlined.
-  EXPECT_EQ(ran.load(), 32);
 }
 
 TEST_F(FaultTest, TraceFaultDropsSpansNeverResults) {

@@ -113,8 +113,10 @@ TEST_F(FormulaBuilderTest, ArityMismatchRejected) {
 }
 
 TEST_F(FormulaBuilderTest, RepeatedInvocationVarsMeanEquality) {
-  // E(t, t): the square's diagonal within the extent box.
+  // E(t, t): the square's diagonal within the extent box. The helper
+  // that carries the second t is bound, so t is the only free variable.
   auto de = Build("E(t, t)");
+  EXPECT_EQ(de.FreeVars(), VarSet{Variable::Intern("t")});
   EXPECT_TRUE(de.EvalFree({{Variable::Intern("t"), Rational(2)}}).value());
   EXPECT_FALSE(de.EvalFree({{Variable::Intern("t"), Rational(3)}}).value());
 }

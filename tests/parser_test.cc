@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace lyric {
 namespace {
 
@@ -245,6 +248,80 @@ TEST(ParserTest, PaperQueryThreeShape) {
   auto q = ParseQuery(text);
   ASSERT_TRUE(q.ok()) << q.status();
   EXPECT_EQ(q->select.size(), 2u);
+}
+
+// Nesting bound: a frame of deeply nested input must not overflow the
+// parser's stack. Parentheses, `not`, unary minus, `exists` and
+// projections nest at most 64 deep, and deeper input fails typed at the
+// offset of the level that overflows.
+struct NestingShape {
+  const char* name;
+  bool query;          // ParseQuery (else ParseFormula)
+  std::string prefix;  // text before the first level
+  std::string open;    // one level's opener
+  std::string core;
+  std::string close;   // one level's closer
+  std::string suffix;  // text after the last closer
+};
+
+std::vector<NestingShape> NestingShapes() {
+  const std::string where = "SELECT X FROM Desk X WHERE ";
+  return {
+      {"arithmetic", false, "x <= ", "(", "1", ")", ""},
+      {"unary minus", false, "x <= ", "- ", "1", "", ""},
+      {"formula", false, "", "(", "x <= 1", ")", ""},
+      {"formula not", false, "", "not ", "x <= 1", "", ""},
+      {"exists", false, "", "exists h . ", "x <= h", "", ""},
+      {"projection", false, "", "((x) | ", "x <= 1", ")", ""},
+      {"WHERE", true, where, "(", "X.color = 'red'", ")", ""},
+      {"WHERE not", true, where, "not ", "X.color = 'red'", "", ""},
+      {"WHERE SAT", true, where + "SAT(x <= ", "(", "1", ")", ")"},
+  };
+}
+
+std::string Nest(const NestingShape& shape, int depth) {
+  std::string text = shape.prefix;
+  for (int i = 0; i < depth; ++i) text += shape.open;
+  text += shape.core;
+  for (int i = 0; i < depth; ++i) text += shape.close;
+  return text + shape.suffix;
+}
+
+Status ParseNested(const NestingShape& shape, int depth) {
+  const std::string text = Nest(shape, depth);
+  return shape.query ? ParseQuery(text).status() : ParseFormula(text).status();
+}
+
+TEST(ParserTest, NestingOf64LevelsParses) {
+  for (const NestingShape& shape : NestingShapes()) {
+    Status st = ParseNested(shape, 64);
+    EXPECT_TRUE(st.ok()) << shape.name << ": " << st;
+  }
+}
+
+TEST(ParserTest, NestingPast64LevelsFailsTypedAtTheOverflow) {
+  for (const NestingShape& shape : NestingShapes()) {
+    // The 65th level opens right after 64 openers.
+    const std::string at =
+        "nesting deeper than 64 levels at offset " +
+        std::to_string(shape.prefix.size() + 64 * shape.open.size());
+    for (int depth : {65, 100000}) {
+      Status st = ParseNested(shape, depth);
+      EXPECT_TRUE(st.IsParseError()) << shape.name << " x" << depth << ": "
+                                     << st;
+      EXPECT_NE(st.message().find(at), std::string::npos)
+          << shape.name << " x" << depth << ": " << st;
+    }
+  }
+}
+
+TEST(ParserTest, NestingOverflowDiagnosticPointsAtTheLevel) {
+  const std::string text = "SELECT X FROM Desk X WHERE " +
+                           std::string(100, '(') + "X.color = 'red'" +
+                           std::string(100, ')');
+  Diagnostic diag;
+  ASSERT_FALSE(ParseQuery(text, &diag).ok());
+  EXPECT_EQ(diag.span.offset, 27u + 64u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "constraint/solver_cache.h"
 #include "obs/metrics.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
@@ -26,6 +27,9 @@ constexpr char kGlobalCoordinatesQuery[] =
 class ProfileTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Cold cache: an earlier test's cached verdicts would hide the
+    // solver work the counter tests attribute.
+    SolverCache::Global().Clear();
     ASSERT_TRUE(office::BuildOfficeDatabase(&db_).ok());
   }
 

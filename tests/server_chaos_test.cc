@@ -148,7 +148,7 @@ Serverd LaunchServerd(const std::string& store, int64_t crash_at,
     const std::string deadline = std::to_string(drain_deadline_ms);
     ::execl(LYRIC_SERVERD_PATH, "lyric_serverd", "--store", store.c_str(),
             "--port", "0", "--port-file", sd.port_file.c_str(),
-            "--drain-deadline-ms", deadline.c_str(), "--exec-threads", "2",
+            "--drain-deadline-ms", deadline.c_str(),
             static_cast<char*>(nullptr));
     ::_exit(127);  // exec failed
   }

@@ -94,7 +94,6 @@ TEST(ServerDrain, ShedsNewWorkRefusesNewConnectionsAnswersHealth) {
 TEST(ServerDrain, AcceptedQueriesCompleteWithCorrectAnswers) {
   Database db = MakeDb(10);
   net::ServerOptions sopts;
-  sopts.exec_threads = 4;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 

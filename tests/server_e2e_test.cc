@@ -2,8 +2,8 @@
 // client reads off the wire must be byte-identical to evaluating the
 // same query directly in process — rendered table, truncation flag,
 // diagnostics, PARTIAL trailers, typed error statuses. The server adds
-// transport, framing, session handling and pool dispatch; it must add
-// exactly zero observable semantics.
+// transport, framing and session handling; it must add exactly zero
+// observable semantics.
 //
 // Every client in this binary is armed with a deterministic RetryPolicy
 // (8 retries, 1ms base), so the whole binary doubles as the `net`
@@ -26,6 +26,7 @@
 #include "net/server.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
+#include "util/fault.h"
 
 namespace lyric {
 namespace {
@@ -83,7 +84,6 @@ std::string StripElapsed(const std::string& text) {
 TEST(ServerE2E, ByteIdenticalUnderConcurrency) {
   Database db = MakeDb(10);
   net::ServerOptions sopts;
-  sopts.exec_threads = 4;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -146,6 +146,33 @@ TEST(ServerE2E, ErrorsTravelTyped) {
     ASSERT_TRUE(resp.ok()) << q << " -> " << resp.status();
     EXPECT_EQ(resp->status.code(), want.status().code()) << q;
     EXPECT_EQ(resp->status.message(), want.status().message()) << q;
+  }
+  server.Stop();
+}
+
+TEST(ServerE2E, DeeplyNestedQueryGetsTypedErrorAndSessionSurvives) {
+  // A 200 KB frame of 100,000 nested parentheses must not overflow the
+  // reader thread's stack: the parser's nesting bound turns it into a
+  // typed parse error, and the connection goes on serving.
+  Database db = MakeDb(0);
+  net::Server server(&db, net::ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string deep = "SELECT O FROM Object_in_Room O WHERE SAT(x <= " +
+                           std::string(100000, '(') + "1" +
+                           std::string(100000, ')') + ")";
+  net::Client client(TestClientOptions(server.port()));
+  Result<net::QueryResponse> resp = client.Execute(deep);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_TRUE(resp->status.IsParseError()) << resp->status;
+
+  const std::string normal = kSuite[3];
+  Result<net::QueryResponse> after = client.Execute(normal);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->Fingerprint(),
+            DirectEval(&db, normal, EvalOptions{}).Fingerprint());
+  // Same connection, unless the net fault gate injected a drop.
+  if (!fault::Enabled()) {
+    EXPECT_EQ(client.stats().reconnects, 0u);
   }
   server.Stop();
 }
@@ -238,7 +265,6 @@ TEST(ServerE2E, TruncationFlagTravels) {
 TEST(ServerE2E, CreateViewSerializedAcrossClients) {
   Database db = MakeDb(6);
   net::ServerOptions sopts;
-  sopts.exec_threads = 4;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 

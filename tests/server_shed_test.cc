@@ -46,7 +46,6 @@ TEST(ServerShed, ShedCarriesRetryAfterOverTheWire) {
   exec::QueryScheduler scheduler(limits);
 
   net::ServerOptions sopts;
-  sopts.exec_threads = 4;
   sopts.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "net/client.h"
 #include "net/frame.h"
@@ -134,7 +136,6 @@ TEST_F(ServerStoreTest, AcknowledgedCreateSurvivesReopenByteIdentically) {
     ASSERT_TRUE(store->ImportDatabase(db).ok());
 
     net::ServerOptions sopts;
-    sopts.exec_threads = 2;
     sopts.store = store.get();
     net::Server server(&db, sopts);
     ASSERT_TRUE(server.Start().ok());
@@ -191,7 +192,6 @@ TEST_F(ServerStoreTest, FailedWriteThroughDegradesToReadOnly) {
   ASSERT_TRUE(store->ImportDatabase(db).ok());
 
   net::ServerOptions sopts;
-  sopts.exec_threads = 2;
   sopts.store = store.get();
   sopts.read_only_retry_after_ms = 321;
   net::Server server(&db, sopts);
@@ -289,12 +289,14 @@ TEST_F(ServerStoreTest, BootOnPoisonedStoreStartsReadOnly) {
 }
 
 TEST_F(ServerStoreTest, HealthProbeReportsRecoveryAndLoad) {
+  const std::string seed_path =
+      FreshStorePath("srv_store_health_seed.lyricpg");
   const std::string path = FreshStorePath("srv_store_health.lyricpg");
 
   // Create some WAL history so reopen has transactions to replay: the
   // seed plus one schema mutation synced the way a live server would.
   {
-    auto store = PagedStore::Open({.path = path}).value();
+    auto store = PagedStore::Open({.path = seed_path}).value();
     Database db = MakeOfficeDb();
     ASSERT_TRUE(store->ImportDatabase(db).ok());
     {
@@ -303,9 +305,18 @@ TEST_F(ServerStoreTest, HealthProbeReportsRecoveryAndLoad) {
       ASSERT_TRUE(res.ok()) << res.status();
     }
     ASSERT_TRUE(store->SyncDatabase(db).ok());
-    // No Checkpoint/clean Close: leave the WAL populated. Closing via
-    // destructor checkpoints best-effort, so drop it abruptly instead.
-    store.release();  // leak on purpose: simulate an unclean exit
+    // The crash image: both files as they stand before any checkpoint,
+    // i.e. what an unclean exit leaves behind. Close then checkpoints
+    // only the original.
+    for (const auto& [from, to] :
+         {std::pair{seed_path, path},
+          std::pair{PagedStore::WalPathFor(seed_path),
+                    PagedStore::WalPathFor(path)}}) {
+      std::error_code ec;
+      std::filesystem::copy_file(from, to, ec);
+      ASSERT_FALSE(ec) << from << ": " << ec.message();
+    }
+    ASSERT_TRUE(store->Close().ok());
   }
 
   auto store = PagedStore::Open({.path = path}).value();
@@ -325,6 +336,7 @@ TEST_F(ServerStoreTest, HealthProbeReportsRecoveryAndLoad) {
   EXPECT_FALSE(info.read_only);
   EXPECT_FALSE(info.draining);
   EXPECT_EQ(info.recovered_txns, store->recovery().committed_txns);
+  EXPECT_GT(info.recovered_txns, 0u) << "reopen replayed no WAL";
   EXPECT_EQ(info.recovered_images, store->recovery().images_applied);
   EXPECT_GE(info.sessions_opened, 1u);
   EXPECT_EQ(info.in_flight_queries, 0u);

@@ -3,7 +3,7 @@
 // direct in-process evaluation and emitting BENCH_server.json.
 //
 //   lyric_loadgen [--clients 1,8,64] [--rounds 5] [--qps 0]
-//                 [--scale 12] [--exec-threads 4] [--max-concurrent 0]
+//                 [--scale 12] [--max-concurrent 0]
 //                 [--retries 8] [--retry-base-ms 1]
 //                 [--connect HOST:PORT]
 //                 [--out BENCH_server.json]
@@ -78,7 +78,6 @@ struct Options {
   int rounds = 5;
   uint64_t qps = 0;  // 0 = unpaced
   int scale = 12;
-  size_t exec_threads = 4;
   uint64_t max_concurrent = 0;  // 0 = unlimited (no shedding)
   uint64_t queue_capacity = 0;  // 0 = scheduler default
   uint32_t retries = 8;
@@ -87,8 +86,7 @@ struct Options {
   std::string out = "BENCH_server.json";
 };
 
-// The largest --exec-threads and --clients entry: far more threads than
-// any host's cores.
+// The largest --clients entry: far more threads than any host's cores.
 constexpr uint64_t kMaxThreads = 256;
 constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
 // At most one request per microsecond, the pacing clock's resolution.
@@ -96,7 +94,7 @@ constexpr uint64_t kMaxQps = 1000000;
 
 void PrintUsage() {
   std::cerr << "usage: lyric_loadgen [--clients 1,8,64] [--rounds N] "
-               "[--qps Q] [--scale N] [--exec-threads N] "
+               "[--qps Q] [--scale N] "
                "[--max-concurrent N] [--queue-capacity N] [--retries N] "
                "[--retry-base-ms MS] [--connect HOST:PORT] [--out FILE]\n";
 }
@@ -154,9 +152,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (arg == "--scale") {
       if (!number("--scale", 0, kMaxInt)) return false;
       opt->scale = static_cast<int>(n);
-    } else if (arg == "--exec-threads") {
-      if (!number("--exec-threads", 1, kMaxThreads)) return false;
-      opt->exec_threads = static_cast<size_t>(n);
     } else if (arg == "--max-concurrent") {
       if (!number("--max-concurrent", 0, kNoMax)) return false;
       opt->max_concurrent = n;
@@ -265,7 +260,6 @@ int main(int argc, char** argv) {
     target_port = static_cast<uint16_t>(*port);
   } else {
     lyric::net::ServerOptions server_options;
-    server_options.exec_threads = opt.exec_threads;
     server_options.scheduler = &scheduler;
     server = std::make_unique<lyric::net::Server>(&db, server_options);
     Status st = server->Start();
@@ -281,7 +275,6 @@ int main(int argc, char** argv) {
   json << "  \"suite_queries\": " << kSuiteSize << ",\n";
   json << "  \"rounds\": " << opt.rounds << ",\n";
   json << "  \"scale\": " << opt.scale << ",\n";
-  json << "  \"exec_threads\": " << opt.exec_threads << ",\n";
   json << "  \"max_concurrent\": " << opt.max_concurrent << ",\n";
   json << "  \"configs\": [\n";
 

@@ -1,7 +1,7 @@
 // lyric_serverd: the standalone LyriC query server.
 //
 //   lyric_serverd [--host 127.0.0.1] [--port 7464] [--load dump.lyricdb]
-//                 [--store store.lyricpg] [--scale N] [--exec-threads N]
+//                 [--store store.lyricpg] [--scale N]
 //                 [--max-rows N] [--max-concurrent N]
 //                 [--queue-capacity N] [--queue-timeout-ms N]
 //                 [--max-memory BYTES] [--drain-deadline-ms N]
@@ -74,9 +74,6 @@ namespace {
 using lyric::Database;
 using lyric::Status;
 
-// The largest --exec-threads: one pool thread per concurrently served
-// query, and far more than any host's cores.
-constexpr uint64_t kMaxExecThreads = 256;
 constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
 
 struct Options {
@@ -86,7 +83,6 @@ struct Options {
   std::string store;  // PagedStore path; empty = memory-only serving
   std::string port_file;
   int scale = 0;
-  size_t exec_threads = 0;  // 0 = hardware concurrency
   uint64_t max_rows = 0;
   uint64_t drain_deadline_ms = 5000;
   std::optional<uint64_t> max_concurrent;
@@ -98,7 +94,7 @@ struct Options {
 void PrintUsage() {
   std::cerr << "usage: lyric_serverd [--host H] [--port P] "
                "[--load FILE] [--store FILE] [--port-file PATH] "
-               "[--scale N] [--exec-threads N] "
+               "[--scale N] "
                "[--max-rows N] [--max-concurrent N] "
                "[--queue-capacity N] [--queue-timeout-ms N] "
                "[--max-memory BYTES] [--drain-deadline-ms N]\n";
@@ -149,9 +145,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
         return false;
       }
       opt->scale = static_cast<int>(n);
-    } else if (arg == "--exec-threads") {
-      if (!number("--exec-threads", 1, kMaxExecThreads)) return false;
-      opt->exec_threads = static_cast<size_t>(n);
     } else if (arg == "--max-rows") {
       if (!number("--max-rows", 0, kNoMax)) return false;
       opt->max_rows = n;
@@ -340,7 +333,6 @@ int main(int argc, char** argv) {
   lyric::net::ServerOptions sopts;
   sopts.host = opt.host;
   sopts.port = opt.port;
-  sopts.exec_threads = opt.exec_threads;
   // 0 means "keep the evaluator default" — EvalOptions itself treats 0
   // literally (max_rows = 0 rejects every row).
   if (opt.max_rows > 0) sopts.eval.max_rows = opt.max_rows;
