@@ -37,7 +37,7 @@ Status Setup(Database* db) {
       {"setup_cost", false, kIntClass, {}},
       {"io", false, kCstClass, {"m1", "m2", "m3", "p1", "p2"}},
   };
-  LYRIC_RETURN_NOT_OK(db->schema().AddClass(process));
+  LYRIC_RETURN_NOT_OK(db->AddClass(process));
 
   ClassDef order;
   order.name = "Order";
@@ -45,14 +45,14 @@ Status Setup(Database* db) {
       {"customer", false, kStringClass, {}},
       {"demand", false, kCstClass, {"p1", "p2"}},
   };
-  LYRIC_RETURN_NOT_OK(db->schema().AddClass(order));
+  LYRIC_RETURN_NOT_OK(db->AddClass(order));
 
   ClassDef stock;
   stock.name = "Inventory";
   stock.attributes = {
       {"on_hand", false, kCstClass, {"m1", "m2", "m3"}},
   };
-  LYRIC_RETURN_NOT_OK(db->schema().AddClass(stock));
+  LYRIC_RETURN_NOT_OK(db->AddClass(stock));
 
   auto add_process = [db](const std::string& name, int64_t cost,
                           Conjunction io) -> Status {

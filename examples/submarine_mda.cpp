@@ -34,7 +34,7 @@ Status Setup(Database* db) {
       {"priority", false, kIntClass, {}},
       {"region", false, kCstClass, {"course", "speed", "depth", "time"}},
   };
-  LYRIC_RETURN_NOT_OK(db->schema().AddClass(goal));
+  LYRIC_RETURN_NOT_OK(db->AddClass(goal));
 
   auto add_goal = [db](const std::string& name, int64_t priority,
                        Conjunction region) -> Status {

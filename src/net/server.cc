@@ -177,7 +177,7 @@ HealthInfo Server::BuildHealthInfo() {
 }
 
 Status Server::SyncStore() {
-  Status st = options_.store->SyncDatabase(*db_);
+  Status st = options_.store->ApplyChanges(*db_, db_->TakeChanges());
   if (!st.ok()) {
     // The commit never became durable, so the client will NOT be
     // acknowledged (the caller turns this status into the response) —
@@ -424,10 +424,14 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
       sync::WriterMutexLock gate(schema_gate_);
       Evaluator evaluator(db_, opts);
       Result<ResultSet> result = evaluator.Execute(request.query);
-      if (result.ok() && options_.store != nullptr) {
+      if (options_.store == nullptr) {
+        db_->TakeChanges();  // Nothing persists them.
+      } else if (result.ok()) {
         // Write-through while still holding the exclusive gate: the
         // mutation is durable (or the server is degraded) before any
         // response leaves and before any other mutation can interleave.
+        // A failed CREATE keeps its changes pending, so the next
+        // successful one writes them too.
         Status synced = SyncStore();
         if (!synced.ok()) {
           QueryResponse failed;

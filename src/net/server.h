@@ -90,10 +90,10 @@ struct ServerOptions {
   /// process-wide QueryScheduler::Global() otherwise.
   exec::QueryScheduler* scheduler = nullptr;
   /// When set, the server is store-backed: schema mutations write
-  /// through to this store (SyncDatabase + commit + fsync) under the
-  /// exclusive schema gate before the client is acknowledged. Not
-  /// owned; must outlive the server. The caller hydrates `db` from the
-  /// store before Start.
+  /// through to this store (ApplyChanges: the records the mutation
+  /// touched, commit + fsync) under the exclusive schema gate before the
+  /// client is acknowledged. Not owned; must outlive the server. The
+  /// caller hydrates `db` from the store before Start.
   storage::PagedStore* store = nullptr;
   /// Retry-after hint (ms) on queries shed because a drain is in
   /// progress — "come back to the restarted process / another replica".

@@ -4,6 +4,13 @@
 
 namespace lyric {
 
+Status Database::AddClass(ClassDef def) {
+  std::string name = def.name;
+  LYRIC_RETURN_NOT_OK(schema_.AddClass(std::move(def)));
+  changes_.push_back({Change::Kind::kClass, Oid(), std::move(name)});
+  return Status::OK();
+}
+
 Status Database::Insert(const Oid& oid, const std::string& class_name) {
   if (!schema_.HasClass(class_name)) {
     return Status::NotFound("Insert: unknown class '" + class_name + "'");
@@ -13,6 +20,10 @@ Status Database::Insert(const Oid& oid, const std::string& class_name) {
                                  " already exists");
   }
   objects_.emplace(oid, ObjectRecord{class_name, {}});
+  for (const std::string& cls : schema_.Ancestors(class_name)) {
+    stored_extent_[cls].insert(oid);
+  }
+  changes_.push_back({Change::Kind::kObject, oid, {}});
   return Status::OK();
 }
 
@@ -23,10 +34,15 @@ Status Database::AddInstanceOf(const Oid& oid,
                             "'");
   }
   std::vector<std::string>& classes = extra_classes_[oid];
-  if (std::find(classes.begin(), classes.end(), class_name) ==
+  if (std::find(classes.begin(), classes.end(), class_name) !=
       classes.end()) {
-    classes.push_back(class_name);
+    return Status::OK();
   }
+  classes.push_back(class_name);
+  for (const std::string& cls : schema_.Ancestors(class_name)) {
+    fact_extent_[cls].insert(oid);
+  }
+  changes_.push_back({Change::Kind::kInstanceOf, oid, class_name});
   return Status::OK();
 }
 
@@ -60,6 +76,7 @@ Status Database::SetAttribute(const Oid& oid, const std::string& attr,
                          schema_.FindAttribute(it->second.class_name, attr));
   LYRIC_RETURN_NOT_OK(CheckValueAgainst(*def, value));
   it->second.attrs[attr] = std::move(value);
+  changes_.push_back({Change::Kind::kAttribute, oid, attr});
   return Status::OK();
 }
 
@@ -89,10 +106,14 @@ Status Database::ClearAttribute(const Oid& oid, const std::string& attr) {
   if (it == objects_.end()) {
     return Status::NotFound("ClearAttribute: no object " + oid.ToString());
   }
-  if (it->second.attrs.erase(attr) == 0) {
+  auto ait = it->second.attrs.find(attr);
+  if (ait == it->second.attrs.end()) {
     return Status::NotFound("object " + oid.ToString() +
                             " has no value for attribute '" + attr + "'");
   }
+  // Recorded before the erase: `attr` may be the erased key itself.
+  changes_.push_back({Change::Kind::kAttribute, oid, attr});
+  it->second.attrs.erase(ait);
   return Status::OK();
 }
 
@@ -132,9 +153,23 @@ Status Database::DeleteObject(const Oid& oid, bool force) {
       }
       rec.attrs[attr] = Value::Set(std::move(kept));
     }
+    changes_.push_back({Change::Kind::kAttribute, other, attr});
   }
+  for (const std::string& cls : schema_.Ancestors(it->second.class_name)) {
+    stored_extent_[cls].erase(oid);
+  }
+  auto eit = extra_classes_.find(oid);
+  if (eit != extra_classes_.end()) {
+    for (const std::string& fact_class : eit->second) {
+      for (const std::string& cls : schema_.Ancestors(fact_class)) {
+        fact_extent_[cls].erase(oid);
+      }
+    }
+    extra_classes_.erase(eit);
+  }
+  // The object goes last: `oid` may be its key.
+  changes_.push_back({Change::Kind::kDeleteObject, oid, {}});
   objects_.erase(it);
-  extra_classes_.erase(oid);
   return Status::OK();
 }
 
@@ -253,50 +288,35 @@ bool Database::InstanceOf(const Oid& oid,
     default:
       break;
   }
-  auto it = objects_.find(oid);
-  if (it != objects_.end() &&
-      schema_.IsSubclass(it->second.class_name, class_name)) {
-    return true;
-  }
-  auto eit = extra_classes_.find(oid);
-  if (eit != extra_classes_.end()) {
-    for (const std::string& cls : eit->second) {
-      if (schema_.IsSubclass(cls, class_name)) return true;
-    }
-  }
-  return false;
+  auto sit = stored_extent_.find(class_name);
+  if (sit != stored_extent_.end() && sit->second.count(oid) > 0) return true;
+  auto fit = fact_extent_.find(class_name);
+  return fit != fact_extent_.end() && fit->second.count(oid) > 0;
 }
 
 std::vector<Oid> Database::Extent(const std::string& class_name) const {
   std::vector<Oid> out;
-  for (const auto& [oid, rec] : objects_) {
-    if (schema_.IsSubclass(rec.class_name, class_name)) out.push_back(oid);
-  }
+  auto sit = stored_extent_.find(class_name);
+  const std::set<Oid>* stored =
+      sit != stored_extent_.end() ? &sit->second : nullptr;
+  if (stored != nullptr) out.assign(stored->begin(), stored->end());
   // Instance-of facts: views over stored objects and classified literals.
-  // Skip only the oids the loop above already added.
-  for (const auto& [oid, classes] : extra_classes_) {
-    bool member = false;
-    for (const std::string& cls : classes) {
-      if (schema_.IsSubclass(cls, class_name)) member = true;
+  // Skip only the oids the stored extent already listed.
+  auto fit = fact_extent_.find(class_name);
+  if (fit != fact_extent_.end()) {
+    for (const Oid& oid : fit->second) {
+      if (stored == nullptr || stored->count(oid) == 0) out.push_back(oid);
     }
-    if (!member) continue;
-    auto it = objects_.find(oid);
-    if (it != objects_.end() &&
-        schema_.IsSubclass(it->second.class_name, class_name)) {
-      continue;
-    }
-    out.push_back(oid);
   }
   // CST oids by dimension.
   auto dim = ParseCstClassName(class_name);
   if (dim.has_value() || class_name == kCstClass) {
+    std::set<Oid> listed(out.begin(), out.end());
     sync::MutexLock lock(*cst_mu_);
     for (const auto& [canonical, obj] : cst_store_) {
       if (!dim.has_value() || obj.Dimension() == *dim) {
         Oid oid = Oid::Cst(canonical);
-        if (std::find(out.begin(), out.end(), oid) == out.end()) {
-          out.push_back(oid);
-        }
+        if (listed.insert(oid).second) out.push_back(std::move(oid));
       }
     }
   }

@@ -6,13 +6,19 @@
 // from CST oids to the point sets they denote. The CST store interns
 // constraint objects by canonical form, so two attribute writes of
 // equivalent-up-to-canonical-form constraints share one oid.
+//
+// Every mutator also keeps the class extents current and appends the
+// records it touched to a change set, which the paged store applies to
+// write exactly those records (storage/paged_store.h).
 
 #ifndef LYRIC_OBJECT_DATABASE_H_
 #define LYRIC_OBJECT_DATABASE_H_
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "constraint/cst_object.h"
@@ -29,13 +35,36 @@ struct ObjectRecord {
   std::map<std::string, Value> attrs;
 };
 
+/// One record a mutator touched. The store renders the record from the
+/// database as it stands when the change set is applied.
+struct Change {
+  enum class Kind {
+    kClass,         ///< class `name` registered
+    kObject,        ///< object `oid` inserted
+    kAttribute,     ///< attribute `name` of `oid` set or cleared
+    kInstanceOf,    ///< fact "`oid` is an instance of `name`" added
+    kDeleteObject,  ///< object `oid` deleted, with its attributes and facts
+  };
+  Kind kind;
+  Oid oid;
+  std::string name;
+};
+
+/// The changes made since the change set was last taken, in mutation
+/// order.
+using ChangeSet = std::vector<Change>;
+
 /// An object-oriented constraint database instance over a Schema.
 class Database {
  public:
   Database() = default;
 
-  Schema& schema() { return schema_; }
+  /// Classes are registered through AddClass, so that the change set
+  /// sees every one.
   const Schema& schema() const { return schema_; }
+
+  /// Registers a class (Schema::AddClass).
+  Status AddClass(ClassDef def);
 
   MethodRegistry& methods() { return methods_; }
   const MethodRegistry& methods() const { return methods_; }
@@ -96,8 +125,10 @@ class Database {
   /// and extra instance-of declarations.
   bool InstanceOf(const Oid& oid, const std::string& class_name) const;
 
-  /// All objects whose class IS-A `class_name` (the class extent),
-  /// including extra instance-of declarations; deterministic order.
+  /// All objects whose class IS-A `class_name` (the class extent), read
+  /// from the maintained index: stored objects by oid, then oids that
+  /// are members only through instance-of facts by oid, then for CST and
+  /// CST(n) the remaining CST-store oids in canonical order.
   std::vector<Oid> Extent(const std::string& class_name) const;
 
   /// All stored oids in deterministic order.
@@ -112,6 +143,12 @@ class Database {
 
   size_t ObjectCount() const { return objects_.size(); }
   size_t CstCount() const LYRIC_EXCLUDES(*cst_mu_);
+
+  /// Returns the records touched since the last call, in mutation
+  /// order, and starts an empty change set. The set grows with every
+  /// mutation until taken; a caller that never persists the database
+  /// may take and drop it.
+  ChangeSet TakeChanges() { return std::exchange(changes_, {}); }
 
   /// Full integrity sweep: every stored attribute conforms to its
   /// signature, every referenced oid exists where the signature demands
@@ -136,6 +173,13 @@ class Database {
       LYRIC_GUARDED_BY(*cst_mu_);  // canonical -> object
   // Extra instance-of facts (oid may appear for several classes).
   std::map<Oid, std::vector<std::string>> extra_classes_;
+  // The class extents: for each class C, the stored objects whose class
+  // IS-A C, and the oids with an instance-of fact whose class IS-A C.
+  // Only the mutators write them; a server runs those under its
+  // exclusive schema gate, so read queries use the index without a lock.
+  std::map<std::string, std::set<Oid>> stored_extent_;
+  std::map<std::string, std::set<Oid>> fact_extent_;
+  ChangeSet changes_;
 };
 
 }  // namespace lyric

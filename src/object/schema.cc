@@ -1,6 +1,6 @@
 #include "object/schema.h"
 
-#include <set>
+#include "util/sync.h"
 
 namespace lyric {
 
@@ -41,21 +41,26 @@ bool Schema::HasClass(const std::string& name) const {
 Result<const ClassDef*> Schema::GetClass(const std::string& name) const {
   auto it = classes_.find(name);
   if (it != classes_.end()) return &it->second;
-  // Built-ins materialize on demand as attribute-free definitions.
+  const bool cst_n = ParseCstClassName(name).has_value();
+  if (!IsPrimitive(name) && name != kCstClass && !cst_n) {
+    return Status::NotFound("class '" + name + "' is not in the schema");
+  }
+  // Built-ins materialize on demand as attribute-free definitions in one
+  // process-wide table. Concurrent read queries reach it (method
+  // resolution, path walking), so the first lookup of a name inserts
+  // under a leaf lock; map nodes never move, so the returned pointer
+  // stays valid after the lock is released.
+  static sync::Mutex* mu =
+      new sync::Mutex(sync::LockRank::kSchemaBuiltins, "schema_builtins");
   static std::map<std::string, ClassDef>* builtins =
       new std::map<std::string, ClassDef>();
-  auto bit = builtins->find(name);
-  if (bit != builtins->end()) return &bit->second;
-  if (IsPrimitive(name) || name == kCstClass ||
-      ParseCstClassName(name).has_value()) {
-    ClassDef def;
-    def.name = name;
-    if (ParseCstClassName(name).has_value()) def.parents = {kCstClass};
-    auto [nit, inserted] = builtins->emplace(name, std::move(def));
-    (void)inserted;
-    return &nit->second;
+  sync::MutexLock lock(*mu);
+  auto [bit, inserted] = builtins->try_emplace(name);
+  if (inserted) {
+    bit->second.name = name;
+    if (cst_n) bit->second.parents = {kCstClass};
   }
-  return Status::NotFound("class '" + name + "' is not in the schema");
+  return &bit->second;
 }
 
 Status Schema::AddClass(ClassDef def) {
@@ -114,21 +119,33 @@ Status Schema::AddClass(ClassDef def) {
       }
     }
   }
+  // Parents exist already, so their ancestor sets are complete.
+  std::set<std::string> ancestors{def.name};
+  for (const std::string& p : def.parents) {
+    std::set<std::string> up = Ancestors(p);
+    ancestors.insert(up.begin(), up.end());
+  }
+  ancestors_.emplace(def.name, std::move(ancestors));
   order_.push_back(def.name);
   classes_.emplace(def.name, std::move(def));
   return Status::OK();
 }
 
+std::set<std::string> Schema::Ancestors(const std::string& name) const {
+  auto it = ancestors_.find(name);
+  if (it != ancestors_.end()) return it->second;
+  std::set<std::string> out{name};
+  if (name == kIntClass) out.insert(kRealClass);
+  if (ParseCstClassName(name).has_value()) out.insert(kCstClass);
+  return out;
+}
+
 bool Schema::IsSubclass(const std::string& sub, const std::string& super) const {
   if (sub == super) return true;
-  if (sub == kIntClass && super == kRealClass) return true;
-  if (ParseCstClassName(sub).has_value() && super == kCstClass) return true;
-  auto it = classes_.find(sub);
-  if (it == classes_.end()) return false;
-  for (const std::string& p : it->second.parents) {
-    if (IsSubclass(p, super)) return true;
-  }
-  return false;
+  auto it = ancestors_.find(sub);
+  if (it != ancestors_.end()) return it->second.count(super) > 0;
+  if (sub == kIntClass) return super == kRealClass;
+  return super == kCstClass && ParseCstClassName(sub).has_value();
 }
 
 Result<const AttributeDef*> Schema::FindAttribute(

@@ -19,6 +19,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -71,16 +72,21 @@ class Schema {
 
   /// Registers a class. Validates: unique name, existing parents, acyclic
   /// IS-A (parents must already exist, so cycles are impossible), known
-  /// attribute target classes, interface-renaming arity.
+  /// attribute target classes, interface-renaming arity. Computes the
+  /// class's ancestor set once, from its parents' sets.
   Status AddClass(ClassDef def);
 
   bool HasClass(const std::string& name) const;
-  /// The definition of `name` (built-ins included).
+  /// The definition of `name` (built-ins included). Safe to call from
+  /// concurrent readers, built-ins included.
   Result<const ClassDef*> GetClass(const std::string& name) const;
 
-  /// Reflexive-transitive IS-A test. "int" IS-A "real"; "CST(n)" IS-A
-  /// "CST" for every n.
+  /// Reflexive-transitive IS-A test, a lookup in the ancestor sets.
+  /// "int" IS-A "real"; "CST(n)" IS-A "CST" for every n.
   bool IsSubclass(const std::string& sub, const std::string& super) const;
+
+  /// Every class `name` IS-A, itself included.
+  std::set<std::string> Ancestors(const std::string& name) const;
 
   /// Looks up `attr` on `class_name`, walking up the IS-A hierarchy
   /// (inheritance, §2.1).
@@ -92,8 +98,7 @@ class Schema {
   Result<std::vector<const AttributeDef*>> AllAttributes(
       const std::string& class_name) const;
 
-  /// Direct and transitive subclasses of `name` that are defined classes
-  /// (used for extent computation).
+  /// Direct and transitive subclasses of `name` that are defined classes.
   std::vector<std::string> SubclassesOf(const std::string& name) const;
 
   /// Every user-defined class name, in registration order.
@@ -105,6 +110,8 @@ class Schema {
  private:
   std::map<std::string, ClassDef> classes_;
   std::vector<std::string> order_;
+  // Defined class -> every class it IS-A, itself and built-ins included.
+  std::map<std::string, std::set<std::string>> ancestors_;
 };
 
 }  // namespace lyric

@@ -16,9 +16,10 @@ std::vector<VarId> Vars(std::initializer_list<const char*> names) {
   return out;
 }
 
-}  // namespace
-
-Status BuildOfficeSchema(Schema* schema) {
+// Registers the Figure 1 classes through `schema`'s AddClass: a bare
+// Schema, or a Database, which records each class in its change set.
+template <typename ClassRegistry>
+Status AddOfficeClasses(ClassRegistry* schema) {
   {
     ClassDef office_object;
     office_object.name = "Office_Object";
@@ -83,6 +84,10 @@ Status BuildOfficeSchema(Schema* schema) {
   return Status::OK();
 }
 
+}  // namespace
+
+Status BuildOfficeSchema(Schema* schema) { return AddOfficeClasses(schema); }
+
 CstObject LocationAt(int64_t x, int64_t y) {
   Conjunction c;
   c.Add(LinearConstraint::Eq(V("x"), C(x)));
@@ -116,7 +121,7 @@ CstObject StandardDrawerCenter() {
 }
 
 Result<OfficeIds> BuildOfficeDatabase(Database* db) {
-  LYRIC_RETURN_NOT_OK(BuildOfficeSchema(&db->schema()));
+  LYRIC_RETURN_NOT_OK(AddOfficeClasses(db));
 
   OfficeIds ids;
   ids.the_drawer = Oid::Symbol("std_drawer");

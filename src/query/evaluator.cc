@@ -608,7 +608,7 @@ Status Evaluator::MaterializeView(const ast::Query& query,
       }
       def.attributes.push_back(AttributeDef{attr, false, target, {}});
     }
-    LYRIC_RETURN_NOT_OK(db_->schema().AddClass(def));
+    LYRIC_RETURN_NOT_OK(db_->AddClass(def));
     created_classes_.push_back(class_name);
   }
   // The instance oid: the OID FUNCTION result, or the single selected oid.

@@ -116,6 +116,15 @@ std::vector<std::pair<PageId, PageBuf>> BufferPool::SnapshotUnlogged() {
   return out;
 }
 
+size_t BufferPool::UnloggedCount() {
+  sync::MutexLock lock(mu_);
+  size_t n = 0;
+  for (const auto& [id, frame] : frames_) {
+    if (frame->unlogged) ++n;
+  }
+  return n;
+}
+
 void BufferPool::MarkLogged(
     const std::vector<std::pair<PageId, PageBuf>>& ids) {
   sync::MutexLock lock(mu_);

@@ -93,6 +93,9 @@ class BufferPool {
   /// exactly the images a commit appends to the WAL.
   std::vector<std::pair<PageId, PageBuf>> SnapshotUnlogged()
       LYRIC_EXCLUDES(mu_);
+  /// How many frames SnapshotUnlogged would return, without sealing or
+  /// copying them.
+  size_t UnloggedCount() LYRIC_EXCLUDES(mu_);
 
   /// Clears the unlogged flag on `ids` (their images are durably in the
   /// WAL; eviction may now write them to the data file).

@@ -1,5 +1,6 @@
 #include "storage/paged_store.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -15,7 +16,7 @@ namespace storage {
 namespace {
 
 /// Sequence-numbered record key ("C\x1f00000007") — zero-padded so key
-/// order is registration order.
+/// order is insertion order.
 std::string SeqKey(char prefix, uint64_t seq) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%c\x1f%08llu", prefix,
@@ -23,10 +24,29 @@ std::string SeqKey(char prefix, uint64_t seq) {
   return buf;
 }
 
-/// Renders `db` as the full record map the store should hold — the one
-/// source of truth for the key scheme, shared by ImportDatabase (write
-/// everything into an empty store) and SyncDatabase (diff against a
-/// live store).
+std::string ObjectKey(const Oid& oid) {
+  return std::string("O\x1f") + oid.ToString();
+}
+
+std::string AttributeKey(const Oid& oid, const std::string& attr) {
+  return "A\x1f" + oid.ToString() + "\x1f" + attr;
+}
+
+/// The oid text of an "INSTANCEOF <oid> => <class>;\n" record: class
+/// names never contain " => ", so the last one ends the oid.
+std::string_view FactSubject(std::string_view line) {
+  constexpr std::string_view kHead = "INSTANCEOF ";
+  const size_t arrow = line.rfind(" => ");
+  if (line.substr(0, kHead.size()) != kHead || arrow == std::string_view::npos ||
+      arrow < kHead.size()) {
+    return {};
+  }
+  return line.substr(kHead.size(), arrow - kHead.size());
+}
+
+/// Renders `db` as the full record map the store should hold, for
+/// ImportDatabase. Instance-of facts are numbered in (oid, class) order,
+/// which is each oid's insertion order.
 Status BuildRecords(const Database& db,
                     std::map<std::string, std::string>* out) {
   uint64_t seq = 0;
@@ -36,11 +56,10 @@ Status BuildRecords(const Database& db,
     (*out)[SeqKey('C', seq++)] = std::move(text);
   }
   for (const auto& [oid, rec] : db.objects()) {
-    const std::string oid_text = oid.ToString();
-    (*out)[std::string("O\x1f") + oid_text] = rec.class_name;
+    (*out)[ObjectKey(oid)] = rec.class_name;
     for (const auto& [attr, value] : rec.attrs) {
       LYRIC_ASSIGN_OR_RETURN(std::string vt, Serializer::ValueText(db, value));
-      (*out)["A\x1f" + oid_text + "\x1f" + attr] = std::move(vt);
+      (*out)[AttributeKey(oid, attr)] = std::move(vt);
     }
   }
   seq = 0;
@@ -119,6 +138,10 @@ PagedStore::~PagedStore() { static_cast<void>(Close()); }
 
 Status PagedStore::MaybePoison(Status st) {
   if (st.ok() || st.IsInvalidArgument() || st.IsNotFound()) return st;
+  return Poison(std::move(st));
+}
+
+Status PagedStore::Poison(Status st) {
   if (poisoned_.ok()) {
     poisoned_ = st;
     LYRIC_OBS_COUNT("storage.store.poisoned");
@@ -163,6 +186,7 @@ Status PagedStore::Free(PageId id) {
 Status PagedStore::Put(std::string_view key, std::string_view value) {
   sync::MutexLock lock(mu_);
   LYRIC_RETURN_NOT_OK(poisoned_);
+  next_seq_.clear();
   return PutLocked(key, value);
 }
 
@@ -185,6 +209,7 @@ Result<std::string> PagedStore::Get(std::string_view key) {
 Status PagedStore::Delete(std::string_view key) {
   sync::MutexLock lock(mu_);
   LYRIC_RETURN_NOT_OK(poisoned_);
+  next_seq_.clear();
   return DeleteLocked(key);
 }
 
@@ -228,16 +253,12 @@ Status PagedStore::CommitLocked() {
   // predictable because the engine lock makes this store single-writer.
   {
     LYRIC_ASSIGN_OR_RETURN(PageRef meta_frame, pool_->Fetch(0));
+    // Dirty the meta frame first so the count includes its image.
     meta_frame.MarkDirty();
-  }
-  const size_t n_images = pool_->SnapshotUnlogged().size();
-  const uint64_t predicted = wal_->NextLsn() + n_images;
-  {
-    LYRIC_ASSIGN_OR_RETURN(PageRef meta_frame, pool_->Fetch(0));
-    meta_.committed_lsn = predicted;
+    meta_.committed_lsn = wal_->NextLsn() + pool_->UnloggedCount();
     meta_.EncodeTo(meta_frame.buf());
-    meta_frame.MarkDirty();
   }
+  const uint64_t predicted = meta_.committed_lsn;
 
   const auto snapshot = pool_->SnapshotUnlogged();
   for (const auto& [id, image] : snapshot) {
@@ -301,7 +322,7 @@ Status PagedStore::Close() {
   return st.ok() ? close_st : st;
 }
 
-Status PagedStore::ImportDatabase(const Database& db) {
+Status PagedStore::ImportDatabase(Database& db) {
   sync::MutexLock lock(mu_);
   LYRIC_RETURN_NOT_OK(poisoned_);
   if (meta_.record_count != 0) {
@@ -314,44 +335,135 @@ Status PagedStore::ImportDatabase(const Database& db) {
   for (const auto& [key, value] : records) {
     LYRIC_RETURN_NOT_OK(PutLocked(key, value));
   }
+  next_seq_.clear();
   LYRIC_OBS_COUNT("storage.store.imports");
-  return CommitLocked();
+  LYRIC_RETURN_NOT_OK(CommitLocked());
+  // The store now holds every record, so nothing is pending.
+  db.TakeChanges();
+  return Status::OK();
 }
 
-Status PagedStore::SyncDatabase(const Database& db) {
+Status PagedStore::ApplyChanges(const Database& db,
+                                const ChangeSet& changes) {
   static obs::Histogram& sync_ns =
       obs::Registry::Global().GetHistogram("storage.sync_db_ns");
   sync::MutexLock lock(mu_);
   LYRIC_RETURN_NOT_OK(poisoned_);
+  if (changes.empty()) return Status::OK();
   obs::ScopedHistogramTimer timer(sync_ns);
-  std::map<std::string, std::string> desired;
-  LYRIC_RETURN_NOT_OK(BuildRecords(db, &desired));
-  std::map<std::string, std::string> current;
-  {
-    Status st = tree_->Scan(
-        meta_.btree_root, "",
-        [&](std::string_view key, std::string_view value) -> Result<bool> {
-          current.emplace(std::string(key), std::string(value));
-          return true;
-        });
-    if (!st.ok()) return MaybePoison(st);
+  for (const Change& change : changes) {
+    Status st = ApplyChangeLocked(db, change);
+    // The changes before this one sit in unlogged frames and cannot be
+    // rolled back, so any failure is fail-stop.
+    if (!st.ok()) return Poison(st);
   }
-  bool changed = false;
-  for (const auto& [key, value] : desired) {
-    auto it = current.find(key);
-    if (it != current.end() && it->second == value) continue;
-    LYRIC_RETURN_NOT_OK(PutLocked(key, value));
-    changed = true;
-  }
-  for (const auto& [key, value] : current) {
-    static_cast<void>(value);
-    if (desired.count(key) != 0) continue;
-    LYRIC_RETURN_NOT_OK(DeleteLocked(key));
-    changed = true;
-  }
-  if (!changed) return Status::OK();
   LYRIC_OBS_COUNT("storage.store.syncs");
   return CommitLocked();
+}
+
+Status PagedStore::ApplyChangeLocked(const Database& db,
+                                     const Change& change) {
+  // Records are rendered from `db` as it stands now. A change whose
+  // object or fact is gone was undone by a later kDeleteObject in the
+  // same set, which removes the records, so it writes nothing.
+  auto obj = db.objects().find(change.oid);
+  const bool live = obj != db.objects().end();
+  switch (change.kind) {
+    case Change::Kind::kClass: {
+      LYRIC_ASSIGN_OR_RETURN(const ClassDef* def,
+                             db.schema().GetClass(change.name));
+      LYRIC_ASSIGN_OR_RETURN(std::string text, Serializer::ClassText(*def));
+      LYRIC_ASSIGN_OR_RETURN(std::string key, NextSeqKeyLocked('C'));
+      return PutLocked(key, text);
+    }
+    case Change::Kind::kObject:
+      if (!live) return Status::OK();
+      return PutLocked(ObjectKey(change.oid), obj->second.class_name);
+    case Change::Kind::kAttribute: {
+      if (!live) return Status::OK();
+      auto attr = obj->second.attrs.find(change.name);
+      if (attr == obj->second.attrs.end()) {
+        return DeleteLocked(AttributeKey(change.oid, change.name));
+      }
+      LYRIC_ASSIGN_OR_RETURN(std::string text,
+                             Serializer::ValueText(db, attr->second));
+      return PutLocked(AttributeKey(change.oid, change.name), text);
+    }
+    case Change::Kind::kInstanceOf: {
+      auto facts = db.extra_instance_of().find(change.oid);
+      if (facts == db.extra_instance_of().end() ||
+          std::find(facts->second.begin(), facts->second.end(),
+                    change.name) == facts->second.end()) {
+        return Status::OK();
+      }
+      LYRIC_ASSIGN_OR_RETURN(
+          std::string line,
+          Serializer::InstanceOfLine(db, change.oid, change.name));
+      LYRIC_ASSIGN_OR_RETURN(std::string key, NextSeqKeyLocked('I'));
+      return PutLocked(key, line);
+    }
+    case Change::Kind::kDeleteObject:
+      return DeleteObjectRecordsLocked(db, change.oid);
+  }
+  return Status::Internal("unknown change kind");
+}
+
+Status PagedStore::DeleteObjectRecordsLocked(const Database& db,
+                                             const Oid& oid) {
+  std::vector<std::string> doomed{ObjectKey(oid)};
+  const std::string attr_prefix = AttributeKey(oid, "");
+  LYRIC_RETURN_NOT_OK(tree_->Scan(
+      meta_.btree_root, attr_prefix,
+      [&](std::string_view key, std::string_view) -> Result<bool> {
+        if (key.substr(0, attr_prefix.size()) != attr_prefix) return false;
+        doomed.emplace_back(key);
+        return true;
+      }));
+  // Fact keys say nothing about their oid, so scan the 'I' range. No
+  // served query deletes objects; this is the API's path. The probe's
+  // class is arbitrary: only the subject is compared.
+  LYRIC_ASSIGN_OR_RETURN(std::string probe,
+                         Serializer::InstanceOfLine(db, oid, kCstClass));
+  const std::string subject(FactSubject(probe));
+  const std::string fact_prefix = "I\x1f";
+  LYRIC_RETURN_NOT_OK(tree_->Scan(
+      meta_.btree_root, fact_prefix,
+      [&](std::string_view key, std::string_view value) -> Result<bool> {
+        if (key.substr(0, fact_prefix.size()) != fact_prefix) return false;
+        if (FactSubject(value) == subject) doomed.emplace_back(key);
+        return true;
+      }));
+  for (const std::string& key : doomed) {
+    LYRIC_RETURN_NOT_OK(DeleteLocked(key));
+  }
+  return Status::OK();
+}
+
+Result<std::string> PagedStore::NextSeqKeyLocked(char prefix) {
+  auto next = next_seq_.find(prefix);
+  if (next == next_seq_.end()) {
+    // First append since open (or since a raw Put/Delete): continue after
+    // the highest key the store holds.
+    const std::string range{prefix, '\x1f'};
+    uint64_t after_max = 0;
+    LYRIC_RETURN_NOT_OK(tree_->Scan(
+        meta_.btree_root, range,
+        [&](std::string_view key, std::string_view) -> Result<bool> {
+          if (key.substr(0, range.size()) != range) return false;
+          uint64_t seq = 0;
+          for (char c : key.substr(range.size())) {
+            if (c < '0' || c > '9') {
+              return Status::DataLoss("malformed sequence key in '" +
+                                      opts_.path + "'");
+            }
+            seq = seq * 10 + static_cast<uint64_t>(c - '0');
+          }
+          after_max = std::max(after_max, seq + 1);
+          return true;
+        }));
+    next = next_seq_.emplace(prefix, after_max).first;
+  }
+  return SeqKey(prefix, next->second++);
 }
 
 Status PagedStore::ExportToDatabase(Database* db) {
@@ -417,7 +529,10 @@ Status PagedStore::ExportToDatabase(Database* db) {
   }
   out << instances;
   LYRIC_OBS_COUNT("storage.store.exports");
-  return Serializer::LoadDatabase(out.str(), db);
+  LYRIC_RETURN_NOT_OK(Serializer::LoadDatabase(out.str(), db));
+  // The hydrated database is what the store holds: nothing is pending.
+  db->TakeChanges();
+  return Status::OK();
 }
 
 uint64_t PagedStore::RecordCount() {

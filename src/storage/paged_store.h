@@ -9,11 +9,14 @@
 //   "C\x1f<seq>"              class definition block, registration order
 //   "O\x1f<oid>"              object -> class name
 //   "A\x1f<oid>\x1f<attr>"    attribute value text (serializer grammar)
-//   "I\x1f<seq>"              extra INSTANCEOF line
+//   "I\x1f<seq>"              extra INSTANCEOF line, insertion order
 //
 // so ExportToDatabase can reassemble a Serializer dump verbatim and
 // reuse Serializer::LoadDatabase — recovery therefore answers the paper
-// query suite byte-identically to the last committed state.
+// query suite byte-identically to the last committed state. A record
+// keeps the key it was first written under: new classes and facts take
+// the numbers after the store's highest 'C' and 'I' keys, so a write
+// touches only the records it adds (ApplyChanges).
 //
 // Crash protocol (no-steal, redo-only):
 //   * Mutations live in buffer-pool frames flagged `unlogged`; such
@@ -41,6 +44,7 @@
 #ifndef LYRIC_STORAGE_PAGED_STORE_H_
 #define LYRIC_STORAGE_PAGED_STORE_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -104,19 +108,23 @@ class PagedStore : private PageAllocator {
 
   // -- Serializer bridge ---------------------------------------------------
   /// Writes `db` (schema, objects, CST attribute values, instance-of
-  /// facts) into an EMPTY store and commits.
-  Status ImportDatabase(const Database& db) LYRIC_EXCLUDES(mu_);
+  /// facts) into an EMPTY store, commits, and empties `db`'s change set:
+  /// the store now holds all of it.
+  Status ImportDatabase(Database& db) LYRIC_EXCLUDES(mu_);
   /// Reassembles the stored records into a Serializer dump and loads it
-  /// into the (empty) `db`.
+  /// into the (empty) `db`, leaving its change set empty.
   Status ExportToDatabase(Database* db) LYRIC_EXCLUDES(mu_);
-  /// Diffs `db` against the stored records and commits the difference
-  /// in one transaction — the write-through path for a live server:
-  /// after a schema mutation evaluates, SyncDatabase makes the new
-  /// state durable before the client is acknowledged. No-op commit when
-  /// nothing changed. A failed sync poisons the store fail-stop like
-  /// any other failed commit; the durable state stays the previous
-  /// committed prefix.
-  Status SyncDatabase(const Database& db) LYRIC_EXCLUDES(mu_);
+  /// Writes exactly the records `changes` touched, rendered from `db` as
+  /// it stands now, and commits them in one transaction — the
+  /// write-through path for a live server: after a schema mutation
+  /// evaluates, ApplyChanges makes the new state durable before the
+  /// client is acknowledged. `changes` must be everything `db` changed
+  /// since the store last matched it (Database::TakeChanges), so that
+  /// afterwards the store holds exactly `db`. No commit when nothing
+  /// changed. Any failure poisons the store fail-stop; the durable state
+  /// stays the previous committed prefix.
+  Status ApplyChanges(const Database& db, const ChangeSet& changes)
+      LYRIC_EXCLUDES(mu_);
 
   uint64_t RecordCount() LYRIC_EXCLUDES(mu_);
   /// True when uncommitted mutations are buffered.
@@ -143,8 +151,17 @@ class PagedStore : private PageAllocator {
   Status DeleteLocked(std::string_view key) LYRIC_REQUIRES(mu_);
   Status CommitLocked() LYRIC_REQUIRES(mu_);
   Status CheckpointLocked() LYRIC_REQUIRES(mu_);
+  Status ApplyChangeLocked(const Database& db, const Change& change)
+      LYRIC_REQUIRES(mu_);
+  /// Deletes `oid`'s object, attribute and instance-of records.
+  Status DeleteObjectRecordsLocked(const Database& db, const Oid& oid)
+      LYRIC_REQUIRES(mu_);
+  /// The next unused sequence key of the 'C' or 'I' range.
+  Result<std::string> NextSeqKeyLocked(char prefix) LYRIC_REQUIRES(mu_);
   /// Poisons the store on non-validation errors and returns `st`.
   Status MaybePoison(Status st) LYRIC_REQUIRES(mu_);
+  /// Poisons the store (first error wins) and returns `st`.
+  Status Poison(Status st) LYRIC_REQUIRES(mu_);
 
   const StoreOptions opts_;
   RecoveryInfo recovery_;
@@ -156,6 +173,10 @@ class PagedStore : private PageAllocator {
   MetaPage meta_ LYRIC_GUARDED_BY(mu_);
   Status poisoned_ LYRIC_GUARDED_BY(mu_);
   bool closed_ LYRIC_GUARDED_BY(mu_) = false;
+  // Next free sequence number per key range ('C', 'I'). Derived from the
+  // highest stored key on first use; a raw Put/Delete or an import
+  // forgets it.
+  std::map<char, uint64_t> next_seq_ LYRIC_GUARDED_BY(mu_);
 };
 
 }  // namespace storage

@@ -151,7 +151,7 @@ class Loader {
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kSemicolon));
       def.attributes.push_back(std::move(attr));
     }
-    return db_->schema().AddClass(std::move(def));
+    return db_->AddClass(std::move(def));
   }
 
   Result<Oid> ParseOid() {

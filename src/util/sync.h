@@ -145,6 +145,11 @@ enum class LockRank : int {
   /// Variable interner (constraint/variable.cc). Near-leaf: any
   /// subsystem may intern or resolve a name under its own lock.
   kVarInterner = 80,
+  /// Built-in class definitions materialized on first lookup
+  /// (object/schema.cc). Leaf: any subsystem may look up a class under
+  /// its own lock (ExportToDatabase registers classes under the engine
+  /// lock), and nothing is taken under it.
+  kSchemaBuiltins = 85,
   /// Fault-injection site table (util/fault.cc). Leaf.
   kFaultConfig = 90,
 };

@@ -22,7 +22,7 @@ class MdaTest : public ::testing::Test {
         {"gname", false, kStringClass, {}},
         {"region", false, kCstClass, {"course", "speed", "depth", "time"}},
     };
-    ASSERT_TRUE(db_.schema().AddClass(goal).ok());
+    ASSERT_TRUE(db_.AddClass(goal).ok());
     AddGoal("envelope", [](Conjunction* c) {
       c->Add(LinearConstraint::Ge(V("speed"), C(0)));
       c->Add(LinearConstraint::Le(V("speed"), C(30)));
@@ -122,7 +122,7 @@ class ManufacturingTest : public ::testing::Test {
         {"pname", false, kStringClass, {}},
         {"io", false, kCstClass, {"m1", "m2", "p1"}},
     };
-    ASSERT_TRUE(db_.schema().AddClass(process).ok());
+    ASSERT_TRUE(db_.AddClass(process).ok());
     // p1 of product needs 2 m1 + 1 m2; capacity 50.
     Conjunction io;
     for (const char* v : {"m1", "m2", "p1"}) {

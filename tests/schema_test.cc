@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "office/office_db.h"
 
 namespace lyric {
@@ -139,6 +144,47 @@ TEST(SchemaTest, AllAttributesIncludesInherited) {
   EXPECT_TRUE(names.count("extent"));       // Inherited.
   EXPECT_TRUE(names.count("translation"));  // Inherited.
   EXPECT_TRUE(names.count("color"));        // Inherited.
+}
+
+TEST(SchemaTest, ConcurrentFirstLookupOfBuiltins) {
+  // Read queries look built-in classes up from several threads at once
+  // (method resolution, path walking), and the first lookup of a name
+  // materializes its definition. CI runs this under TSan.
+  Schema s;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&s, &wrong] {
+      for (size_t n = 0; n < 200; ++n) {
+        const std::string name = CstClassName(n);
+        Result<const ClassDef*> def = s.GetClass(name);
+        if (!def.ok() || (*def)->name != name ||
+            (*def)->parents != std::vector<std::string>{kCstClass}) {
+          wrong.fetch_add(1);
+        }
+        for (const char* primitive : {"int", "real", "string", "bool"}) {
+          Result<const ClassDef*> p = s.GetClass(primitive);
+          if (!p.ok() || (*p)->name != primitive) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(SchemaTest, AncestorsAreTheClosure) {
+  Schema s;
+  ASSERT_TRUE(office::BuildOfficeSchema(&s).ok());
+  EXPECT_EQ(s.Ancestors("Desk"),
+            (std::set<std::string>{"Desk", "Office_Object"}));
+  EXPECT_EQ(s.Ancestors("Region"),
+            (std::set<std::string>{"Region", "CST(2)", "CST"}));
+  EXPECT_EQ(s.Ancestors("int"), (std::set<std::string>{"int", "real"}));
+  EXPECT_EQ(s.Ancestors("CST(3)"), (std::set<std::string>{"CST(3)", "CST"}));
+  EXPECT_EQ(s.Ancestors("Nope"), (std::set<std::string>{"Nope"}));
+  EXPECT_TRUE(s.IsSubclass("Nope", "Nope"));
+  EXPECT_FALSE(s.IsSubclass("Nope", "Desk"));
 }
 
 TEST(SchemaTest, SubclassesOf) {

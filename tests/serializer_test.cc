@@ -102,7 +102,7 @@ TEST_F(SerializerTest, RoundTripLazyExistentialObjects) {
   ClassDef holder;
   holder.name = "Holder";
   holder.attributes = {{"body", false, kCstClass, {"x"}}};
-  ASSERT_TRUE(db_.schema().AddClass(holder).ok());
+  ASSERT_TRUE(db_.AddClass(holder).ok());
   Oid hobj = Oid::Symbol("holder1");
   ASSERT_TRUE(db_.Insert(hobj, "Holder").ok());
   ASSERT_TRUE(db_.SetCstAttribute(hobj, "body", lazy).ok());
@@ -155,7 +155,7 @@ TEST_F(SerializerTest, KeywordNamedAttributesRoundTrip) {
   limits.name = "Limits";
   limits.attributes = {{"max", false, kIntClass, {}},
                        {"view", false, kStringClass, {}}};
-  ASSERT_TRUE(db_.schema().AddClass(limits).ok());
+  ASSERT_TRUE(db_.AddClass(limits).ok());
   Oid obj = Oid::Symbol("lim1");
   ASSERT_TRUE(db_.Insert(obj, "Limits").ok());
   ASSERT_TRUE(

@@ -12,10 +12,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "net/client.h"
 #include "net/frame.h"
@@ -294,7 +297,8 @@ TEST_F(ServerStoreTest, HealthProbeReportsRecoveryAndLoad) {
   const std::string path = FreshStorePath("srv_store_health.lyricpg");
 
   // Create some WAL history so reopen has transactions to replay: the
-  // seed plus one schema mutation synced the way a live server would.
+  // seed plus one schema mutation written through the way a live server
+  // does it.
   {
     auto store = PagedStore::Open({.path = seed_path}).value();
     Database db = MakeOfficeDb();
@@ -304,7 +308,7 @@ TEST_F(ServerStoreTest, HealthProbeReportsRecoveryAndLoad) {
       auto res = ev.Execute(kViewQuery);
       ASSERT_TRUE(res.ok()) << res.status();
     }
-    ASSERT_TRUE(store->SyncDatabase(db).ok());
+    ASSERT_TRUE(store->ApplyChanges(db, db.TakeChanges()).ok());
     // The crash image: both files as they stand before any checkpoint,
     // i.e. what an unclean exit leaves behind. Close then checkpoints
     // only the original.
@@ -346,6 +350,87 @@ TEST_F(ServerStoreTest, HealthProbeReportsRecoveryAndLoad) {
 
   server.Stop();
   ASSERT_TRUE(store->Close().ok());
+}
+
+TEST_F(ServerStoreTest, ReadersScanTheParentExtentWhileViewsCommit) {
+  // Readers evaluate FROM over Object_in_Room, the parent of every view,
+  // while one writer creates views: each CREATE updates the class extents
+  // and hands its change set to the store under the exclusive gate, and
+  // the readers use the extents under the shared gate. CI runs this under
+  // TSan. A view over stored objects adds instance-of facts only, so the
+  // readers' answers never change.
+  const std::string path = FreshStorePath("srv_store_readers.lyricpg");
+  auto store = PagedStore::Open({.path = path}).value();
+  Database db = MakeOfficeDb();
+  ASSERT_TRUE(office::AddScaledDesks(&db, 12, 7).ok());
+  ASSERT_TRUE(store->ImportDatabase(db).ok());
+
+  net::ServerOptions sopts;
+  sopts.store = store.get();
+  net::Server server(&db, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<std::string> reads = {
+      kReadQuery,
+      "SELECT O FROM Object_in_Room O "
+      "WHERE O.location[L] and L(x, y) |= x <= 12"};
+  std::vector<std::string> expected;
+  {
+    net::Client client(PlainClient(server.port()));
+    for (const std::string& q : reads) {
+      Result<net::QueryResponse> resp = client.Execute(q);
+      ASSERT_TRUE(resp.ok() && resp->status.ok()) << q;
+      ASSERT_GT(resp->row_count, 0u) << q;
+      expected.push_back(resp->Fingerprint());
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> answered{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      net::Client client(PlainClient(server.port()));
+      for (size_t i = r; !stop.load(std::memory_order_relaxed); ++i) {
+        Result<net::QueryResponse> resp =
+            client.Execute(reads[i % reads.size()]);
+        if (!resp.ok() || !resp->status.ok() ||
+            resp->Fingerprint() != expected[i % reads.size()]) {
+          wrong.fetch_add(1);
+          return;
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  net::Client writer(PlainClient(server.port()));
+  for (int v = 0; v < 20; ++v) {
+    Result<net::QueryResponse> resp = writer.Execute(
+        "CREATE VIEW Zone_" + std::to_string(v) +
+        " AS SUBCLASS OF Object_in_Room SELECT O FROM Object_in_Room O "
+        "WHERE O.location[L] and L(x, y) |= x <= " +
+        std::to_string(4 + v % 12));
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    ASSERT_TRUE(resp->status.ok()) << resp->status;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(answered.load(), 0u);
+  server.Stop();
+  ASSERT_TRUE(store->Close().ok());
+
+  // Every acknowledged view is in the store, record for record.
+  auto reopened = PagedStore::Open({.path = path}).value();
+  Database recovered;
+  ASSERT_TRUE(reopened->ExportToDatabase(&recovered).ok());
+  auto recovered_dump = Serializer::DumpDatabase(recovered);
+  auto live_dump = Serializer::DumpDatabase(db);
+  ASSERT_TRUE(recovered_dump.ok());
+  ASSERT_TRUE(live_dump.ok());
+  EXPECT_EQ(*recovered_dump, *live_dump);
+  ASSERT_TRUE(reopened->Close().ok());
 }
 
 // Same ENOSPC story as the gate test at the top of this file, but armed

@@ -73,7 +73,7 @@ namespace {
 // database exactly — delete every record, re-import, checkpoint. The
 // deletes and the re-import land in one commit, so a crash mid-rewrite
 // recovers either the old snapshot or the new one, never a blend.
-Status RewriteStore(storage::PagedStore* store, const Database& db) {
+Status RewriteStore(storage::PagedStore* store, Database& db) {
   std::vector<std::string> keys;
   LYRIC_RETURN_NOT_OK(
       store->Scan("", [&](std::string_view k, std::string_view) {
