@@ -43,10 +43,6 @@ Result<bool> Entailment::ConjunctionEntails(const Conjunction& lhs,
   // the verdict reaches StoreEntails.
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("entailment.entails"));
   SolverCache& cache = SolverCache::Global();
-  // Fail fast on a recorded budget trip for this entailment question.
-  if (std::optional<Status> doomed = cache.LookupEntailsTombstone(lhs, rhs)) {
-    return *doomed;
-  }
   if (std::optional<bool> cached = cache.LookupEntails(lhs, rhs)) {
     return *cached;
   }
@@ -71,14 +67,9 @@ Result<bool> Entailment::ConjunctionEntails(const Conjunction& lhs,
   if (trivially_true) {
     holds = true;
   } else {
-    Result<bool> counterexample = SatWithClauses(lhs, clauses, 0);
-    if (!counterexample.ok()) {
-      if (counterexample.status().IsResourceExhausted()) {
-        cache.StoreEntailsTombstone(lhs, rhs);
-      }
-      return counterexample.status();
-    }
-    holds = !*counterexample;
+    LYRIC_ASSIGN_OR_RETURN(bool counterexample,
+                           SatWithClauses(lhs, clauses, 0));
+    holds = !counterexample;
   }
   cache.StoreEntails(lhs, rhs, holds);
   return holds;

@@ -461,11 +461,6 @@ Result<bool> Simplex::IsSatisfiable(const Conjunction& c) {
   LYRIC_OBS_COUNT("simplex.calls.is_satisfiable");
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.is_satisfiable"));
   SolverCache& cache = SolverCache::Global();
-  // A recorded budget trip for this key fails the query fast (replaying
-  // the original trip) instead of re-burning the budget on a doomed solve.
-  if (std::optional<Status> doomed = cache.LookupSatTombstone(c)) {
-    return *doomed;
-  }
   if (std::optional<bool> cached = cache.LookupSat(c)) return *cached;
   bool sat = [&] {
     SplitAtoms atoms = Split(c);
@@ -480,14 +475,9 @@ Result<bool> Simplex::IsSatisfiable(const Conjunction& c) {
     }
     return true;
   }();
-  // A tripped run may have bailed mid-solve: report the trip (tombstoning
-  // budget trips so repeat runs fail fast) and never store the (possibly
-  // bogus) verdict.
-  if (Status st = exec::CheckCancellation("simplex.is_satisfiable");
-      !st.ok()) {
-    if (st.IsResourceExhausted()) cache.StoreSatTombstone(c);
-    return st;
-  }
+  // A tripped run may have bailed mid-solve: report the trip and never
+  // store the (possibly bogus) verdict.
+  LYRIC_RETURN_NOT_OK(exec::CheckCancellation("simplex.is_satisfiable"));
   cache.StoreSat(c, sat);
   return sat;
 }

@@ -1,11 +1,11 @@
 #include "constraint/solver_cache.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace lyric {
 
@@ -23,12 +23,8 @@ size_t HashCombine(size_t seed, size_t value) {
 }
 
 size_t EnvCapacity() {
-  const char* env = std::getenv("LYRIC_CACHE_CAPACITY");
-  if (env == nullptr || *env == '\0') return 4096;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return 4096;
-  return static_cast<size_t>(v);
+  return static_cast<size_t>(
+      EnvUint64("LYRIC_CACHE_CAPACITY").value_or(4096));
 }
 
 }  // namespace
@@ -118,7 +114,6 @@ void SolverCache::Clear() {
     shard.index.clear();
   }
   entries_.store(0, std::memory_order_relaxed);
-  tombstones_.store(0, std::memory_order_relaxed);
   approx_bytes_.store(0, std::memory_order_relaxed);
   PublishGauges();
 }
@@ -129,12 +124,11 @@ size_t SolverCache::ApproxEntryBytes(const Entry& entry) {
   constexpr size_t kPerAtom = 64;
   size_t atoms = entry.key.lhs.size() + entry.canonical.size();
   for (const Conjunction& d : entry.key.rhs.disjuncts()) atoms += d.size();
-  return sizeof(Entry) + atoms * kPerAtom + entry.tomb_site.size();
+  return sizeof(Entry) + atoms * kPerAtom;
 }
 
 void SolverCache::AccountErase(const Entry& entry) {
   entries_.fetch_sub(1, std::memory_order_relaxed);
-  if (entry.tombstone) tombstones_.fetch_sub(1, std::memory_order_relaxed);
   approx_bytes_.fetch_sub(ApproxEntryBytes(entry),
                           std::memory_order_relaxed);
 }
@@ -148,14 +142,10 @@ void SolverCache::PublishGauges() const {
   static obs::Gauge& entries_gauge = reg.GetGauge("solver_cache.entries");
   static obs::Gauge& bytes_gauge =
       reg.GetGauge("solver_cache.approx_bytes");
-  static obs::Gauge& tombstones_gauge =
-      reg.GetGauge("solver_cache.tombstones");
   entries_gauge.Set(
       static_cast<int64_t>(entries_.load(std::memory_order_relaxed)));
   bytes_gauge.Set(
       static_cast<int64_t>(approx_bytes_.load(std::memory_order_relaxed)));
-  tombstones_gauge.Set(
-      static_cast<int64_t>(tombstones_.load(std::memory_order_relaxed)));
 }
 
 SolverCache::Stats SolverCache::stats() const {
@@ -215,9 +205,6 @@ void SolverCache::StoreEntry(Entry entry) {
     if (Entry* existing = FindLocked(shard, entry.key, entry.hash)) {
       AccountErase(*existing);
       entries_.fetch_add(1, std::memory_order_relaxed);
-      if (entry.tombstone) {
-        tombstones_.fetch_add(1, std::memory_order_relaxed);
-      }
       approx_bytes_.fetch_add(ApproxEntryBytes(entry),
                               std::memory_order_relaxed);
       *existing = std::move(entry);
@@ -225,7 +212,6 @@ void SolverCache::StoreEntry(Entry entry) {
       return;
     }
     entries_.fetch_add(1, std::memory_order_relaxed);
-    if (entry.tombstone) tombstones_.fetch_add(1, std::memory_order_relaxed);
     approx_bytes_.fetch_add(ApproxEntryBytes(entry),
                             std::memory_order_relaxed);
     shard.lru.push_front(std::move(entry));
@@ -242,80 +228,6 @@ void SolverCache::StoreEntry(Entry entry) {
   PublishGauges();
 }
 
-std::optional<Status> SolverCache::LookupTombstone(const Key& key) {
-  if (!enabled() || CacheFault()) return std::nullopt;
-  // Ungoverned runs never fail fast — they are entitled to the full
-  // (unbounded) computation and will overwrite the tombstone on success.
-  exec::CancellationToken* token = exec::GovernorScope::Current();
-  if (token == nullptr) return std::nullopt;
-  size_t hash = BucketHash(key);
-  Shard& shard = ShardFor(hash);
-  sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
-  if (e == nullptr || !e->tombstone) return std::nullopt;
-  // Only budgets at or below the one that tripped are doomed; a larger
-  // budget (or an unlimited one) must genuinely retry the computation.
-  std::optional<uint64_t> limit = token->LimitFor(e->tomb_kind);
-  if (!limit.has_value() || *limit > e->tomb_limit) return std::nullopt;
-  token->ForceTrip(e->tomb_kind, e->tomb_site.c_str());
-  tombstone_hits_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("cache.tombstone.hit");
-  return token->ToStatus();
-}
-
-void SolverCache::StoreTombstone(Key key) {
-  if (!enabled() || CacheFault()) return;
-  exec::CancellationToken* token = exec::GovernorScope::Current();
-  if (token == nullptr) return;
-  const exec::LimitKind kind = token->tripped_kind();
-  // Budget trips only: wall-clock (deadline) cost is a property of the
-  // machine's load, not of the key, so it is never tombstoned.
-  if (kind != exec::LimitKind::kMemory && kind != exec::LimitKind::kPivots &&
-      kind != exec::LimitKind::kDisjuncts) {
-    return;
-  }
-  std::optional<uint64_t> limit = token->LimitFor(kind);
-  if (!limit.has_value()) return;
-  Entry entry;
-  entry.key = std::move(key);
-  entry.hash = BucketHash(entry.key);
-  entry.tombstone = true;
-  entry.tomb_kind = kind;
-  entry.tomb_limit = *limit;
-  entry.tomb_site = token->Report().site;
-  LYRIC_OBS_COUNT("cache.tombstone.stored");
-  StoreEntry(std::move(entry));
-}
-
-std::optional<Status> SolverCache::LookupSatTombstone(const Conjunction& c) {
-  return LookupTombstone(Key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()});
-}
-
-void SolverCache::StoreSatTombstone(const Conjunction& c) {
-  StoreTombstone(Key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()});
-}
-
-std::optional<Status> SolverCache::LookupCanonicalTombstone(
-    const Conjunction& c, CanonicalLevel level) {
-  return LookupTombstone(Key{Kind::kCanonical, level, c, Dnf()});
-}
-
-void SolverCache::StoreCanonicalTombstone(const Conjunction& c,
-                                          CanonicalLevel level) {
-  StoreTombstone(Key{Kind::kCanonical, level, c, Dnf()});
-}
-
-std::optional<Status> SolverCache::LookupEntailsTombstone(
-    const Conjunction& lhs, const Dnf& rhs) {
-  return LookupTombstone(Key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs,
-                             rhs});
-}
-
-void SolverCache::StoreEntailsTombstone(const Conjunction& lhs,
-                                        const Dnf& rhs) {
-  StoreTombstone(Key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, rhs});
-}
-
 std::optional<bool> SolverCache::LookupSat(const Conjunction& c) {
   if (!enabled() || CacheFault()) return std::nullopt;
   Key key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()};
@@ -323,7 +235,7 @@ std::optional<bool> SolverCache::LookupSat(const Conjunction& c) {
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
   Entry* e = FindLocked(shard, key, hash);
-  if (e != nullptr && !e->tombstone) {
+  if (e != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     LYRIC_OBS_COUNT("solver_cache.hits");
     LYRIC_OBS_COUNT("solver_cache.sat_hits");
@@ -351,7 +263,7 @@ std::optional<Conjunction> SolverCache::LookupCanonical(
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
   Entry* e = FindLocked(shard, key, hash);
-  if (e != nullptr && !e->tombstone) {
+  if (e != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     LYRIC_OBS_COUNT("solver_cache.hits");
     LYRIC_OBS_COUNT("solver_cache.canonical_hits");
@@ -380,7 +292,7 @@ std::optional<bool> SolverCache::LookupEntails(const Conjunction& lhs,
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
   Entry* e = FindLocked(shard, key, hash);
-  if (e != nullptr && !e->tombstone) {
+  if (e != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     LYRIC_OBS_COUNT("solver_cache.hits");
     LYRIC_OBS_COUNT("solver_cache.entailment_hits");

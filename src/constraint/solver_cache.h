@@ -19,6 +19,11 @@
 // conjunctions denote the same point set, so every cached verdict is
 // deterministic and thread-agnostic.
 //
+// Only complete verdicts are stored: each kernel stores after its
+// post-compute governor checkpoint, so a query that trips a limit
+// (exec/governor.h) stores nothing for the question it was computing,
+// and a repeat of that query computes it again.
+//
 // The cache is sharded (hash-picked shard, one mutex each) so concurrent
 // queries rarely contend, and size-bounded with per-shard LRU
 // eviction. Hits/misses/evictions feed the obs metrics registry
@@ -38,8 +43,6 @@
 
 #include "constraint/canonical.h"
 #include "constraint/dnf.h"
-#include "exec/governor.h"
-#include "util/status.h"
 #include "util/sync.h"
 
 namespace lyric {
@@ -90,17 +93,15 @@ class SolverCache {
 
   /// Lifetime traffic counters, readable without touching shard locks.
   /// The evaluator samples these before and after each query to attribute
-  /// hit/miss/tombstone deltas to its per-query log record.
+  /// hit/miss deltas to its per-query log record.
   struct Traffic {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t tombstone_hits = 0;
   };
   Traffic traffic() const {
     Traffic t;
     t.hits = hits_.load(std::memory_order_relaxed);
     t.misses = misses_.load(std::memory_order_relaxed);
-    t.tombstone_hits = tombstone_hits_.load(std::memory_order_relaxed);
     return t;
   }
 
@@ -116,33 +117,6 @@ class SolverCache {
 
   std::optional<bool> LookupEntails(const Conjunction& lhs, const Dnf& rhs);
   void StoreEntails(const Conjunction& lhs, const Dnf& rhs, bool holds);
-
-  // -- Governor-aware tombstones -------------------------------------------
-  //
-  // A governed computation that trips a resource budget (memory / pivots /
-  // disjuncts) on a key records a "too expensive" tombstone instead of a
-  // verdict. A later *governed* run whose budget for that limit is no
-  // larger fails fast: the tombstone replays the original trip (same
-  // LimitKind, same site — hence a byte-identical trip Status) without
-  // re-burning the budget. Ungoverned runs and runs with a strictly larger
-  // budget ignore tombstones and recompute; a successful computation
-  // overwrites the tombstone (same key). Deadline trips are never
-  // tombstoned — wall-clock cost depends on machine load, not the key.
-  // Tombstones live in the LRU and evict like normal entries. Hits count
-  // as obs "cache.tombstone.hit", stores as "cache.tombstone.stored".
-  //
-  // Lookup* returns the replayed trip Status when the tombstone applies,
-  // nullopt otherwise. Store* reads the ambient governor token and is a
-  // no-op unless it tripped on a budget limit.
-
-  std::optional<Status> LookupSatTombstone(const Conjunction& c);
-  void StoreSatTombstone(const Conjunction& c);
-  std::optional<Status> LookupCanonicalTombstone(const Conjunction& c,
-                                                 CanonicalLevel level);
-  void StoreCanonicalTombstone(const Conjunction& c, CanonicalLevel level);
-  std::optional<Status> LookupEntailsTombstone(const Conjunction& lhs,
-                                               const Dnf& rhs);
-  void StoreEntailsTombstone(const Conjunction& lhs, const Dnf& rhs);
 
   /// Test seam: maps every structural hash through `fn` before bucketing
   /// (e.g. a constant function forces all keys to collide, exercising the
@@ -168,18 +142,10 @@ class SolverCache {
     size_t hash = 0;  // Possibly overridden; the bucket key.
     bool verdict = false;              // kSat / kEntails.
     Conjunction canonical;             // kCanonical.
-    // Tombstone payload: when set, the entry records a budget trip
-    // instead of a verdict (verdict/canonical are meaningless).
-    bool tombstone = false;
-    exec::LimitKind tomb_kind = exec::LimitKind::kNone;
-    uint64_t tomb_limit = 0;  ///< The budget value that tripped.
-    std::string tomb_site;    ///< First trip site (replayed verbatim).
   };
 
   struct Shard {
-    /// Shard locks never nest with each other (one shard per operation);
-    /// tombstone hits take the governor site lock under them, hence the
-    /// rank ordering kCacheShard < kGovernor.
+    /// Shard locks never nest with each other (one shard per operation).
     mutable sync::Mutex mu{sync::LockRank::kCacheShard, "cache_shard"};
     /// Front = most recently used.
     std::list<Entry> lru LYRIC_GUARDED_BY(mu);
@@ -200,8 +166,6 @@ class SolverCache {
       LYRIC_REQUIRES(shard.mu);
   /// Inserts (or overwrites) `entry`, evicting LRU entries past capacity.
   void StoreEntry(Entry entry);
-  std::optional<Status> LookupTombstone(const Key& key);
-  void StoreTombstone(Key key);
   void EraseFromIndexLocked(Shard& shard, std::list<Entry>::iterator it)
       LYRIC_REQUIRES(shard.mu);
 
@@ -217,11 +181,9 @@ class SolverCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> tombstone_hits_{0};
   // Occupancy, maintained at every insert/overwrite/evict/clear so the
   // gauges never need the shard locks.
   std::atomic<size_t> entries_{0};
-  std::atomic<size_t> tombstones_{0};
   std::atomic<size_t> approx_bytes_{0};
   std::function<size_t(size_t)> hash_override_;
   Shard shards_[kShards];

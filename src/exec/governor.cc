@@ -3,6 +3,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "util/deadline.h"
 #include "util/fault.h"
 #include "util/string_util.h"
 
@@ -79,25 +80,20 @@ std::string GovernorReport::ToString() const {
 CancellationToken::CancellationToken(const GovernorLimits& limits)
     : limits_(limits), start_(std::chrono::steady_clock::now()) {
   if (limits_.deadline_ms.has_value()) {
-    deadline_at_ = start_ + std::chrono::milliseconds(*limits_.deadline_ms);
+    deadline_at_ = DeadlineAfterMs(start_, *limits_.deadline_ms);
   }
 }
 
 void CancellationToken::Trip(LimitKind kind, const char* site) {
-  uint8_t expected = static_cast<uint8_t>(LimitKind::kNone);
-  if (tripped_.compare_exchange_strong(expected, static_cast<uint8_t>(kind),
-                                       std::memory_order_acq_rel)) {
-    {
-      sync::MutexLock lock(site_mu_);
-      trip_site_ = site;
-    }
-    CountTrip(kind);
-  }
+  if (stopped()) return;
+  tripped_ = kind;
+  trip_site_ = site;
+  CountTrip(kind);
 }
 
 bool CancellationToken::AccountPivots(uint64_t n, const char* site) {
-  uint64_t total = pivots_.fetch_add(n, std::memory_order_relaxed) + n;
-  if (limits_.max_pivots.has_value() && total > *limits_.max_pivots) {
+  pivots_ += n;
+  if (limits_.max_pivots.has_value() && pivots_ > *limits_.max_pivots) {
     Trip(LimitKind::kPivots, site);
   }
   return stopped();
@@ -111,23 +107,20 @@ bool CancellationToken::AccountMemory(uint64_t bytes, const char* site) {
     Trip(LimitKind::kMemory, site);
     return true;
   }
-  uint64_t total = memory_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  if (limits_.memory_budget.has_value() && total > *limits_.memory_budget) {
+  memory_ += bytes;
+  if (limits_.memory_budget.has_value() && memory_ > *limits_.memory_budget) {
     Trip(LimitKind::kMemory, site);
   }
   return stopped();
 }
 
 bool CancellationToken::AccountDisjuncts(uint64_t n, const char* site) {
-  uint64_t total = disjuncts_.fetch_add(n, std::memory_order_relaxed) + n;
-  if (limits_.max_disjuncts.has_value() && total > *limits_.max_disjuncts) {
+  disjuncts_ += n;
+  if (limits_.max_disjuncts.has_value() &&
+      disjuncts_ > *limits_.max_disjuncts) {
     Trip(LimitKind::kDisjuncts, site);
   }
   return stopped();
-}
-
-void CancellationToken::AccountBinding() {
-  bindings_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool CancellationToken::CheckDeadline(const char* site) {
@@ -144,53 +137,28 @@ Status CancellationToken::Check(const char* site) {
 }
 
 Status CancellationToken::ToStatus() const {
-  LimitKind kind = tripped_kind();
-  if (kind == LimitKind::kNone) return Status::OK();
-  std::string site;
-  {
-    sync::MutexLock lock(site_mu_);
-    site = trip_site_;
-  }
+  if (tripped_ == LimitKind::kNone) return Status::OK();
   // Messages stay stable across runs: limit + first site only, no
   // data-dependent progress counters.
   std::string msg = "query exceeded ";
-  msg += LimitKindToString(kind);
+  msg += LimitKindToString(tripped_);
   msg += " limit (tripped at ";
-  msg += site;
+  msg += trip_site_;
   msg += ")";
-  if (kind == LimitKind::kDeadline) {
+  if (tripped_ == LimitKind::kDeadline) {
     return Status::DeadlineExceeded(std::move(msg));
   }
   return Status::ResourceExhausted(std::move(msg));
 }
 
-std::optional<uint64_t> CancellationToken::LimitFor(LimitKind kind) const {
-  switch (kind) {
-    case LimitKind::kDeadline:
-      return limits_.deadline_ms;
-    case LimitKind::kMemory:
-      return limits_.memory_budget;
-    case LimitKind::kPivots:
-      return limits_.max_pivots;
-    case LimitKind::kDisjuncts:
-      return limits_.max_disjuncts;
-    case LimitKind::kNone:
-      break;
-  }
-  return std::nullopt;
-}
-
 GovernorReport CancellationToken::Report() const {
   GovernorReport report;
-  report.tripped = tripped_kind();
-  {
-    sync::MutexLock lock(site_mu_);
-    report.site = trip_site_;
-  }
-  report.bindings_scanned = bindings_.load(std::memory_order_relaxed);
-  report.pivots_used = pivots_.load(std::memory_order_relaxed);
-  report.memory_used = memory_.load(std::memory_order_relaxed);
-  report.disjuncts_used = disjuncts_.load(std::memory_order_relaxed);
+  report.tripped = tripped_;
+  report.site = trip_site_;
+  report.bindings_scanned = bindings_;
+  report.pivots_used = pivots_;
+  report.memory_used = memory_;
+  report.disjuncts_used = disjuncts_;
   report.elapsed_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_)

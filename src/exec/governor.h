@@ -13,13 +13,14 @@
 //   * A CancellationToken carries the per-query limits — wall-clock
 //     deadline, kernel memory budget, simplex pivot cap, DNF disjunct cap
 //     — plus the usage counters and the sticky "tripped" record.
-//   * The evaluator installs the token as an *ambient* thread-local
-//     (GovernorScope) on the query thread, so the constraint kernels
-//     observe it without threading a parameter through every call
-//     signature.
+//   * The evaluating thread owns the token: Evaluator::Execute creates it
+//     on its own stack and installs it as an *ambient* thread-local
+//     (GovernorScope), so the constraint kernels observe it without
+//     threading a parameter through every call signature. No other
+//     thread ever sees it, so its counters are plain fields.
 //   * Kernels check cooperatively: hot loops call the cheap counting
-//     hooks (AccountPivots / AccountKernelMemory / AccountDisjuncts,
-//     relaxed atomics), and every Result-bearing kernel entry point calls
+//     hooks (AccountPivots / AccountKernelMemory / AccountDisjuncts),
+//     and every Result-bearing kernel entry point calls
 //     CheckCancellation(site), which converts a trip into the typed
 //     Status (kDeadlineExceeded / kResourceExhausted). Once tripped the
 //     token stays tripped, so inner loops that cannot return a Status
@@ -29,7 +30,10 @@
 //     verdicts that were computed fully (every store site is behind a
 //     checkpoint), and the evaluator converts the trip Status into a
 //     partial ResultSet carrying a GovernorReport (bindings scanned,
-//     pivots used, which kernel site observed the trip).
+//     pivots used, which kernel site observed the trip). A trip stores
+//     nothing, so a repeated governed query spends its budget again;
+//     the verdicts it completed before tripping stay cached, and a
+//     repeat may get further and trip at a later site.
 //
 // With no limits configured nothing is installed and every check is one
 // thread_local load — bench_paper_queries' governed variant keeps the
@@ -38,14 +42,12 @@
 #ifndef LYRIC_EXEC_GOVERNOR_H_
 #define LYRIC_EXEC_GOVERNOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 #include "util/status.h"
-#include "util/sync.h"
 
 namespace lyric {
 namespace exec {
@@ -63,7 +65,8 @@ const char* LimitKindToString(LimitKind kind);
 
 /// The per-query resource limits. Unset fields are unlimited.
 struct GovernorLimits {
-  /// Wall-clock deadline in milliseconds from token creation.
+  /// Wall-clock deadline in milliseconds from token creation. Values too
+  /// large for the clock saturate to "never".
   std::optional<uint64_t> deadline_ms;
   /// Budget, in bytes, for kernel-accounted allocations (simplex tableau
   /// rows, Fourier-Motzkin atom generation, DNF disjunct bodies). This is
@@ -104,11 +107,10 @@ struct GovernorReport {
   std::string ToString() const;
 };
 
-/// Shared cancellation state for one governed query. Thread-safe: the
-/// accounting hooks are relaxed atomics, Check samples the deadline.
-/// Trips are sticky — once a limit is exceeded every subsequent Check
-/// returns the same typed Status, so repeat evaluations of the same query
-/// report identical codes.
+/// Cancellation state for one governed query, owned by the thread that
+/// evaluates it (not thread-safe). Trips are sticky — once a limit is
+/// exceeded every subsequent Check returns the same typed Status, so
+/// repeat evaluations of the same query report identical codes.
 class CancellationToken {
  public:
   explicit CancellationToken(const GovernorLimits& limits);
@@ -117,20 +119,18 @@ class CancellationToken {
   CancellationToken& operator=(const CancellationToken&) = delete;
 
   /// Cheap sticky-trip probe for loops that cannot return a Status.
-  bool stopped() const {
-    return tripped_.load(std::memory_order_relaxed) !=
-           static_cast<uint8_t>(LimitKind::kNone);
-  }
+  bool stopped() const { return tripped_ != LimitKind::kNone; }
 
   /// Records `n` simplex pivots; returns true when the token is (now)
-  /// tripped and the caller should unwind.
+  /// tripped and the caller should unwind. `site`, like every site below,
+  /// is a string literal: the first trip keeps the pointer.
   bool AccountPivots(uint64_t n, const char* site);
   /// Records `bytes` of kernel allocation.
   bool AccountMemory(uint64_t bytes, const char* site);
   /// Records `n` materialized DNF disjuncts.
   bool AccountDisjuncts(uint64_t n, const char* site);
   /// Records one candidate binding scanned (evaluator progress).
-  void AccountBinding();
+  void AccountBinding() { ++bindings_; }
 
   /// Samples the wall clock against the deadline; trips when expired.
   /// Rate-limit externally (the kernels call this every few dozen
@@ -148,41 +148,24 @@ class CancellationToken {
   /// repeat runs report byte-identical statuses.
   Status ToStatus() const;
 
-  LimitKind tripped_kind() const {
-    return static_cast<LimitKind>(tripped_.load(std::memory_order_acquire));
-  }
+  LimitKind tripped_kind() const { return tripped_; }
 
-  /// Trips the token directly with the given kind and site. Used by the
-  /// SolverCache tombstone path: a recorded "too expensive" verdict fails
-  /// the query fast by replaying the original trip (same kind, same site,
-  /// hence a byte-identical ToStatus message) without re-burning the
-  /// budget. Sticky like every other trip.
-  void ForceTrip(LimitKind kind, const char* site) { Trip(kind, site); }
-
-  /// The configured cap for `kind`, or nullopt when that limit is unset.
-  std::optional<uint64_t> LimitFor(LimitKind kind) const;
-
-  /// Usage snapshot (consistent enough for diagnostics; individual
-  /// counters are exact).
+  /// Usage snapshot for the partial-result diagnostics.
   GovernorReport Report() const;
 
  private:
   /// Records the first trip (later trips keep the original kind/site).
   void Trip(LimitKind kind, const char* site);
 
-  // Written only by the constructor; read-only afterwards.
   GovernorLimits limits_;
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point deadline_at_;  // Valid if deadline.
-  std::atomic<uint64_t> pivots_{0};
-  std::atomic<uint64_t> memory_{0};
-  std::atomic<uint64_t> disjuncts_{0};
-  std::atomic<uint64_t> bindings_{0};
-  std::atomic<uint8_t> tripped_{static_cast<uint8_t>(LimitKind::kNone)};
-  // Ranked after the cache shard: tombstone hits ForceTrip under the
-  // shard lock (solver_cache.cc LookupTombstone).
-  mutable sync::Mutex site_mu_{sync::LockRank::kGovernor, "governor_site"};
-  std::string trip_site_ LYRIC_GUARDED_BY(site_mu_);
+  uint64_t pivots_ = 0;
+  uint64_t memory_ = 0;
+  uint64_t disjuncts_ = 0;
+  uint64_t bindings_ = 0;
+  LimitKind tripped_ = LimitKind::kNone;
+  const char* trip_site_ = "";
 };
 
 /// Installs a token as the current thread's ambient governor for the

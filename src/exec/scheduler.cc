@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/deadline.h"
 #include "util/fault.h"
 #include "util/string_util.h"
 
@@ -232,7 +235,7 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
   it->memory = request.memory_budget;
   if (request.deadline_ms.has_value()) {
     it->has_deadline = true;
-    it->deadline_at = now + std::chrono::milliseconds(*request.deadline_ms);
+    it->deadline_at = DeadlineAfterMs(now, *request.deadline_ms);
   }
   ++queued_;
   LYRIC_OBS_COUNT("scheduler.queued");
@@ -243,7 +246,7 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
   std::optional<std::chrono::steady_clock::time_point> expires_at;
   if (it->has_deadline) expires_at = it->deadline_at;
   if (limits_.queue_timeout_ms.has_value()) {
-    auto timeout_at = now + std::chrono::milliseconds(*limits_.queue_timeout_ms);
+    auto timeout_at = DeadlineAfterMs(now, *limits_.queue_timeout_ms);
     if (!expires_at.has_value() || timeout_at < *expires_at) {
       expires_at = timeout_at;
     }
@@ -320,8 +323,8 @@ SchedulerStats QueryScheduler::stats() const {
 }
 
 bool QueryScheduler::WaitForWaiters(uint64_t count, uint64_t timeout_ms) const {
-  const auto give_up = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(timeout_ms);
+  const auto give_up =
+      DeadlineAfterMs(std::chrono::steady_clock::now(), timeout_ms);
   for (;;) {
     {
       sync::MutexLock lock(mu_);
@@ -338,31 +341,31 @@ bool QueryScheduler::WaitForWaiters(uint64_t count, uint64_t timeout_ms) const {
 
 // -- Retry policy ----------------------------------------------------------
 
+std::optional<RetryPolicy> RetryPolicy::Parse(std::string_view spec) {
+  // retries[:base_ms[:seed]]
+  std::vector<uint64_t> fields;
+  for (;;) {
+    const size_t colon = spec.find(':');
+    const std::optional<uint64_t> field = ParseUint64(spec.substr(0, colon));
+    if (!field.has_value() || fields.size() == 3) return std::nullopt;
+    fields.push_back(*field);
+    if (colon == std::string_view::npos) break;
+    spec.remove_prefix(colon + 1);
+  }
+  if (fields[0] > std::numeric_limits<uint32_t>::max()) return std::nullopt;
+  RetryPolicy policy;
+  policy.max_retries = static_cast<uint32_t>(fields[0]);
+  if (fields.size() > 1 && fields[1] > 0) policy.base_backoff_ms = fields[1];
+  if (fields.size() > 2) policy.seed = fields[2];
+  return policy;
+}
+
 const RetryPolicy& RetryPolicy::FromEnv() {
   static const RetryPolicy* policy = [] {
-    auto* env = new RetryPolicy();
     const char* text = std::getenv("LYRIC_RETRY");
-    if (text != nullptr && *text != '\0') {
-      // retries[:base_ms[:seed]]
-      char* end = nullptr;
-      unsigned long long retries = std::strtoull(text, &end, 10);
-      if (end != text) {
-        env->max_retries = static_cast<uint32_t>(retries);
-        if (*end == ':') {
-          const char* base_text = end + 1;
-          unsigned long long base = std::strtoull(base_text, &end, 10);
-          if (end != base_text && base > 0) {
-            env->base_backoff_ms = static_cast<uint64_t>(base);
-          }
-          if (*end == ':') {
-            const char* seed_text = end + 1;
-            unsigned long long seed = std::strtoull(seed_text, &end, 10);
-            if (end != seed_text) env->seed = static_cast<uint64_t>(seed);
-          }
-        }
-      }
-    }
-    return env;
+    std::optional<RetryPolicy> parsed;
+    if (text != nullptr) parsed = Parse(text);
+    return new RetryPolicy(parsed.value_or(RetryPolicy{}));
   }();
   return *policy;
 }

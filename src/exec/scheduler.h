@@ -35,6 +35,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/result.h"
 #include "util/status.h"
@@ -53,7 +54,8 @@ struct SchedulerLimits {
   std::optional<uint64_t> queue_capacity;
   /// Upper bound, in milliseconds, a query may wait in the queue before
   /// being shed. Unset = wait until granted (or until the query's own
-  /// declared deadline expires).
+  /// declared deadline expires). Values too large for the clock saturate
+  /// to "never", as does a declared deadline.
   std::optional<uint64_t> queue_timeout_ms;
   /// Cap, in bytes, on the sum of admitted queries' declared memory
   /// budgets (the cross-query ledger). Unset = memory never gates
@@ -104,12 +106,9 @@ class QueryScheduler;
 
 /// RAII admission slot. Holding an admitted ticket keeps one concurrency
 /// slot and the declared memory budget reserved in the ledger; the
-/// destructor (or Release) returns both and wakes queued waiters. A
-/// default-constructed ticket is empty (nothing to release) — the
-/// evaluator uses one for nested/unscheduled executions.
+/// destructor (or Release) returns both and wakes queued waiters.
 class AdmissionTicket {
  public:
-  AdmissionTicket() = default;
   AdmissionTicket(AdmissionTicket&& other) noexcept { *this = std::move(other); }
   AdmissionTicket& operator=(AdmissionTicket&& other) noexcept;
   AdmissionTicket(const AdmissionTicket&) = delete;
@@ -239,8 +238,13 @@ struct RetryPolicy {
   uint64_t max_backoff_ms = 1000;
   uint64_t seed = 0;
 
-  /// The process default from LYRIC_RETRY=retries[:base_ms[:seed]], read
-  /// once. Unset leaves max_retries at 0 (retry disabled).
+  /// Parses "retries[:base_ms[:seed]]", each field a decimal accepted by
+  /// ParseUint64 and retries at most 2^32 - 1; nullopt when malformed. A
+  /// base of 0 keeps the default.
+  static std::optional<RetryPolicy> Parse(std::string_view spec);
+
+  /// The process default from LYRIC_RETRY (see Parse), read once. Unset
+  /// or malformed leaves max_retries at 0 (retry disabled).
   static const RetryPolicy& FromEnv();
 
   /// Whether `failed` should be retried after `attempt` completed retries.

@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "storage/paged_store.h"
+#include "util/deadline.h"
 
 namespace lyric {
 namespace net {
@@ -124,8 +125,8 @@ void Server::BeginDrain() {
 }
 
 bool Server::WaitForDrainIdle(uint64_t timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const auto deadline =
+      DeadlineAfterMs(std::chrono::steady_clock::now(), timeout_ms);
   sync::MutexLock lock(lifecycle_mu_);
   while (in_flight_ > 0) {
     if (drain_idle_cv_.WaitUntil(lifecycle_mu_, deadline)) {
@@ -402,7 +403,6 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
   }
   if (request.max_rows != 0) opts.max_rows = request.max_rows;
   if (request.analyze_first) opts.analyze_first = true;
-  if (options_.scheduler != nullptr) opts.scheduler = options_.scheduler;
   // The client owns retry: a shed must reach the wire as a typed
   // kUnavailable with its retry-after hint, not be absorbed by a
   // server-side loop that inherited LYRIC_RETRY from the environment.

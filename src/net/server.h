@@ -57,7 +57,6 @@
 #include <string>
 #include <thread>
 
-#include "exec/scheduler.h"
 #include "net/frame.h"
 #include "net/socket.h"
 #include "object/database.h"
@@ -86,9 +85,6 @@ struct ServerOptions {
   /// here explicitly): sheds travel to the client, whose RetryPolicy
   /// owns backoff.
   EvalOptions eval;
-  /// Admission goes through this scheduler when set (tests); the
-  /// process-wide QueryScheduler::Global() otherwise.
-  exec::QueryScheduler* scheduler = nullptr;
   /// When set, the server is store-backed: schema mutations write
   /// through to this store (ApplyChanges: the records the mutation
   /// touched, commit + fsync) under the exclusive schema gate before the

@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <mutex>  // std::call_once/std::once_flag only (allowed by the gate)
 #include <thread>
+
+#include "util/string_util.h"
 
 namespace lyric {
 namespace obs {
@@ -439,26 +442,6 @@ namespace {
 // LYRIC_METRICS_OUT state, set once at arm time.
 std::string* g_metrics_out_path = nullptr;
 
-// Splits "path[:suffix]" where the suffix is all digits. Returns true
-// and strips the suffix when one is present.
-bool SplitNumericSuffix(const std::string& spec, std::string* path,
-                        uint64_t* suffix) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 == spec.size()) {
-    *path = spec;
-    return false;
-  }
-  for (size_t i = colon + 1; i < spec.size(); ++i) {
-    if (spec[i] < '0' || spec[i] > '9') {
-      *path = spec;
-      return false;
-    }
-  }
-  *path = spec.substr(0, colon);
-  *suffix = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-  return true;
-}
-
 void FlushMetricsAtExit() {
   if (g_metrics_out_path != nullptr) WriteMetricsFile(*g_metrics_out_path);
 }
@@ -496,10 +479,13 @@ void ArmMetricsFlusherFromEnv() {
     const char* env = std::getenv("LYRIC_METRICS_OUT");
     if (env == nullptr || *env == '\0') return;
     std::string path;
-    uint64_t interval_ms = 5000;
-    SplitNumericSuffix(env, &path, &interval_ms);
+    uint64_t interval_ms = SplitNumericSuffix(env, &path).value_or(0);
     if (path.empty()) return;
     if (interval_ms == 0) interval_ms = 5000;
+    // Past int64 the millisecond count would turn negative and the
+    // writer would spin instead of sleeping.
+    interval_ms = std::min<uint64_t>(
+        interval_ms, std::numeric_limits<int64_t>::max());
     g_metrics_out_path = new std::string(path);
     std::atexit(FlushMetricsAtExit);
     // Detached writer: the registry singleton is leaked, so the thread

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 
 namespace lyric {
 namespace obs {
@@ -15,26 +16,6 @@ namespace {
 
 constexpr uint64_t kDefaultSinkMaxBytes = 16ull << 20;  // 16 MiB
 constexpr size_t kQueryTextLimit = 200;
-
-// Splits "path[:max_bytes]" (the suffix must be all digits to count).
-void ParseSinkSpec(const std::string& spec, std::string* path,
-                   uint64_t* max_bytes) {
-  *max_bytes = kDefaultSinkMaxBytes;
-  size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 == spec.size()) {
-    *path = spec;
-    return;
-  }
-  for (size_t i = colon + 1; i < spec.size(); ++i) {
-    if (spec[i] < '0' || spec[i] > '9') {
-      *path = spec;
-      return;
-    }
-  }
-  *path = spec.substr(0, colon);
-  uint64_t parsed = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-  if (parsed > 0) *max_bytes = parsed;
-}
 
 void AppendField(std::string* out, const char* key, uint64_t value,
                  bool* first) {
@@ -79,13 +60,7 @@ uint64_t HashQueryText(const std::string& text) {
 }
 
 uint64_t SlowQueryThresholdMs() {
-  static const uint64_t threshold = [] {
-    const char* env = std::getenv("LYRIC_SLOW_MS");
-    if (env == nullptr || *env == '\0') return uint64_t{0};
-    char* end = nullptr;
-    uint64_t v = std::strtoull(env, &end, 10);
-    return (end != env && *end == '\0') ? v : uint64_t{0};
-  }();
+  static const uint64_t threshold = EnvUint64("LYRIC_SLOW_MS").value_or(0);
   return threshold;
 }
 
@@ -110,7 +85,6 @@ std::string QueryLogRecord::ToJson() const {
   AppendField(&out, "retries", static_cast<uint64_t>(retries), &first);
   AppendField(&out, "cache_hits", cache_hits, &first);
   AppendField(&out, "cache_misses", cache_misses, &first);
-  AppendField(&out, "tombstone_hits", tombstone_hits, &first);
   AppendField(&out, "truncated", truncated, &first);
   AppendField(&out, "slow", slow, &first);
   if (!stages.empty()) AppendField(&out, "stages", stages, &first);
@@ -126,7 +100,8 @@ QueryLog& QueryLog::Global() {
 QueryLog::QueryLog() {
   const char* env = std::getenv("LYRIC_QUERY_LOG");
   if (env != nullptr && *env != '\0') {
-    ParseSinkSpec(env, &sink_path_, &sink_max_bytes_);
+    sink_max_bytes_ = SplitNumericSuffix(env, &sink_path_).value_or(0);
+    if (sink_max_bytes_ == 0) sink_max_bytes_ = kDefaultSinkMaxBytes;
     // Resume the running byte count if the sink already exists so
     // rotation thresholds hold across restarts.
     std::ifstream in(sink_path_, std::ios::ate | std::ios::binary);

@@ -47,7 +47,6 @@ struct QueryLogRecord {
   uint32_t retries = 0;
   uint64_t cache_hits = 0;       // solver-cache deltas over this query
   uint64_t cache_misses = 0;
-  uint64_t tombstone_hits = 0;
   bool truncated = false;  // row cap hit
   bool slow = false;       // duration exceeded the LYRIC_SLOW_MS threshold
   std::string stages;      // per-stage profile (slow queries only)

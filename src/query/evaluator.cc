@@ -98,27 +98,6 @@ ResultSet GovernedPartial(ResultSet out, exec::CancellationToken& token) {
   return out;
 }
 
-// Admission re-entrancy guard: a query evaluated from inside another query
-// on the same thread (method dispatch, view materialization) must not
-// re-enter the scheduler — with a cap of 1 that would deadlock against the
-// slot its own outer query holds.
-thread_local int t_admission_depth = 0;
-
-struct AdmissionDepthScope {
-  AdmissionDepthScope() { ++t_admission_depth; }
-  ~AdmissionDepthScope() { --t_admission_depth; }
-};
-
-// Carries admission facts from ExecuteImpl (inside the retry loop) up to
-// ExecuteLogged's per-query log record. Thread-local because nested and
-// concurrent queries each need their own copy; only the outermost
-// evaluation on a thread writes it.
-struct EvalLogInfo {
-  const char* admission = "off";
-  uint64_t queue_wait_ns = 0;
-};
-thread_local EvalLogInfo t_eval_log;
-
 // The parsed-AST Execute overload has no raw text, so the log record
 // carries a reconstructed shape instead: enough to identify the query in
 // the log without re-implementing a full printer.
@@ -148,11 +127,6 @@ Result<ResultSet> Evaluator::Execute(const ast::Query& query) {
 
 Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
                                            const ast::Query* parsed) {
-  // Nested executions (method dispatch / view materialization reached from
-  // inside an outer query on this thread) keep the old fast path: no log
-  // record of their own — the outer query's record covers them — and no
-  // second trace session.
-  const bool outermost = t_admission_depth == 0;
   const uint64_t slow_ms = options_.slow_ms.has_value()
                                ? *options_.slow_ms
                                : obs::SlowQueryThresholdMs();
@@ -160,24 +134,21 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
   // the slow-query threshold is armed so a slow record can carry its
   // per-stage profile. The profile only attaches to the ResultSet under
   // collect_trace — the silent trace exists solely for the log.
-  const bool tracing = options_.collect_trace || (outermost && slow_ms > 0);
+  const bool tracing = options_.collect_trace || slow_ms > 0;
 
   static obs::Gauge& active_gauge =
       obs::Registry::Global().GetGauge("evaluator.active_queries");
-  if (outermost) {
-    t_eval_log = EvalLogInfo{};
-    active_gauge.Add(1);
-  }
+  active_gauge.Add(1);
   const SolverCache::Traffic cache_before = SolverCache::Global().traffic();
   const auto start = std::chrono::steady_clock::now();
-  uint32_t retries = 0;
+  AdmissionInfo admission;
 
   std::shared_ptr<obs::QueryProfile> profile;
   Result<ResultSet> r = [&]() -> Result<ResultSet> {
     if (!tracing) {
-      if (text == nullptr) return ExecuteWithRetry(*parsed, &retries);
+      if (text == nullptr) return ExecuteWithRetry(*parsed, &admission);
       LYRIC_ASSIGN_OR_RETURN(ast::Query query, ParseQuery(*text));
-      return ExecuteWithRetry(query, &retries);
+      return ExecuteWithRetry(query, &admission);
     }
     profile = std::make_shared<obs::QueryProfile>();
     profile->counters_before = obs::Registry::Global().Snapshot();
@@ -190,14 +161,12 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
       owned.emplace(std::move(*query));
     }
     Result<ResultSet> res =
-        ExecuteWithRetry(owned.has_value() ? *owned : *parsed, &retries);
+        ExecuteWithRetry(owned.has_value() ? *owned : *parsed, &admission);
     session.Stop();
     profile->counters_after = obs::Registry::Global().Snapshot();
     if (res.ok() && options_.collect_trace) res->set_profile(profile);
     return res;
   }();
-
-  if (!outermost) return r;
 
   const uint64_t duration_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -206,30 +175,21 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
   LYRIC_OBS_RECORD("query.latency", duration_ns);
   active_gauge.Add(-1);
 
-  if (r.ok()) {
-    // Surface the admission facts on the result so callers that cannot
-    // reach the query log (the network server serializing a response)
-    // still see how the scheduler treated this query.
-    AdmissionInfo admission;
-    admission.mode = t_eval_log.admission;
-    admission.queue_wait_ns = t_eval_log.queue_wait_ns;
-    admission.retries = retries;
-    r->set_admission(std::move(admission));
-  }
-
   const SolverCache::Traffic cache_after = SolverCache::Global().traffic();
   obs::QueryLogRecord rec;
   rec.query = text != nullptr ? *text : SummarizeAstQuery(*parsed);
   rec.query_hash = obs::HashQueryText(rec.query);
   rec.duration_ns = duration_ns;
-  rec.queue_wait_ns = t_eval_log.queue_wait_ns;
-  rec.admission = t_eval_log.admission;
-  rec.retries = retries;
+  rec.queue_wait_ns = admission.queue_wait_ns;
+  rec.admission = admission.mode;
+  rec.retries = admission.retries;
   rec.cache_hits = cache_after.hits - cache_before.hits;
   rec.cache_misses = cache_after.misses - cache_before.misses;
-  rec.tombstone_hits =
-      cache_after.tombstone_hits - cache_before.tombstone_hits;
   if (r.ok()) {
+    // Surface the admission facts on the result so callers that cannot
+    // reach the query log (the network server serializing a response)
+    // still see how the scheduler treated this query.
+    r->set_admission(std::move(admission));
     rec.status = "ok";
     rec.rows = r->size();
     rec.truncated = r->truncated();
@@ -256,19 +216,19 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
 }
 
 Result<ResultSet> Evaluator::ExecuteWithRetry(const ast::Query& query,
-                                              uint32_t* retries) {
+                                              AdmissionInfo* admission) {
   const exec::RetryPolicy& policy = options_.retry.has_value()
                                         ? *options_.retry
                                         : exec::RetryPolicy::FromEnv();
   uint32_t attempt = 0;
   for (;;) {
-    Result<ResultSet> r = ExecuteImpl(query);
+    Result<ResultSet> r = ExecuteImpl(query, admission);
     if (r.ok() || !policy.ShouldRetry(r.status(), attempt)) return r;
     // Transient failures only (kUnavailable: admission sheds, injected
     // transport faults) — a kDeadlineExceeded partial is a *result* and
     // never reaches here as an error.
     LYRIC_OBS_COUNT("scheduler.retries");
-    ++*retries;
+    ++admission->retries;
     std::this_thread::sleep_for(
         std::chrono::milliseconds(policy.BackoffMs(attempt, r.status())));
     ++attempt;
@@ -644,58 +604,27 @@ Status Evaluator::MaterializeView(const ast::Query& query,
   return Status::OK();
 }
 
-Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
+Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
+                                         AdmissionInfo* admission) {
   LYRIC_OBS_COUNT("evaluator.queries");
   created_classes_.clear();
-  if (options_.cache_capacity.has_value()) {
-    SolverCache::Global().set_capacity(*options_.cache_capacity);
-  }
 
   // -- Admission control (docs/ROBUSTNESS.md) -----------------------------
-  // Reconfigure the scheduler when any knob is set (0 clears a limit),
-  // then ask for a slot. A shed admission returns the typed kUnavailable
-  // error here — ExecuteWithRetry may retry it. Nested executions on this
-  // thread skip admission: the outer query's ticket covers them.
+  // A shed admission returns the typed kUnavailable error here —
+  // ExecuteWithRetry may retry it.
   exec::QueryScheduler& scheduler = options_.scheduler != nullptr
                                         ? *options_.scheduler
                                         : exec::QueryScheduler::Global();
-  if (options_.max_concurrent_queries.has_value() ||
-      options_.queue_capacity.has_value() ||
-      options_.queue_timeout_ms.has_value()) {
-    exec::SchedulerLimits slimits = scheduler.limits();
-    if (options_.max_concurrent_queries.has_value()) {
-      slimits.max_concurrent = *options_.max_concurrent_queries == 0
-                                   ? std::nullopt
-                                   : options_.max_concurrent_queries;
-    }
-    if (options_.queue_capacity.has_value()) {
-      slimits.queue_capacity = *options_.queue_capacity == 0
-                                   ? std::nullopt
-                                   : options_.queue_capacity;
-    }
-    if (options_.queue_timeout_ms.has_value()) {
-      slimits.queue_timeout_ms = *options_.queue_timeout_ms == 0
-                                     ? std::nullopt
-                                     : options_.queue_timeout_ms;
-    }
-    scheduler.Configure(slimits);
+  exec::AdmissionRequest request;
+  request.deadline_ms = options_.deadline_ms;
+  request.memory_budget = options_.memory_budget.value_or(0);
+  Result<exec::AdmissionTicket> ticket = scheduler.Admit(request);
+  if (!ticket.ok()) {
+    admission->mode = "shed";
+    return ticket.status();
   }
-  exec::AdmissionTicket ticket;
-  const bool outermost = t_admission_depth == 0;
-  if (outermost) {
-    exec::AdmissionRequest request;
-    request.deadline_ms = options_.deadline_ms;
-    request.memory_budget = options_.memory_budget.value_or(0);
-    Result<exec::AdmissionTicket> admitted = scheduler.Admit(request);
-    if (!admitted.ok()) {
-      t_eval_log.admission = "shed";
-      return admitted.status();
-    }
-    ticket = std::move(*admitted);
-    t_eval_log.admission = ticket.queued() ? "queued" : "direct";
-    t_eval_log.queue_wait_ns = ticket.queue_wait_ns();
-  }
-  AdmissionDepthScope admission_depth;
+  admission->mode = ticket->queued() ? "queued" : "direct";
+  admission->queue_wait_ns = ticket->queue_wait_ns();
   // Pre-flight: collect the full diagnostic set; any error aborts before
   // data is touched, warnings and §3 family notes ride on the ResultSet.
   std::vector<Diagnostic> preflight;
@@ -751,6 +680,14 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
   }
   LYRIC_OBS_COUNT_N("evaluator.bindings_enumerated", bindings.size());
 
+  // A governor trip anywhere below ends the scan with the rows committed
+  // so far; any other failure fails the query.
+  auto fail = [&](const Status& st) -> Result<ResultSet> {
+    if (token.has_value() && st.IsGovernorTrip()) {
+      return GovernedPartial(std::move(out), *token);
+    }
+    return st;
+  };
   for (const Binding& base : bindings) {
     // Governed scans check the token between bindings so queries whose
     // per-binding work never enters a kernel still cancel promptly.
@@ -759,78 +696,51 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query) {
       if (token->stopped()) return GovernedPartial(std::move(out), *token);
       token->AccountBinding();
     }
-    BindingOutcome outcome = EvalOneBinding(query, base, declared);
-    Result<bool> keep_going = CommitOutcome(query, std::move(outcome), &out);
-    if (!keep_going.ok()) {
-      if (token.has_value() && keep_going.status().IsGovernorTrip()) {
-        return GovernedPartial(std::move(out), *token);
-      }
-      return keep_going.status();
+    std::vector<Binding> survivors{base};
+    if (query.where) {
+      obs::Span span("where");
+      Result<std::vector<Binding>> r =
+          EvalWhere(*query.where, base, declared, 0);
+      if (!r.ok()) return fail(r.status());
+      survivors = std::move(*r);
     }
-    if (!*keep_going) return out;
+    // Deduplicate extensions.
+    std::sort(survivors.begin(), survivors.end());
+    survivors.erase(std::unique(survivors.begin(), survivors.end()),
+                    survivors.end());
+    LYRIC_OBS_COUNT_N("evaluator.bindings_survived", survivors.size());
+    LYRIC_OBS_COUNT_N("evaluator.bindings_filtered",
+                      survivors.empty() ? 1 : 0);
+    // Every survivor's SELECT rows are computed before any is committed,
+    // so a failure inside this binding commits none of its rows and
+    // materializes none of its view instances.
+    std::vector<std::vector<std::vector<Oid>>> rows(survivors.size());
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      obs::Span span("select");
+      Result<std::vector<std::vector<Oid>>> r =
+          EvalSelect(query, survivors[i], declared);
+      if (!r.ok()) return fail(r.status());
+      rows[i] = std::move(*r);
+    }
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      for (std::vector<Oid>& row : rows[i]) {
+        // Safety valve: stop at the limit instead of over-producing. The
+        // rows already collected are a correct prefix of the answer.
+        if (out.size() >= options_.max_rows) {
+          LYRIC_OBS_COUNT("evaluator.rows_truncated");
+          out.set_truncated(true);
+          return out;
+        }
+        if (query.is_view) {
+          Status st = MaterializeView(query, survivors[i], row);
+          if (!st.ok()) return fail(st);
+        }
+        out.AddRow(std::move(row));
+        LYRIC_OBS_COUNT("evaluator.rows_emitted");
+      }
+    }
   }
   return out;
-}
-
-Evaluator::BindingOutcome Evaluator::EvalOneBinding(
-    const ast::Query& query, const Binding& base,
-    const std::set<std::string>& declared) {
-  BindingOutcome outcome;
-  std::vector<Binding> survivors{base};
-  if (query.where) {
-    obs::Span span("where");
-    Result<std::vector<Binding>> r =
-        EvalWhere(*query.where, base, declared, 0);
-    if (!r.ok()) {
-      outcome.status = r.status();
-      return outcome;
-    }
-    survivors = std::move(*r);
-  }
-  // Deduplicate extensions.
-  std::sort(survivors.begin(), survivors.end());
-  survivors.erase(std::unique(survivors.begin(), survivors.end()),
-                  survivors.end());
-  LYRIC_OBS_COUNT_N("evaluator.bindings_survived", survivors.size());
-  LYRIC_OBS_COUNT_N("evaluator.bindings_filtered",
-                    survivors.empty() ? 1 : 0);
-  for (Binding& b : survivors) {
-    std::vector<std::vector<Oid>> rows;
-    {
-      obs::Span span("select");
-      Result<std::vector<std::vector<Oid>>> r = EvalSelect(query, b, declared);
-      if (!r.ok()) {
-        outcome.status = r.status();
-        return outcome;
-      }
-      rows = std::move(*r);
-    }
-    outcome.per_survivor.emplace_back(std::move(b), std::move(rows));
-  }
-  return outcome;
-}
-
-Result<bool> Evaluator::CommitOutcome(const ast::Query& query,
-                                      BindingOutcome outcome,
-                                      ResultSet* out) {
-  LYRIC_RETURN_NOT_OK(outcome.status);
-  for (auto& [binding, rows] : outcome.per_survivor) {
-    for (std::vector<Oid>& row : rows) {
-      // Safety valve: stop at the limit instead of over-producing. The
-      // rows already collected are a correct prefix of the answer.
-      if (out->size() >= options_.max_rows) {
-        LYRIC_OBS_COUNT("evaluator.rows_truncated");
-        out->set_truncated(true);
-        return false;
-      }
-      if (query.is_view) {
-        LYRIC_RETURN_NOT_OK(MaterializeView(query, binding, row));
-      }
-      out->AddRow(std::move(row));
-      LYRIC_OBS_COUNT("evaluator.rows_emitted");
-    }
-  }
-  return true;
 }
 
 }  // namespace lyric

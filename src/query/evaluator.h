@@ -60,10 +60,6 @@ struct EvalOptions {
   /// profile still only attaches to the ResultSet under collect_trace).
   /// Unset defaults to LYRIC_SLOW_MS; 0 disables promotion.
   std::optional<uint64_t> slow_ms;
-  /// When set, re-bounds the process-wide SolverCache before evaluation
-  /// (entries; 0 disables memoization). Unset leaves the global
-  /// configuration (LYRIC_CACHE_CAPACITY env, default 4096) alone.
-  std::optional<size_t> cache_capacity;
   /// -- Resource governor (docs/ROBUSTNESS.md) -------------------------
   /// Per-query limits, enforced cooperatively by the constraint kernels.
   /// A trip never fails the query: Execute returns an OK Result whose
@@ -83,26 +79,19 @@ struct EvalOptions {
   /// Cap on total DNF disjuncts materialized across the query.
   std::optional<uint64_t> max_disjuncts;
   /// -- Admission control (docs/ROBUSTNESS.md) -------------------------
-  /// Every Execute passes through the process-wide QueryScheduler before
-  /// evaluating: with no limits configured admission is free; with a cap
-  /// the query may queue or be shed with a typed kUnavailable +
-  /// retry-after. The three knobs below, when set,
-  /// reconfigure the scheduler (0 clears the corresponding limit) — the
-  /// same idiom as cache_capacity. Process defaults come from
-  /// LYRIC_MAX_CONCURRENT / LYRIC_QUEUE_CAPACITY / LYRIC_QUEUE_TIMEOUT_MS.
-  /// Cap on concurrently executing queries process-wide.
-  std::optional<uint64_t> max_concurrent_queries;
-  /// Cap on queries waiting for a slot (beyond it arrivals are shed).
-  std::optional<uint64_t> queue_capacity;
-  /// Max milliseconds an arrival may wait before being shed.
-  std::optional<uint64_t> queue_timeout_ms;
-  /// Test seam: admission goes through this scheduler instead of
-  /// QueryScheduler::Global() when set.
+  /// Every Execute passes through a QueryScheduler before evaluating:
+  /// with no limits configured admission is free; with a cap the query
+  /// may queue or be shed with a typed kUnavailable + retry-after. The
+  /// scheduler's limits are its own (QueryScheduler::Configure, or
+  /// LYRIC_MAX_CONCURRENT / LYRIC_QUEUE_CAPACITY / LYRIC_QUEUE_TIMEOUT_MS
+  /// for the global one); a query only declares its deadline and budget.
+  /// Admission goes through this scheduler when set (lyric_serverd's
+  /// flag-configured instance, tests), QueryScheduler::Global() otherwise.
   exec::QueryScheduler* scheduler = nullptr;
   /// Retry policy for transient (kUnavailable) Execute failures —
   /// admission sheds and injected transport faults. Unset defaults to
   /// RetryPolicy::FromEnv() (LYRIC_RETRY=retries[:base_ms[:seed]]; retry
-  /// disabled when the variable is unset).
+  /// disabled when the variable is unset or malformed).
   std::optional<exec::RetryPolicy> retry;
 };
 
@@ -123,38 +112,22 @@ class Evaluator {
   }
 
  private:
-  /// The WHERE/SELECT product of one FROM binding: every surviving
-  /// (extended) binding paired with its SELECT rows, in evaluation order;
-  /// `status` carries the first failure.
-  struct BindingOutcome {
-    Status status = Status::OK();
-    std::vector<std::pair<Binding, std::vector<std::vector<Oid>>>>
-        per_survivor;
-  };
-
   // The shared front door behind both public Execute overloads: installs
   // a trace session when needed (collect_trace, or a slow-query threshold
   // is armed), parses `text` when `parsed` is null, runs the retry loop,
-  // and appends one QueryLogRecord per outermost evaluation. Exactly one
-  // of text/parsed is non-null.
+  // and appends one QueryLogRecord. Exactly one of text/parsed is
+  // non-null.
   Result<ResultSet> ExecuteLogged(const std::string* text,
                                   const ast::Query* parsed);
-  // The untraced evaluation pipeline. Admission (scheduling) happens at
-  // the top of ExecuteImpl; ExecuteWithRetry retries transient failures
-  // (shed admissions, injected faults) under the configured RetryPolicy,
-  // counting retries into *retries for the query log.
+  // The untraced evaluation pipeline. ExecuteWithRetry retries transient
+  // failures (shed admissions, injected faults) under the configured
+  // RetryPolicy; ExecuteImpl asks the scheduler for a slot, then
+  // evaluates. Both record into `*admission`, which ExecuteLogged owns:
+  // the retry count, and the mode and queue wait of the last attempt.
   Result<ResultSet> ExecuteWithRetry(const ast::Query& query,
-                                     uint32_t* retries);
-  Result<ResultSet> ExecuteImpl(const ast::Query& query);
-  /// Runs WHERE + SELECT for one base binding (no ResultSet mutation, no
-  /// view materialization).
-  BindingOutcome EvalOneBinding(const ast::Query& query, const Binding& base,
-                                const std::set<std::string>& declared);
-  /// Commits one outcome's rows into `out` in order; returns false when
-  /// the result hit max_rows (caller stops committing). Runs view
-  /// materialization for view queries.
-  Result<bool> CommitOutcome(const ast::Query& query, BindingOutcome outcome,
-                             ResultSet* out);
+                                     AdmissionInfo* admission);
+  Result<ResultSet> ExecuteImpl(const ast::Query& query,
+                                AdmissionInfo* admission);
   Result<std::vector<Binding>> EnumerateFrom(const ast::Query& query) const;
   Result<std::vector<Binding>> EvalWhere(const ast::WhereExpr& where,
                                          const Binding& binding,

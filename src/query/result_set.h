@@ -21,7 +21,9 @@ namespace lyric {
 /// facts, not part of the deterministic answer — differential tests
 /// compare results without them.
 struct AdmissionInfo {
-  /// "off" (no scheduling), "direct", or "queued".
+  /// "direct" or "queued" on a result. The query log also records "shed"
+  /// (retries ran out) and "off" (the query never reached admission,
+  /// e.g. a parse error).
   std::string mode = "off";
   /// Time spent parked in the scheduler's wait queue (0 for direct).
   uint64_t queue_wait_ns = 0;
@@ -91,8 +93,7 @@ class ResultSet {
   }
 
   /// The admission-control record of the evaluation (mode, queue wait,
-  /// retries). Default-constructed ("off") for
-  /// nested evaluations — only the outermost Execute is scheduled.
+  /// retries). Evaluator::Execute sets it on every result it returns.
   const AdmissionInfo& admission() const { return admission_; }
   void set_admission(AdmissionInfo admission) {
     admission_ = std::move(admission);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/string_util.h"
 #include "util/sync.h"
 
 namespace lyric {
@@ -73,16 +74,17 @@ bool ParseSpec(const std::string& spec,
                                                       : c2 - c1 - 1);
     char* parse_end = nullptr;
     double prob = std::strtod(prob_text.c_str(), &parse_end);
-    if (parse_end == prob_text.c_str() || *parse_end != '\0' || prob < 0.0 ||
-        prob > 1.0) {
+    // Written so NaN fails too: its cast to the uint64 threshold below
+    // would be undefined.
+    if (parse_end == prob_text.c_str() || *parse_end != '\0' ||
+        !(prob >= 0.0 && prob <= 1.0)) {
       return false;
     }
     uint64_t seed = 0;
     if (c2 != std::string::npos) {
-      const std::string seed_text = clause.substr(c2 + 1);
-      parse_end = nullptr;
-      seed = std::strtoull(seed_text.c_str(), &parse_end, 10);
-      if (parse_end == seed_text.c_str() || *parse_end != '\0') return false;
+      const std::optional<uint64_t> parsed = ParseUint64(clause.substr(c2 + 1));
+      if (!parsed.has_value()) return false;
+      seed = *parsed;
     }
     uint64_t threshold =
         prob >= 1.0 ? ~uint64_t{0}

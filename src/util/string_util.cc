@@ -43,4 +43,19 @@ std::optional<uint64_t> EnvUint64(const char* name) {
   return ParseUint64(text);
 }
 
+std::optional<uint64_t> SplitNumericSuffix(std::string_view spec,
+                                           std::string* path) {
+  const size_t colon = spec.rfind(':');
+  const bool has_suffix =
+      colon != std::string_view::npos && colon + 1 < spec.size() &&
+      spec.find_first_not_of("0123456789", colon + 1) ==
+          std::string_view::npos;
+  if (!has_suffix) {
+    path->assign(spec);
+    return std::nullopt;
+  }
+  path->assign(spec.substr(0, colon));
+  return ParseUint64(spec.substr(colon + 1));
+}
+
 }  // namespace lyric

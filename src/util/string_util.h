@@ -29,6 +29,13 @@ std::optional<uint64_t> ParseUint64(std::string_view text);
 /// it is unset or malformed.
 std::optional<uint64_t> EnvUint64(const char* name);
 
+/// Splits a "path[:N]" spec. When the text after the last ':' is one or
+/// more decimal digits, *path gets the text before that ':' and the
+/// result is N parsed by ParseUint64 (nullopt when out of range).
+/// Otherwise *path gets all of `spec` and the result is nullopt.
+std::optional<uint64_t> SplitNumericSuffix(std::string_view spec,
+                                           std::string* path);
+
 }  // namespace lyric
 
 #endif  // LYRIC_UTIL_STRING_UTIL_H_

@@ -131,10 +131,6 @@ enum class LockRank : int {
   /// SolverCache per-shard LRU + index (constraint/solver_cache.h).
   /// Only one shard lock is ever held at a time (shards never nest).
   kCacheShard = 35,
-  /// CancellationToken trip-site string (exec/governor.h). Ranked after
-  /// the cache shard: tombstone hits call ForceTrip under the shard
-  /// lock.
-  kGovernor = 40,
   /// obs::Registry metric maps (obs/metrics.h). Ranked after every
   /// subsystem lock so counters/gauges may be resolved under them, and
   /// before the sinks.

@@ -1,12 +1,13 @@
 // Cross-subsystem concurrency stress (ISSUE 7): hammer every lock in the
 // docs/CONCURRENCY.md hierarchy at once — governed query execution
-// (scheduler, solver cache, governor, variable interner),
-// Prometheus exposition (registry), query-log appends with a rotating
-// sink, and tombstone churn (the cache-shard -> governor ForceTrip
-// nesting plus wholesale Clear()). With LYRIC_RANK_CHECK on (the
-// default) any lock-order inversion on any interleaving aborts the
-// binary; under the CI TSan job the same schedule is race-checked.
-// Answers from governed runs must still match a serial baseline.
+// (scheduler, solver cache, variable interner), Prometheus exposition
+// (registry), query-log appends with a rotating sink, and governed trips
+// racing wholesale cache Clear(). Each query's CancellationToken is
+// owned by the thread evaluating it, so many tokens trip at once with
+// no sharing. With LYRIC_RANK_CHECK on (the default) any lock-order
+// inversion on any interleaving aborts the binary; under the CI TSan job
+// the same schedule is race-checked. Answers from governed runs must
+// still match a serial baseline.
 
 #include <gtest/gtest.h>
 
@@ -78,9 +79,8 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
   std::atomic<uint64_t> governed_ok{0};
   std::atomic<uint64_t> tripped{0};
 
-  // 1) Governed executors: correct answers required. deadline-only
-  //    limits, so pivot tombstones stored by the churners are ignored
-  //    (LookupTombstone only dooms budgets <= the one that tripped).
+  // 1) Governed executors: correct answers required, under deadline-only
+  //    limits that never trip.
   std::vector<std::thread> workers;
   constexpr int kExecutors = 4;
   for (int id = 0; id < kExecutors; ++id) {
@@ -101,11 +101,10 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
     });
   }
 
-  // 2) Tombstone churners: entailment forces simplex runs, and a
-  //    one-pivot budget trips the governor on the first one, storing a
-  //    tombstone; the next iteration hits it (ForceTrip runs under the
-  //    cache-shard lock — the deepest cross-subsystem nesting in the
-  //    hierarchy). Trips surface as a degraded result, not an error.
+  // 2) Trip churners: entailment forces simplex runs, and a one-pivot
+  //    budget trips the governor on the first one, mid-way through
+  //    cache lookups and stores the executors share. Trips surface as a
+  //    degraded result, not an error, and store nothing.
   constexpr int kChurners = 2;
   for (int id = 0; id < kChurners; ++id) {
     workers.emplace_back([&] {
@@ -148,7 +147,7 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
   });
 
   // 5) Cache churn: wholesale Clear() sweeps every shard in sequence
-  //    while lookups, stores, and tombstone hits race against it.
+  //    while lookups and stores race against it.
   workers.emplace_back([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       SolverCache::Global().Clear();
@@ -165,7 +164,7 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
          "invariant broke) under contention";
   EXPECT_GT(governed_ok.load(), 0u);
   EXPECT_GT(tripped.load(), 0u) << "the one-pivot budget never tripped — "
-                                   "tombstone churn did not run";
+                                   "the trip churners did not run";
 
   // The storm really flowed through the log and the registry.
   EXPECT_GT(obs::QueryLog::Global().total_appended(),

@@ -45,6 +45,8 @@ TEST_F(FaultTest, RejectsMalformedSpecsAndStaysOnPreviousConfig) {
   EXPECT_FALSE(fault::ConfigureForTesting("site:1.5"));       // prob > 1
   EXPECT_FALSE(fault::ConfigureForTesting("site:-0.1"));      // prob < 0
   EXPECT_FALSE(fault::ConfigureForTesting("site:abc"));       // not a number
+  EXPECT_FALSE(fault::ConfigureForTesting("site:nan"));       // not in [0, 1]
+  EXPECT_FALSE(fault::ConfigureForTesting("site:0.5:-1"));    // signed seed
   EXPECT_FALSE(fault::ConfigureForTesting("site:0.5:seed"));  // bad seed
   // The last good configuration survives a rejected spec.
   EXPECT_TRUE(fault::Enabled());

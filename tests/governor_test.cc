@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 
 #include "constraint/solver_cache.h"
@@ -127,6 +128,21 @@ TEST_F(GovernorTest, ShortDeadlineExpiresOnTheClock) {
   EXPECT_TRUE(token.CheckDeadline("deadline.site"));
   EXPECT_TRUE(token.ToStatus().IsDeadlineExceeded());
   EXPECT_GE(token.Report().elapsed_ms, 1u);
+}
+
+TEST_F(GovernorTest, HugeDeadlinesSaturateInsteadOfTripping) {
+  // A deadline past what the clock can hold clamps to "never": it must
+  // not wrap into the past (UINT64_MAX) or overflow the nanosecond
+  // conversion (1 << 62), and so never trips sooner than a smaller one.
+  for (uint64_t ms :
+       {std::numeric_limits<uint64_t>::max(), uint64_t{1} << 62}) {
+    GovernorLimits limits;
+    limits.deadline_ms = ms;
+    CancellationToken token(limits);
+    EXPECT_FALSE(token.CheckDeadline("deadline.site")) << ms;
+    EXPECT_TRUE(token.Check("later.site").ok()) << ms;
+    EXPECT_EQ(token.tripped_kind(), LimitKind::kNone) << ms;
+  }
 }
 
 TEST_F(GovernorTest, ScopesNestAndRestore) {

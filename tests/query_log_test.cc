@@ -16,6 +16,7 @@
 #include "obs/query_log.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
+#include "util/fault.h"
 
 namespace lyric {
 namespace {
@@ -46,6 +47,7 @@ class QueryLogTest : public ::testing::Test {
     obs::QueryLog::Global().ClearForTesting();
   }
   void TearDown() override {
+    ASSERT_TRUE(fault::ConfigureForTesting(""));
     obs::QueryLog::Global().ConfigureSink("", 0);
     obs::QueryLog::Global().ClearForTesting();
   }
@@ -188,6 +190,53 @@ TEST_F(QueryLogTest, EvaluatorAppendsOneRecordPerQuery) {
   rec = log.Recent(1).front();
   EXPECT_NE(rec.status, "ok");
   EXPECT_EQ(rec.rows, 0u);
+  // It never reached admission.
+  EXPECT_EQ(rec.admission, "off");
+  EXPECT_EQ(rec.retries, 0u);
+}
+
+TEST_F(QueryLogTest, AdmissionFactsAgreeBetweenResultAndRecord) {
+  Database db;
+  auto ids = office::BuildOfficeDatabase(&db);
+  ASSERT_TRUE(ids.ok()) << ids.status();
+  obs::QueryLog& log = obs::QueryLog::Global();
+  const std::string query = "SELECT X FROM Desk X";
+  exec::RetryPolicy policy;
+  policy.max_retries = 32;
+  policy.base_backoff_ms = 1;
+  policy.max_backoff_ms = 2;
+  EvalOptions opts;
+  opts.retry = policy;
+
+  // Seeded sheds absorbed by the retry loop: the result and its record
+  // carry the same retry count, and the mode of the attempt that ran.
+  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:0.5:3"));
+  Evaluator ev(&db, opts);
+  uint32_t total_retries = 0;
+  for (int i = 0; i < 8; ++i) {
+    auto r = ev.Execute(query);
+    ASSERT_TRUE(r.ok()) << r.status();
+    const obs::QueryLogRecord rec = log.Recent(1).front();
+    EXPECT_EQ(rec.retries, r->admission().retries);
+    EXPECT_EQ(rec.admission, r->admission().mode);
+    EXPECT_EQ(rec.admission, "direct");
+    EXPECT_EQ(rec.queue_wait_ns, r->admission().queue_wait_ns);
+    total_retries += r->admission().retries;
+  }
+  EXPECT_GT(total_retries, 0u) << "the seeded fault never shed";
+
+  // Every attempt shed: the record says "shed" after max_retries retries.
+  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:1.0"));
+  policy.max_retries = 3;
+  opts.retry = policy;
+  Evaluator shed_ev(&db, opts);
+  auto shed = shed_ev.Execute(query);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_TRUE(shed.status().IsUnavailable()) << shed.status();
+  const obs::QueryLogRecord rec = log.Recent(1).front();
+  EXPECT_EQ(rec.admission, "shed");
+  EXPECT_EQ(rec.retries, 3u);
+  EXPECT_EQ(rec.status, StatusCodeToString(StatusCode::kUnavailable));
 }
 
 TEST_F(QueryLogTest, SlowThresholdPromotesStageProfile) {

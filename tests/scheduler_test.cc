@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,32 @@ TEST(SchedulerTest, DeclaredDeadlineExpiresWhileQueued) {
   EXPECT_NE(shed.status().message().find("deadline expired"),
             std::string::npos);
   EXPECT_EQ(sched.stats().expired, 1u);
+}
+
+TEST(SchedulerTest, HugeDeclaredDeadlineWaitsForItsGrant) {
+  // A declared deadline past what the clock can hold saturates to
+  // "never": the arrival queues and waits for its grant instead of being
+  // shed as expired on arrival.
+  for (uint64_t ms :
+       {uint64_t{1} << 62, std::numeric_limits<uint64_t>::max()}) {
+    SchedulerLimits limits;
+    limits.max_concurrent = 1;
+    QueryScheduler sched(limits);
+    auto held = sched.Admit(Req());
+    ASSERT_TRUE(held.ok());
+    std::atomic<bool> granted{false};
+    std::thread waiter([&] {
+      auto t = sched.Admit(Req(ms));
+      EXPECT_TRUE(t.ok()) << t.status();
+      granted.store(t.ok() && t->queued());
+    });
+    const bool queued = sched.WaitForWaiters(1, 1000);
+    held->Release();
+    waiter.join();
+    EXPECT_TRUE(queued) << ms;
+    EXPECT_TRUE(granted.load()) << ms;
+    EXPECT_EQ(sched.stats().expired, 0u) << ms;
+  }
 }
 
 TEST(SchedulerTest, QueueGrantsAreFifoWithinDeadline) {
@@ -253,6 +280,32 @@ TEST(SchedulerTest, RetryPolicyOnlyRetriesUnavailable) {
   EXPECT_FALSE(policy.ShouldRetry(Status::OK(), 0));
   RetryPolicy off;  // Default: disabled.
   EXPECT_FALSE(off.ShouldRetry(shed, 0));
+}
+
+TEST(SchedulerTest, RetryPolicySpecParse) {
+  // LYRIC_RETRY=retries[:base_ms[:seed]].
+  std::optional<RetryPolicy> p = RetryPolicy::Parse("8");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->max_retries, 8u);
+  EXPECT_EQ(p->base_backoff_ms, RetryPolicy{}.base_backoff_ms);
+  EXPECT_EQ(p->seed, 0u);
+  p = RetryPolicy::Parse("16:1:42");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->max_retries, 16u);
+  EXPECT_EQ(p->base_backoff_ms, 1u);
+  EXPECT_EQ(p->seed, 42u);
+  p = RetryPolicy::Parse("3:0");  // A zero base keeps the default.
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->base_backoff_ms, RetryPolicy{}.base_backoff_ms);
+  p = RetryPolicy::Parse("4294967295");
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->max_retries, 4294967295u);
+  // Malformed specs are rejected whole: "-1" must not wrap to 2^32 - 1
+  // retries, and "8x" must not read as 8.
+  for (const char* bad : {"", "-1", "8x", " 8", "+8", "8:", ":1", "8:1:2:3",
+                          "8:-1", "8:1:x", "4294967296"}) {
+    EXPECT_FALSE(RetryPolicy::Parse(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(SchedulerTest, BackoffIsDeterministicCappedAndJittered) {

@@ -16,11 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "constraint/solver_cache.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/server.h"
@@ -214,7 +216,8 @@ TEST(ServerE2E, PartialTrailerTravels) {
   // The governor report counts pivots actually spent, and a solver-cache
   // hit spends none — disable memoization on both sides so the counts in
   // the compared reports are run-order independent.
-  sopts.eval.cache_capacity = 0;
+  const size_t cache_capacity = SolverCache::Global().capacity();
+  SolverCache::Global().set_capacity(0);
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -223,7 +226,6 @@ TEST(ServerE2E, PartialTrailerTravels) {
       "WHERE O.location[L] and L(x, y) |= x <= 12";
   EvalOptions direct;
   direct.max_pivots = 20;
-  direct.cache_capacity = 0;
   net::QueryResponse want = DirectEval(&db, query, direct);
   ASSERT_TRUE(want.status.ok());
   ASSERT_NE(want.governor_code, 0) << "budget did not trip; raise the scale";
@@ -237,6 +239,29 @@ TEST(ServerE2E, PartialTrailerTravels) {
   EXPECT_EQ(StripElapsed(resp->Fingerprint()), StripElapsed(want.Fingerprint()));
   EXPECT_EQ(StripElapsed(resp->governor_report),
             StripElapsed(want.governor_report));
+  server.Stop();
+  SolverCache::Global().set_capacity(cache_capacity);
+}
+
+TEST(ServerE2E, HugeDeadlineIsUnlimited) {
+  // Any u64 a client sends as deadline_ms must behave: past what the
+  // clock can hold it saturates to "never", so the answer is the
+  // byte-identical unlimited one, not an instant deadline partial.
+  Database db = MakeDb(0);
+  net::Server server(&db, net::ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  net::ClientOptions copts = TestClientOptions(server.port());
+  copts.deadline_ms = std::numeric_limits<uint64_t>::max();
+  net::Client client(copts);
+  for (const char* query : kSuite) {
+    Result<net::QueryResponse> resp = client.Execute(query);
+    ASSERT_TRUE(resp.ok()) << query << " -> " << resp.status();
+    EXPECT_EQ(resp->governor_code, 0) << query;
+    EXPECT_EQ(resp->Fingerprint(),
+              DirectEval(&db, query, EvalOptions{}).Fingerprint())
+        << query;
+  }
   server.Stop();
 }
 

@@ -54,7 +54,7 @@ TEST_F(ServerFaultTest, ServerKeepsServingThroughFaults) {
   exec::QueryScheduler scheduler(limits);
 
   net::ServerOptions sopts;
-  sopts.scheduler = &scheduler;
+  sopts.eval.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 

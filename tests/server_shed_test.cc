@@ -46,7 +46,7 @@ TEST(ServerShed, ShedCarriesRetryAfterOverTheWire) {
   exec::QueryScheduler scheduler(limits);
 
   net::ServerOptions sopts;
-  sopts.scheduler = &scheduler;
+  sopts.eval.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 
@@ -111,7 +111,7 @@ TEST(ServerShed, RetryPolicyConsumesHintsAndSucceeds) {
   exec::QueryScheduler scheduler(limits);
 
   net::ServerOptions sopts;
-  sopts.scheduler = &scheduler;
+  sopts.eval.scheduler = &scheduler;
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 

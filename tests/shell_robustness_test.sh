@@ -75,6 +75,16 @@ rc=$?
 echo "$out" | grep -q "row" \
   || fail "retry policy did not recover the shed query: $out"
 
+# 4d. Numeric arguments and variables parse strictly: "-1" is malformed,
+#     not 2^64 - 1 (a cache that never evicts). A malformed argument
+#     prints the usage; a malformed variable reads as unset.
+out=$(printf '.cache -1\n.quit\n' | "$SHELL_BIN" 2>&1)
+echo "$out" | grep -q "usage: .cache" \
+  || fail ".cache -1 did not print the usage: $out"
+out=$(printf '.cache\n.quit\n' | LYRIC_CACHE_CAPACITY=-1 "$SHELL_BIN" 2>&1)
+echo "$out" | grep -q "size=0/4096" \
+  || fail "LYRIC_CACHE_CAPACITY=-1 did not fall back to 4096: $out"
+
 # 5. lyric_check per-file firewall: a batch with a bad file reports and
 #    keeps going (non-zero exit, no crash signal).
 if [ -n "$CHECK_BIN" ]; then

@@ -1,5 +1,5 @@
 // String helpers: ParseUint64 accepts exactly the decimal digits of a
-// uint64 and nothing else.
+// uint64 and nothing else; SplitNumericSuffix splits "path[:N]" specs.
 
 #include "util/string_util.h"
 
@@ -36,6 +36,25 @@ TEST(ParseUint64Test, EnvUint64ReadsTheVariable) {
   EXPECT_FALSE(EnvUint64("LYRIC_STRING_UTIL_TEST").has_value());
   ::unsetenv("LYRIC_STRING_UTIL_TEST");
   EXPECT_FALSE(EnvUint64("LYRIC_STRING_UTIL_TEST").has_value());
+}
+
+TEST(SplitNumericSuffixTest, SplitsPathAndDigitSuffix) {
+  // The LYRIC_QUERY_LOG / LYRIC_METRICS_OUT "path[:N]" form.
+  std::string path;
+  EXPECT_EQ(SplitNumericSuffix("/tmp/q.jsonl:4096", &path), 4096u);
+  EXPECT_EQ(path, "/tmp/q.jsonl");
+  EXPECT_EQ(SplitNumericSuffix("a:b:0", &path), 0u);
+  EXPECT_EQ(path, "a:b");
+  // Only the last ':' counts, and only an all-digit suffix splits.
+  for (const char* whole : {"/tmp/q.jsonl", "q:", "q:12x", "q:-1", "c:\\q",
+                            "host:port", ""}) {
+    EXPECT_FALSE(SplitNumericSuffix(whole, &path).has_value()) << whole;
+    EXPECT_EQ(path, whole);
+  }
+  // A digit suffix past 2^64 - 1 still splits off, but reads as unset.
+  EXPECT_FALSE(
+      SplitNumericSuffix("q.prom:18446744073709551616", &path).has_value());
+  EXPECT_EQ(path, "q.prom");
 }
 
 }  // namespace

@@ -198,15 +198,13 @@ TEST(SyncRankDeathTest, AssertHeldAbortsWhenNotHeld) {
 
 TEST(SyncRankDeathTest, CorrectOrderDoesNotAbort) {
   // Descending the documented hierarchy is legal: scheduler -> cache
-  // shard -> governor -> registry -> query log -> fault config.
+  // shard -> registry.
   Mutex sched(LockRank::kScheduler, "ok_sched");
   Mutex shard(LockRank::kCacheShard, "ok_shard");
-  Mutex gov(LockRank::kGovernor, "ok_gov");
   Mutex reg(LockRank::kObsRegistry, "ok_reg");
   MutexLock l1(sched);
   MutexLock l2(shard);
-  MutexLock l3(gov);
-  MutexLock l4(reg);
+  MutexLock l3(reg);
   reg.AssertHeld();
   sched.AssertHeld();
 }

@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
     target_port = static_cast<uint16_t>(*port);
   } else {
     lyric::net::ServerOptions server_options;
-    server_options.scheduler = &scheduler;
+    server_options.eval.scheduler = &scheduler;
     server = std::make_unique<lyric::net::Server>(&db, server_options);
     Status st = server->Start();
     if (!st.ok()) {

@@ -67,6 +67,7 @@
 #include "storage/file_io.h"
 #include "storage/paged_store.h"
 #include "storage/serializer.h"
+#include "util/deadline.h"
 #include "util/string_util.h"
 
 namespace {
@@ -336,7 +337,7 @@ int main(int argc, char** argv) {
   // 0 means "keep the evaluator default" — EvalOptions itself treats 0
   // literally (max_rows = 0 rejects every row).
   if (opt.max_rows > 0) sopts.eval.max_rows = opt.max_rows;
-  if (limits.Any()) sopts.scheduler = &scheduler;
+  if (limits.Any()) sopts.eval.scheduler = &scheduler;
   sopts.store = store.get();
 
   lyric::net::Server server(&db, sopts);
@@ -371,8 +372,8 @@ int main(int argc, char** argv) {
   // linger until the (now shed-only) clients hang up, so their last
   // response is never cut off mid-write by Stop. Both phases share the
   // deadline and abort on a second signal.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(opt.drain_deadline_ms);
+  const auto deadline = lyric::DeadlineAfterMs(
+      std::chrono::steady_clock::now(), opt.drain_deadline_ms);
   bool forced = false;
   for (;;) {
     const bool idle = server.in_flight_queries() == 0 &&

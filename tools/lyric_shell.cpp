@@ -41,7 +41,6 @@
 // (including std::bad_alloc) reports an error and returns to the prompt
 // with the database intact, instead of killing the session.
 
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -152,14 +151,13 @@ void SetLimit(const std::string& cmd, const std::string& arg,
     std::cout << cmd << " = off\n";
     return;
   }
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(arg.c_str(), &end, 10);
-  if (end == arg.c_str() || *end != '\0' || n == 0) {
+  const std::optional<uint64_t> n = ParseUint64(arg);
+  if (!n.has_value() || *n == 0) {
     std::cout << "usage: " << cmd << " [N|off]\n";
     return;
   }
-  *limit = static_cast<uint64_t>(n);
-  std::cout << cmd << " = " << n << unit << "\n";
+  *limit = n;
+  std::cout << cmd << " = " << *n << unit << "\n";
 }
 
 std::string LimitToString(const std::optional<uint64_t>& v,
@@ -302,13 +300,12 @@ int main(int argc, char** argv) {
         size_t n = 10;
         bool ok_arg = true;
         if (!arg.empty()) {
-          char* end = nullptr;
-          unsigned long long v = std::strtoull(arg.c_str(), &end, 10);
-          if (end == arg.c_str() || *end != '\0' || v == 0) {
+          const std::optional<uint64_t> v = ParseUint64(arg);
+          if (!v.has_value() || *v == 0) {
             std::cout << "usage: .log [N]\n";
             ok_arg = false;
           } else {
-            n = static_cast<size_t>(v);
+            n = static_cast<size_t>(*v);
           }
         }
         if (ok_arg) {
@@ -337,16 +334,22 @@ int main(int argc, char** argv) {
           std::cout << "admission control off\n";
         } else {
           std::istringstream as(arg);
-          uint64_t max_concurrent = 0;
-          if (!(as >> max_concurrent) || max_concurrent == 0) {
+          std::vector<uint64_t> values;
+          bool valid = true;
+          for (std::string word; as >> word;) {
+            const std::optional<uint64_t> v = ParseUint64(word);
+            valid = valid && v.has_value();
+            values.push_back(v.value_or(0));
+          }
+          if (!valid || values.empty() || values.size() > 3 ||
+              values[0] == 0) {
             std::cout << "usage: .admit [MAX [QUEUE [TIMEOUT_MS]]] | "
                          ".admit off\n";
           } else {
             exec::SchedulerLimits sl = sched.limits();
-            sl.max_concurrent = max_concurrent;
-            uint64_t queue = 0, timeout = 0;
-            if (as >> queue) sl.queue_capacity = queue;
-            if (as >> timeout) sl.queue_timeout_ms = timeout;
+            sl.max_concurrent = values[0];
+            if (values.size() > 1) sl.queue_capacity = values[1];
+            if (values.size() > 2) sl.queue_timeout_ms = values[2];
             sched.Configure(sl);
             std::cout << "admit: max_concurrent = "
                       << LimitToString(sl.max_concurrent, "")
@@ -364,12 +367,11 @@ int main(int argc, char** argv) {
           cache.Clear();
           std::cout << "cache cleared\n";
         } else {
-          char* end = nullptr;
-          unsigned long long n = std::strtoull(arg.c_str(), &end, 10);
-          if (end == arg.c_str() || *end != '\0') {
+          const std::optional<uint64_t> n = ParseUint64(arg);
+          if (!n.has_value()) {
             std::cout << "usage: .cache | .cache CAPACITY | .cache clear\n";
           } else {
-            cache.set_capacity(static_cast<size_t>(n));
+            cache.set_capacity(static_cast<size_t>(*n));
             std::cout << cache.stats().ToString() << "\n";
           }
         }
