@@ -54,8 +54,16 @@ void BM_LoadDatabase(benchmark::State& state) {
     benchmark::DoNotOptimize(st);
   }
   state.counters["objects"] = static_cast<double>(db.ObjectCount());
+  state.counters["bytes"] = static_cast<double>(text.size());
 }
-BENCHMARK(BM_LoadDatabase)->Arg(4)->Arg(16)->Arg(64);
+// The large points show whether loading stays linear in the dump.
+BENCHMARK(BM_LoadDatabase)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RoundTrip(benchmark::State& state) {
   Database db = MakeDb(static_cast<int>(state.range(0)));

@@ -219,11 +219,14 @@ bool Analyzer::CheckArith(const ast::ArithExpr& expr, const Scope& scope,
       return true;
     }
     case Kind::kNeg:
-      return CheckArith(*expr.lhs, scope, report);
-    default:
-      return CheckArith(*expr.lhs, scope, report) &&
-             CheckArith(*expr.rhs, scope, report);
+    case Kind::kSum:
+    case Kind::kProduct:
+      for (const ast::ArithExpr& operand : expr.operands) {
+        if (!CheckArith(operand, scope, report)) return false;
+      }
+      return true;
   }
+  return true;
 }
 
 bool Analyzer::CheckFormula(const ast::Formula& formula, const Scope& scope,

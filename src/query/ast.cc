@@ -8,6 +8,44 @@ std::string NameOrLiteralToString(const NameOrLiteral& n) {
   return n.kind == NameOrLiteral::Kind::kName ? n.name
                                               : n.literal.ToString();
 }
+
+void AppendArith(const ArithExpr& e, std::string* out);
+
+// "((o0 op1 o1) op2 o2)" for the first `n` operands of a chain.
+void AppendChain(const ArithExpr& e, size_t n, std::string* out) {
+  out->append(n - 1, '(');
+  AppendArith(e.operands[0], out);
+  for (size_t i = 1; i < n; ++i) {
+    *out += ' ';
+    *out += e.operands[i].op;
+    *out += ' ';
+    AppendArith(e.operands[i], out);
+    *out += ')';
+  }
+}
+
+void AppendArith(const ArithExpr& e, std::string* out) {
+  switch (e.kind) {
+    case ArithExpr::Kind::kConst:
+      *out += e.constant.ToString();
+      return;
+    case ArithExpr::Kind::kName:
+      *out += e.name;
+      return;
+    case ArithExpr::Kind::kPath:
+      *out += e.path->ToString();
+      return;
+    case ArithExpr::Kind::kNeg:
+      *out += "(-";
+      AppendArith(e.operands[0], out);
+      *out += ')';
+      return;
+    case ArithExpr::Kind::kSum:
+    case ArithExpr::Kind::kProduct:
+      AppendChain(e, e.operands.size(), out);
+      return;
+  }
+}
 }  // namespace
 
 std::string PathExpr::ToString() const {
@@ -22,25 +60,15 @@ std::string PathExpr::ToString() const {
 }
 
 std::string ArithExpr::ToString() const {
-  switch (kind) {
-    case Kind::kConst:
-      return constant.ToString();
-    case Kind::kName:
-      return name;
-    case Kind::kPath:
-      return path->ToString();
-    case Kind::kAdd:
-      return "(" + lhs->ToString() + " + " + rhs->ToString() + ")";
-    case Kind::kSub:
-      return "(" + lhs->ToString() + " - " + rhs->ToString() + ")";
-    case Kind::kMul:
-      return "(" + lhs->ToString() + " * " + rhs->ToString() + ")";
-    case Kind::kDiv:
-      return "(" + lhs->ToString() + " / " + rhs->ToString() + ")";
-    case Kind::kNeg:
-      return "(-" + lhs->ToString() + ")";
-  }
-  return "?";
+  std::string out;
+  AppendArith(*this, &out);
+  return out;
+}
+
+std::string ArithExpr::PrefixToString(size_t n) const {
+  std::string out;
+  AppendChain(*this, n, &out);
+  return out;
 }
 
 std::string Formula::ToString() const {

@@ -70,19 +70,30 @@ struct PathExpr {
 };
 
 /// Pseudo-linear arithmetic expressions (§4.2): constants, constraint
-/// variables, path expressions denoting numbers, and +,-,*,/ where the
-/// formula is linear once paths are instantiated.
+/// variables, path expressions denoting numbers, negation, and n-ary sums
+/// and products, linear once paths are instantiated.
+///
+/// A chain `a - b + c` is one kSum node and `a * b / c` one kProduct node
+/// with operands [a, b, c], folded left to right: each operand's `op` is
+/// the operator joining it to the operands before it ('+' or '-' in a
+/// sum, '*' or '/' in a product; the first operand has '+' or '*'). A
+/// parenthesized chain is a single operand. Walkers therefore loop over a
+/// chain, and an expression nests only as deep as the parser's nesting
+/// bound, however long its chains are.
 struct ArithExpr {
-  enum class Kind { kConst, kName, kPath, kAdd, kSub, kMul, kDiv, kNeg };
+  enum class Kind { kConst, kName, kPath, kNeg, kSum, kProduct };
   Kind kind = Kind::kConst;
-  Rational constant;                 // kConst
-  std::string name;                  // kName (constraint or query variable)
-  std::unique_ptr<PathExpr> path;    // kPath
-  std::unique_ptr<ArithExpr> lhs;
-  std::unique_ptr<ArithExpr> rhs;    // Unused for kNeg.
+  char op = 0;                           // Operand of a kSum / kProduct.
+  Rational constant;                     // kConst
+  std::string name;                      // kName (constraint or query variable)
+  std::shared_ptr<const PathExpr> path;  // kPath
+  std::vector<ArithExpr> operands;       // kNeg: one; kSum / kProduct: 2+.
   size_t offset = 0;  // Byte offset of the expression's first token.
 
+  /// Fully parenthesized text, e.g. "((1 + 2) - x)".
   std::string ToString() const;
+  /// The text of the chain of this kSum / kProduct's first `n` operands.
+  std::string PrefixToString(size_t n) const;
 };
 
 /// CST formulas: atoms, boolean structure, CST-object predicate uses, and

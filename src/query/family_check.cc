@@ -119,14 +119,9 @@ std::set<std::string> FamilyChecker::FreeConstraintVars(
                 if (!declared_->count(e.name)) out.insert(e.name);
                 break;
               case AK::kNeg:
-                walk(*e.lhs);
-                break;
-              case AK::kAdd:
-              case AK::kSub:
-              case AK::kMul:
-              case AK::kDiv:
-                walk(*e.lhs);
-                walk(*e.rhs);
+              case AK::kSum:
+              case AK::kProduct:
+                for (const ast::ArithExpr& operand : e.operands) walk(operand);
                 break;
               default:
                 break;

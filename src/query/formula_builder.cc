@@ -55,36 +55,48 @@ Result<LinearExpr> FormulaBuilder::BuildArith(const ast::ArithExpr& expr,
       return LinearExpr::Constant(tail.AsNumeric());
     }
     case Kind::kNeg: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr e, BuildArith(*expr.lhs, binding));
+      LYRIC_ASSIGN_OR_RETURN(LinearExpr e,
+                             BuildArith(expr.operands[0], binding));
       return -e;
     }
-    case Kind::kAdd:
-    case Kind::kSub: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, BuildArith(*expr.lhs, binding));
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr b, BuildArith(*expr.rhs, binding));
-      return expr.kind == Kind::kAdd ? a + b : a - b;
-    }
-    case Kind::kMul: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, BuildArith(*expr.lhs, binding));
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr b, BuildArith(*expr.rhs, binding));
-      // Pseudo-linearity (§4.2): one factor must be constant.
-      if (a.IsConstant()) return b.Scale(a.constant());
-      if (b.IsConstant()) return a.Scale(b.constant());
-      return Status::TypeError(
-          "non-linear product in formula: (" + expr.lhs->ToString() +
-          ") * (" + expr.rhs->ToString() + ")");
-    }
-    case Kind::kDiv: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, BuildArith(*expr.lhs, binding));
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr b, BuildArith(*expr.rhs, binding));
-      if (!b.IsConstant()) {
-        return Status::TypeError("division by a non-constant in formula: " +
-                                 expr.rhs->ToString());
+    case Kind::kSum: {
+      LinearExpr sum;
+      for (const ast::ArithExpr& operand : expr.operands) {
+        LYRIC_ASSIGN_OR_RETURN(LinearExpr e, BuildArith(operand, binding));
+        if (operand.op == '-') e = -e;
+        sum.AddConstant(e.constant());
+        for (const auto& [var, coeff] : e.terms()) sum.AddTerm(var, coeff);
       }
-      if (b.constant().IsZero()) {
-        return Status::ArithmeticError("division by zero in formula");
+      return sum;
+    }
+    case Kind::kProduct: {
+      // Pseudo-linearity (§4.2), folded left to right: of the product so
+      // far and the next factor one must be constant; divisors must be.
+      LinearExpr product = LinearExpr::Constant(Rational(1));
+      for (size_t i = 0; i < expr.operands.size(); ++i) {
+        const ast::ArithExpr& operand = expr.operands[i];
+        LYRIC_ASSIGN_OR_RETURN(LinearExpr e, BuildArith(operand, binding));
+        if (operand.op == '/') {
+          if (!e.IsConstant()) {
+            return Status::TypeError(
+                "division by a non-constant in formula: " +
+                operand.ToString());
+          }
+          if (e.constant().IsZero()) {
+            return Status::ArithmeticError("division by zero in formula");
+          }
+          product = product.Scale(e.constant().Inverse());
+        } else if (product.IsConstant()) {
+          product = e.Scale(product.constant());
+        } else if (e.IsConstant()) {
+          product = product.Scale(e.constant());
+        } else {
+          return Status::TypeError("non-linear product in formula: (" +
+                                   expr.PrefixToString(i) + ") * (" +
+                                   operand.ToString() + ")");
+        }
       }
-      return a.Scale(b.constant().Inverse());
+      return product;
     }
   }
   return Status::Internal("bad arith node");
@@ -218,8 +230,11 @@ Result<DisjunctiveExistential> FormulaBuilder::BuildNode(
       return DisjunctiveExistential::FromConjunction(std::move(c));
     }
     case Kind::kAnd: {
+      // Each step copies the running conjunction, so a long chain costs
+      // time quadratic in its length: a deadline must stop it midway.
       DisjunctiveExistential out = DisjunctiveExistential::True();
       for (const auto& child : formula.children) {
+        LYRIC_RETURN_NOT_OK(exec::CheckCancellation("formula_builder.and"));
         LYRIC_ASSIGN_OR_RETURN(DisjunctiveExistential c,
                                BuildNode(*child, binding, ids));
         out = out.And(c);
@@ -229,6 +244,7 @@ Result<DisjunctiveExistential> FormulaBuilder::BuildNode(
     case Kind::kOr: {
       DisjunctiveExistential out = DisjunctiveExistential::False();
       for (const auto& child : formula.children) {
+        LYRIC_RETURN_NOT_OK(exec::CheckCancellation("formula_builder.or"));
         LYRIC_ASSIGN_OR_RETURN(DisjunctiveExistential c,
                                BuildNode(*child, binding, ids));
         out = out.Or(c);

@@ -107,6 +107,7 @@ Result<std::vector<Token>> Lex(const std::string& text) {
 Result<std::vector<Token>> Lex(const std::string& text,
                                size_t* error_offset) {
   std::vector<Token> out;
+  std::vector<size_t> open_parens;  // Indices of the '(' not yet closed.
   size_t i = 0;
   const size_t n = text.size();
   auto push = [&](TokenKind kind, size_t offset, std::string t = "") {
@@ -218,8 +219,17 @@ Result<std::vector<Token>> Lex(const std::string& text,
     switch (c) {
       case '.': push(TokenKind::kDot, start); break;
       case ',': push(TokenKind::kComma, start); break;
-      case '(': push(TokenKind::kLParen, start); break;
-      case ')': push(TokenKind::kRParen, start); break;
+      case '(':
+        open_parens.push_back(out.size());
+        push(TokenKind::kLParen, start);
+        break;
+      case ')':
+        if (!open_parens.empty()) {
+          out[open_parens.back()].partner = out.size();
+          open_parens.pop_back();
+        }
+        push(TokenKind::kRParen, start);
+        break;
       case '[': push(TokenKind::kLBracket, start); break;
       case ']': push(TokenKind::kRBracket, start); break;
       case '|': push(TokenKind::kBar, start); break;

@@ -12,7 +12,8 @@
 namespace lyric {
 
 /// Tokenizes `text`; the result always ends with a kEnd token. Comments
-/// run from "--" to end of line.
+/// run from "--" to end of line. Each '(' records the index of its
+/// matching ')' (Token::partner).
 Result<std::vector<Token>> Lex(const std::string& text);
 
 /// Like Lex, but on failure also reports the byte offset of the offending

@@ -1,5 +1,7 @@
 #include "query/parser.h"
 
+#include <utility>
+
 #include "query/lexer.h"
 
 namespace lyric {
@@ -18,13 +20,17 @@ using ast::WhereExpr;
 
 // Parentheses, `not`, unary minus, `exists` and projections together nest
 // at most this deep (the evaluator's WHERE bound). Each level is a stack
-// frame, and backtracking over nested parentheses costs time superlinear
-// in the depth, so one deep frame must not crash or stall the parser.
+// frame, so one deep frame must not crash the parser; chains of any
+// length are loops, not levels.
 constexpr int kMaxNesting = 64;
 
+// Reads a token stream it does not own, from a start position, forward
+// only: every choice is made from tokens not yet consumed (a '(' knows its
+// partner), and the first error is the result.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(const std::vector<Token>& tokens, size_t pos)
+      : tokens_(tokens), pos_(pos) {}
 
   Result<Query> ParseQuery() {
     Query q;
@@ -61,41 +67,28 @@ class Parser {
       }
     }
     if (Accept(TokenKind::kWhere)) {
-      LYRIC_ASSIGN_OR_RETURN(auto w, ParseWhereOr());
-      q.where = std::move(w);
+      LYRIC_ASSIGN_OR_RETURN(q.where, ParseWhere());
     }
     Accept(TokenKind::kSemicolon);
-    if (!At(TokenKind::kEnd)) {
-      return Err("unexpected trailing input");
-    }
+    LYRIC_RETURN_NOT_OK(ExpectEnd());
     return q;
   }
 
-  Result<Formula> ParseStandaloneFormula() {
-    LYRIC_ASSIGN_OR_RETURN(auto f, ParseFormulaOr());
-    if (!At(TokenKind::kEnd)) return Err("unexpected trailing input");
-    return std::move(*f);
+  Result<std::unique_ptr<Formula>> ParseFormula() {
+    return ParseOr<Formula>([this] { return ParseFormulaPrimary(); });
   }
 
-  // Parses one formula and reports how many tokens it consumed.
-  Result<Formula> ParsePrefixFormula(size_t* consumed) {
-    LYRIC_ASSIGN_OR_RETURN(auto f, ParseFormulaOr());
-    *consumed = pos_;
-    return std::move(*f);
+  Status ExpectEnd() {
+    return At(TokenKind::kEnd) ? Status::OK()
+                               : Err("unexpected trailing input");
   }
 
-  // Position of the token the last reported error points at, for
-  // diagnostics with source spans.
+  size_t pos() const { return pos_; }
+
+  // Position of the token the reported error points at, for diagnostics
+  // with source spans.
   size_t error_offset() const { return error_offset_; }
   size_t error_length() const { return error_length_; }
-
-  // A nesting overflow decides the outcome even when backtracking
-  // swallowed it on the way up.
-  template <typename T>
-  Result<T> Outcome(Result<T> parsed) const {
-    if (!too_deep_.ok()) return too_deep_;
-    return parsed;
-  }
 
  private:
   // --- token plumbing -----------------------------------------------------
@@ -135,7 +128,6 @@ class Parser {
                               Describe(Cur()) + "')");
   }
   void RecordError() {
-    if (!too_deep_.ok()) return;  // The overflow keeps its position.
     error_offset_ = Cur().offset;
     if (Cur().kind == TokenKind::kEnd) {
       error_length_ = 1;
@@ -153,22 +145,66 @@ class Parser {
   }
 
   // Runs `parse` one nesting level deeper; `offset` is where the level
-  // opens. Past kMaxNesting the parse fails there, and from then on every
-  // level fails at once, so backtracking cannot retry other readings.
+  // opens. Past kMaxNesting the parse fails there.
   template <typename Parse>
   auto Nested(size_t offset, Parse parse) -> decltype(parse()) {
-    if (too_deep_.ok() && depth_ >= kMaxNesting) {
+    if (depth_ >= kMaxNesting) {
       error_offset_ = offset;
       error_length_ = 1;
-      too_deep_ = Status::ParseError(
-          "nesting deeper than " + std::to_string(kMaxNesting) +
-          " levels at offset " + std::to_string(offset));
+      return Status::ParseError("nesting deeper than " +
+                                std::to_string(kMaxNesting) +
+                                " levels at offset " + std::to_string(offset));
     }
-    if (!too_deep_.ok()) return too_deep_;
     ++depth_;
     auto out = parse();
     --depth_;
     return out;
+  }
+
+  // --- boolean structure --------------------------------------------------
+
+  // One precedence ladder for formulas and WHERE conditions alike:
+  //   or  := and ('or' and)*
+  //   and := not ('and' not)*
+  //   not := 'not' not | primary
+  // `primary` parses the node type's primaries; chains become one n-ary
+  // node.
+  template <typename Node, typename Primary>
+  Result<std::unique_ptr<Node>> ParseOr(const Primary& primary) {
+    return ParseJunction<Node>(TokenKind::kOr, Node::Kind::kOr, [&] {
+      return ParseJunction<Node>(TokenKind::kAnd, Node::Kind::kAnd,
+                                 [&] { return ParseNot<Node>(primary); });
+    });
+  }
+
+  template <typename Node, typename Operand>
+  Result<std::unique_ptr<Node>> ParseJunction(TokenKind op,
+                                              typename Node::Kind kind,
+                                              const Operand& operand) {
+    LYRIC_ASSIGN_OR_RETURN(auto first, operand());
+    if (!At(op)) return first;
+    auto node = std::make_unique<Node>();
+    node->kind = kind;
+    node->offset = first->offset;
+    node->children.push_back(std::move(first));
+    while (Accept(op)) {
+      LYRIC_ASSIGN_OR_RETURN(auto next, operand());
+      node->children.push_back(std::move(next));
+    }
+    return node;
+  }
+
+  template <typename Node, typename Primary>
+  Result<std::unique_ptr<Node>> ParseNot(const Primary& primary) {
+    size_t offset = Cur().offset;
+    if (!Accept(TokenKind::kNot)) return primary();
+    LYRIC_ASSIGN_OR_RETURN(
+        auto operand, Nested(offset, [&] { return ParseNot<Node>(primary); }));
+    auto node = std::make_unique<Node>();
+    node->kind = Node::Kind::kNot;
+    node->offset = offset;
+    node->children.push_back(std::move(operand));
+    return node;
   }
 
   // --- pieces --------------------------------------------------------------
@@ -207,16 +243,11 @@ class Parser {
   // Class names: ident, possibly CST(2).
   Result<std::string> ParseClassName() {
     LYRIC_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-    if (name == "CST" && At(TokenKind::kLParen)) {
-      size_t save = pos_;
-      if (Accept(TokenKind::kLParen) && At(TokenKind::kNumber)) {
-        std::string digits = Cur().text;
-        ++pos_;
-        if (Accept(TokenKind::kRParen)) {
-          return "CST(" + digits + ")";
-        }
-      }
-      pos_ = save;
+    if (name == "CST" && At(TokenKind::kLParen) &&
+        tokens_[pos_ + 1].kind == TokenKind::kNumber &&
+        tokens_[pos_ + 2].kind == TokenKind::kRParen) {
+      name += "(" + tokens_[pos_ + 1].text + ")";
+      pos_ += 3;
     }
     return name;
   }
@@ -275,73 +306,75 @@ class Parser {
 
   // --- arithmetic -----------------------------------------------------------
 
-  Result<std::unique_ptr<ArithExpr>> ParseArith() {
-    LYRIC_ASSIGN_OR_RETURN(auto lhs, ParseTerm());
-    while (At(TokenKind::kPlus) || At(TokenKind::kMinus)) {
-      bool add = At(TokenKind::kPlus);
+  // sum     := product (('+' | '-') product)*
+  // product := factor (('*' | '/') factor)*
+  // Each level appends its chain to one n-ary node; a one-operand chain
+  // is the bare operand.
+  Result<ArithExpr> ParseArith() { return ParseChain(ArithExpr::Kind::kSum); }
+
+  Result<ArithExpr> ParseChain(ArithExpr::Kind kind) {
+    const bool sum = kind == ArithExpr::Kind::kSum;
+    auto operand = [&] {
+      return sum ? ParseChain(ArithExpr::Kind::kProduct) : ParseFactor();
+    };
+    LYRIC_ASSIGN_OR_RETURN(ArithExpr first, operand());
+    if (ChainOp(sum) == 0) return first;
+    ArithExpr chain;
+    chain.kind = kind;
+    chain.offset = first.offset;
+    first.op = sum ? '+' : '*';
+    chain.operands.push_back(std::move(first));
+    for (char op = ChainOp(sum); op != 0; op = ChainOp(sum)) {
       ++pos_;
-      LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseTerm());
-      auto node = std::make_unique<ArithExpr>();
-      node->kind = add ? ArithExpr::Kind::kAdd : ArithExpr::Kind::kSub;
-      node->offset = lhs->offset;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      LYRIC_ASSIGN_OR_RETURN(ArithExpr next, operand());
+      next.op = op;
+      chain.operands.push_back(std::move(next));
     }
-    return lhs;
+    return chain;
   }
 
-  Result<std::unique_ptr<ArithExpr>> ParseTerm() {
-    LYRIC_ASSIGN_OR_RETURN(auto lhs, ParseFactor());
-    while (At(TokenKind::kStar) || At(TokenKind::kSlash)) {
-      bool mul = At(TokenKind::kStar);
-      ++pos_;
-      LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseFactor());
-      auto node = std::make_unique<ArithExpr>();
-      node->kind = mul ? ArithExpr::Kind::kMul : ArithExpr::Kind::kDiv;
-      node->offset = lhs->offset;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+  // The operator at the cursor when it continues a sum (or a product).
+  char ChainOp(bool sum) const {
+    switch (Cur().kind) {
+      case TokenKind::kPlus: return sum ? '+' : 0;
+      case TokenKind::kMinus: return sum ? '-' : 0;
+      case TokenKind::kStar: return sum ? 0 : '*';
+      case TokenKind::kSlash: return sum ? 0 : '/';
+      default: return 0;
     }
-    return lhs;
   }
 
-  Result<std::unique_ptr<ArithExpr>> ParseFactor() {
-    size_t offset = Cur().offset;
+  Result<ArithExpr> ParseFactor() {
+    ArithExpr node;
+    node.offset = Cur().offset;
     if (Accept(TokenKind::kMinus)) {
-      LYRIC_ASSIGN_OR_RETURN(auto operand,
-                             Nested(offset, [&] { return ParseFactor(); }));
-      auto node = std::make_unique<ArithExpr>();
-      node->kind = ArithExpr::Kind::kNeg;
-      node->offset = offset;
-      node->lhs = std::move(operand);
+      LYRIC_ASSIGN_OR_RETURN(
+          ArithExpr operand,
+          Nested(node.offset, [&] { return ParseFactor(); }));
+      node.kind = ArithExpr::Kind::kNeg;
+      node.operands.push_back(std::move(operand));
       return node;
     }
     if (At(TokenKind::kNumber)) {
-      auto node = std::make_unique<ArithExpr>();
-      node->kind = ArithExpr::Kind::kConst;
-      node->constant = Cur().number;
-      node->offset = offset;
+      node.kind = ArithExpr::Kind::kConst;
+      node.constant = Cur().number;
       ++pos_;
       return node;
     }
     if (Accept(TokenKind::kLParen)) {
-      LYRIC_ASSIGN_OR_RETURN(auto inner,
-                             Nested(offset, [&] { return ParseArith(); }));
+      LYRIC_ASSIGN_OR_RETURN(
+          ArithExpr inner, Nested(node.offset, [&] { return ParseArith(); }));
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return inner;
     }
     if (At(TokenKind::kIdent)) {
       LYRIC_ASSIGN_OR_RETURN(PathExpr path, ParsePath());
-      auto node = std::make_unique<ArithExpr>();
-      node->offset = offset;
       if (path.steps.empty()) {
-        node->kind = ArithExpr::Kind::kName;
-        node->name = path.head.name;
+        node.kind = ArithExpr::Kind::kName;
+        node.name = std::move(path.head.name);
       } else {
-        node->kind = ArithExpr::Kind::kPath;
-        node->path = std::make_unique<PathExpr>(std::move(path));
+        node.kind = ArithExpr::Kind::kPath;
+        node.path = std::make_shared<const PathExpr>(std::move(path));
       }
       return node;
     }
@@ -350,8 +383,8 @@ class Parser {
 
   // --- formulas -------------------------------------------------------------
 
-  bool AtRelop() const {
-    switch (Cur().kind) {
+  static bool IsRelop(TokenKind kind) {
+    switch (kind) {
       case TokenKind::kEq:
       case TokenKind::kNeq:
       case TokenKind::kLe:
@@ -363,84 +396,11 @@ class Parser {
         return false;
     }
   }
+  bool AtRelop() const { return IsRelop(Cur().kind); }
   std::string TakeRelop() {
     std::string out = TokenKindToString(Cur().kind);
     ++pos_;
     return out;
-  }
-
-  Result<std::unique_ptr<Formula>> ParseFormulaOr() {
-    LYRIC_ASSIGN_OR_RETURN(auto lhs, ParseFormulaAnd());
-    if (!At(TokenKind::kOr)) return lhs;
-    auto node = std::make_unique<Formula>();
-    node->kind = Formula::Kind::kOr;
-    node->offset = lhs->offset;
-    node->children.push_back(std::move(lhs));
-    while (Accept(TokenKind::kOr)) {
-      LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseFormulaAnd());
-      node->children.push_back(std::move(rhs));
-    }
-    return node;
-  }
-
-  Result<std::unique_ptr<Formula>> ParseFormulaAnd() {
-    LYRIC_ASSIGN_OR_RETURN(auto lhs, ParseFormulaNot());
-    if (!At(TokenKind::kAnd)) return lhs;
-    auto node = std::make_unique<Formula>();
-    node->kind = Formula::Kind::kAnd;
-    node->offset = lhs->offset;
-    node->children.push_back(std::move(lhs));
-    while (Accept(TokenKind::kAnd)) {
-      LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseFormulaNot());
-      node->children.push_back(std::move(rhs));
-    }
-    return node;
-  }
-
-  Result<std::unique_ptr<Formula>> ParseFormulaNot() {
-    size_t offset = Cur().offset;
-    if (Accept(TokenKind::kNot)) {
-      LYRIC_ASSIGN_OR_RETURN(auto operand,
-                             Nested(offset, [&] { return ParseFormulaNot(); }));
-      auto node = std::make_unique<Formula>();
-      node->kind = Formula::Kind::kNot;
-      node->offset = offset;
-      node->children.push_back(std::move(operand));
-      return node;
-    }
-    return ParseFormulaPrimary();
-  }
-
-  // projection := '(' '(' vars ')' '|' formula ')'
-  Result<std::unique_ptr<Formula>> TryParseProjection() {
-    size_t save = pos_;
-    size_t offset = Cur().offset;
-    auto fail = [&]() -> Status {
-      pos_ = save;
-      return Status::ParseError("not a projection");
-    };
-    if (!Accept(TokenKind::kLParen)) return fail();
-    if (!Accept(TokenKind::kLParen)) return fail();
-    std::vector<std::string> vars;
-    if (!At(TokenKind::kRParen)) {
-      for (;;) {
-        if (!At(TokenKind::kIdent)) return fail();
-        vars.push_back(Cur().text);
-        ++pos_;
-        if (!Accept(TokenKind::kComma)) break;
-      }
-    }
-    if (!Accept(TokenKind::kRParen)) return fail();
-    if (!Accept(TokenKind::kBar)) return fail();
-    LYRIC_ASSIGN_OR_RETURN(auto body,
-                           Nested(offset, [&] { return ParseFormulaOr(); }));
-    LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
-    auto node = std::make_unique<Formula>();
-    node->kind = Formula::Kind::kProject;
-    node->offset = offset;
-    node->proj_vars = std::move(vars);
-    node->children.push_back(std::move(body));
-    return node;
   }
 
   Result<std::unique_ptr<Formula>> ParseFormulaPrimary() {
@@ -461,105 +421,96 @@ class Parser {
       node->children.push_back(std::move(body));
       return node;
     }
-    if (Accept(TokenKind::kTrue)) {
+    if (At(TokenKind::kTrue) || At(TokenKind::kFalse)) {
       auto node = std::make_unique<Formula>();
-      node->kind = Formula::Kind::kTrue;
+      node->kind = At(TokenKind::kTrue) ? Formula::Kind::kTrue
+                                        : Formula::Kind::kFalse;
       node->offset = offset;
+      ++pos_;
       return node;
     }
-    if (Accept(TokenKind::kFalse)) {
-      auto node = std::make_unique<Formula>();
-      node->kind = Formula::Kind::kFalse;
-      node->offset = offset;
-      return node;
-    }
-    if (At(TokenKind::kLParen)) {
-      // Try, in order: projection, atom led by a parenthesized arithmetic
-      // expression, parenthesized formula.
-      {
-        auto proj = TryParseProjection();
-        if (proj.ok()) return std::move(proj).value();
-      }
-      {
-        size_t save = pos_;
-        auto atom = TryParseAtomChain();
-        if (atom.ok()) return std::move(atom).value();
-        pos_ = save;
-      }
-      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kLParen));
-      LYRIC_ASSIGN_OR_RETURN(auto inner,
-                             Nested(offset, [&] { return ParseFormulaOr(); }));
-      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
-      return inner;
-    }
-    return ParseAtomOrPred();
+    return ParseAtomOrGroup();
   }
 
-  // Atoms with optional chaining: a <= b <= c becomes (a<=b) and (b<=c).
-  // Fails (without consuming definitively — caller restores pos) when no
-  // relop follows the first expression.
-  Result<std::unique_ptr<Formula>> TryParseAtomChain() {
-    LYRIC_ASSIGN_OR_RETURN(auto first, ParseArith());
-    if (!AtRelop()) return Err("expected a relational operator");
-    return FinishAtomChain(std::move(first));
+  // A formula primary other than true/false/exists, and an operand of |=.
+  // At a '(', the tokens ahead decide: `( ( names ) |` opens a
+  // projection; a group followed by a relational or arithmetic operator
+  // leads an atom chain; anything else is a parenthesized formula.
+  Result<std::unique_ptr<Formula>> ParseAtomOrGroup() {
+    if (!At(TokenKind::kLParen)) return ParseAtomOrPred();
+    if (AtProjection()) return ParseProjection();
+    if (Cur().partner != Token::kNoPartner) {
+      TokenKind after = tokens_[Cur().partner + 1].kind;
+      if (IsRelop(after) || after == TokenKind::kPlus ||
+          after == TokenKind::kMinus || after == TokenKind::kStar ||
+          after == TokenKind::kSlash) {
+        return ParseAtomOrPred();
+      }
+    }
+    size_t offset = Cur().offset;
+    ++pos_;
+    LYRIC_ASSIGN_OR_RETURN(auto inner,
+                           Nested(offset, [&] { return ParseFormula(); }));
+    LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
+    return inner;
   }
 
-  Result<std::unique_ptr<Formula>> FinishAtomChain(
-      std::unique_ptr<ArithExpr> first) {
-    std::vector<std::unique_ptr<Formula>> atoms;
-    std::unique_ptr<ArithExpr> prev = std::move(first);
-    while (AtRelop()) {
-      std::string op = TakeRelop();
-      LYRIC_ASSIGN_OR_RETURN(auto next, ParseArith());
-      auto atom = std::make_unique<Formula>();
-      atom->kind = Formula::Kind::kAtom;
-      atom->relop = op;
-      atom->offset = prev->offset;
-      atom->atom_lhs = std::move(prev);
-      // Deep-copy `next` for the chain continuation.
-      atom->atom_rhs = CloneArith(*next);
-      prev = std::move(next);
-      atoms.push_back(std::move(atom));
+  // Whether a projection '(' '(' vars ')' '|' starts at the cursor.
+  bool AtProjection() const {
+    size_t i = pos_;
+    if (tokens_[i].kind != TokenKind::kLParen ||
+        tokens_[i + 1].kind != TokenKind::kLParen) {
+      return false;
     }
-    if (atoms.size() == 1) return std::move(atoms[0]);
+    i += 2;
+    if (tokens_[i].kind == TokenKind::kIdent) {
+      while (tokens_[i + 1].kind == TokenKind::kComma &&
+             tokens_[i + 2].kind == TokenKind::kIdent) {
+        i += 2;
+      }
+      ++i;
+    }
+    return tokens_[i].kind == TokenKind::kRParen &&
+           tokens_[i + 1].kind == TokenKind::kBar;
+  }
+
+  // projection := '(' '(' vars ')' '|' formula ')', once AtProjection().
+  Result<std::unique_ptr<Formula>> ParseProjection() {
     auto node = std::make_unique<Formula>();
-    node->kind = Formula::Kind::kAnd;
-    node->offset = atoms[0]->offset;
-    node->children = std::move(atoms);
+    node->kind = Formula::Kind::kProject;
+    node->offset = Cur().offset;
+    pos_ += 2;
+    while (At(TokenKind::kIdent)) {
+      node->proj_vars.push_back(Cur().text);
+      ++pos_;
+      if (!Accept(TokenKind::kComma)) break;
+    }
+    LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
+    LYRIC_RETURN_NOT_OK(Expect(TokenKind::kBar));
+    LYRIC_ASSIGN_OR_RETURN(
+        auto body, Nested(node->offset, [&] { return ParseFormula(); }));
+    LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
+    node->children.push_back(std::move(body));
     return node;
   }
 
-  static std::unique_ptr<ArithExpr> CloneArith(const ArithExpr& e) {
-    auto out = std::make_unique<ArithExpr>();
-    out->kind = e.kind;
-    out->constant = e.constant;
-    out->name = e.name;
-    out->offset = e.offset;
-    if (e.path) out->path = std::make_unique<PathExpr>(*e.path);
-    if (e.lhs) out->lhs = CloneArith(*e.lhs);
-    if (e.rhs) out->rhs = CloneArith(*e.rhs);
-    return out;
-  }
-
   Result<std::unique_ptr<Formula>> ParseAtomOrPred() {
-    LYRIC_ASSIGN_OR_RETURN(auto first, ParseArith());
-    if (AtRelop()) return FinishAtomChain(std::move(first));
+    LYRIC_ASSIGN_OR_RETURN(ArithExpr first, ParseArith());
+    if (AtRelop()) return ParseAtomChain(std::move(first));
     // A bare name/path is a CST predicate use, optionally with explicit
     // dimension variables.
-    if (first->kind != ArithExpr::Kind::kName &&
-        first->kind != ArithExpr::Kind::kPath) {
-      return Err("expected a relational operator or a CST predicate");
-    }
     auto node = std::make_unique<Formula>();
     node->kind = Formula::Kind::kPred;
-    node->offset = first->offset;
-    if (first->kind == ArithExpr::Kind::kName) {
+    node->offset = first.offset;
+    if (first.kind == ArithExpr::Kind::kName) {
       node->pred = std::make_unique<PathExpr>();
-      node->pred->head = NameOrLiteral::Name(first->name);
-      node->pred->head.offset = first->offset;
-      node->pred->offset = first->offset;
+      node->pred->head = NameOrLiteral::Name(first.name);
+      node->pred->head.offset = first.offset;
+      node->pred->offset = first.offset;
+    } else if (first.kind == ArithExpr::Kind::kPath) {
+      node->pred = std::make_unique<PathExpr>(*first.path);
     } else {
-      node->pred = std::move(first->path);
+      return Err("expected a relational operator or a CST predicate");
     }
     if (Accept(TokenKind::kLParen)) {
       std::vector<std::string> args;
@@ -576,19 +527,27 @@ class Parser {
     return node;
   }
 
-  // A formula operand for |=: projection, pred use, or '(' formula ')'.
-  Result<std::unique_ptr<Formula>> ParseFormulaOperand() {
-    size_t offset = Cur().offset;
-    if (At(TokenKind::kLParen)) {
-      auto proj = TryParseProjection();
-      if (proj.ok()) return std::move(proj).value();
-      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kLParen));
-      LYRIC_ASSIGN_OR_RETURN(auto inner,
-                             Nested(offset, [&] { return ParseFormulaOr(); }));
-      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
-      return inner;
+  // Atoms with optional chaining: a <= b <= c becomes (a<=b) and (b<=c).
+  Result<std::unique_ptr<Formula>> ParseAtomChain(ArithExpr first) {
+    std::vector<std::unique_ptr<Formula>> atoms;
+    ArithExpr prev = std::move(first);
+    while (AtRelop()) {
+      auto atom = std::make_unique<Formula>();
+      atom->kind = Formula::Kind::kAtom;
+      atom->relop = TakeRelop();
+      atom->offset = prev.offset;
+      LYRIC_ASSIGN_OR_RETURN(ArithExpr next, ParseArith());
+      atom->atom_lhs = std::make_unique<ArithExpr>(std::exchange(prev, {}));
+      if (AtRelop()) prev = next;  // `next` also opens the following atom.
+      atom->atom_rhs = std::make_unique<ArithExpr>(std::move(next));
+      atoms.push_back(std::move(atom));
     }
-    return ParseAtomOrPred();
+    if (atoms.size() == 1) return std::move(atoms[0]);
+    auto node = std::make_unique<Formula>();
+    node->kind = Formula::Kind::kAnd;
+    node->offset = atoms[0]->offset;
+    node->children = std::move(atoms);
+    return node;
   }
 
   // --- select items ----------------------------------------------------------
@@ -621,21 +580,21 @@ class Parser {
       ++pos_;
       item.kind = SelectItem::Kind::kOptimize;
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kLParen));
-      LYRIC_ASSIGN_OR_RETURN(item.objective, ParseArith());
+      LYRIC_ASSIGN_OR_RETURN(ArithExpr objective, ParseArith());
+      item.objective = std::make_unique<ArithExpr>(std::move(objective));
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kSubject));
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kTo));
-      LYRIC_ASSIGN_OR_RETURN(item.formula, ParseFormulaOr());
+      LYRIC_ASSIGN_OR_RETURN(item.formula, ParseFormula());
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return item;
     }
     if (At(TokenKind::kLParen)) {
-      auto proj = TryParseProjection();
-      if (proj.ok()) {
-        item.kind = SelectItem::Kind::kFormulaObject;
-        item.formula = std::move(proj).value();
-        return item;
+      if (!AtProjection()) {
+        return Err("expected a projection formula ((vars) | ...) in SELECT");
       }
-      return Err("expected a projection formula ((vars) | ...) in SELECT");
+      item.kind = SelectItem::Kind::kFormulaObject;
+      LYRIC_ASSIGN_OR_RETURN(item.formula, ParseProjection());
+      return item;
     }
     item.kind = SelectItem::Kind::kPath;
     LYRIC_ASSIGN_OR_RETURN(item.path, ParsePath());
@@ -644,93 +603,40 @@ class Parser {
 
   // --- WHERE -----------------------------------------------------------------
 
-  Result<std::unique_ptr<WhereExpr>> ParseWhereOr() {
-    LYRIC_ASSIGN_OR_RETURN(auto lhs, ParseWhereAnd());
-    if (!At(TokenKind::kOr)) return lhs;
-    auto node = std::make_unique<WhereExpr>();
-    node->kind = WhereExpr::Kind::kOr;
-    node->offset = lhs->offset;
-    node->children.push_back(std::move(lhs));
-    while (Accept(TokenKind::kOr)) {
-      LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseWhereAnd());
-      node->children.push_back(std::move(rhs));
-    }
-    return node;
-  }
-
-  Result<std::unique_ptr<WhereExpr>> ParseWhereAnd() {
-    LYRIC_ASSIGN_OR_RETURN(auto lhs, ParseWhereNot());
-    if (!At(TokenKind::kAnd)) return lhs;
-    auto node = std::make_unique<WhereExpr>();
-    node->kind = WhereExpr::Kind::kAnd;
-    node->offset = lhs->offset;
-    node->children.push_back(std::move(lhs));
-    while (Accept(TokenKind::kAnd)) {
-      LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseWhereNot());
-      node->children.push_back(std::move(rhs));
-    }
-    return node;
-  }
-
-  Result<std::unique_ptr<WhereExpr>> ParseWhereNot() {
-    size_t offset = Cur().offset;
-    if (Accept(TokenKind::kNot)) {
-      LYRIC_ASSIGN_OR_RETURN(auto operand,
-                             Nested(offset, [&] { return ParseWhereNot(); }));
-      auto node = std::make_unique<WhereExpr>();
-      node->kind = WhereExpr::Kind::kNot;
-      node->offset = offset;
-      node->children.push_back(std::move(operand));
-      return node;
-    }
-    return ParseWherePrimary();
+  Result<std::unique_ptr<WhereExpr>> ParseWhere() {
+    return ParseOr<WhereExpr>([this] { return ParseWherePrimary(); });
   }
 
   Result<std::unique_ptr<WhereExpr>> ParseWherePrimary() {
-    size_t offset = Cur().offset;
+    auto node = std::make_unique<WhereExpr>();
+    node->offset = Cur().offset;
     // SAT(phi).
     if (Accept(TokenKind::kSat)) {
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kLParen));
-      LYRIC_ASSIGN_OR_RETURN(auto f, ParseFormulaOr());
-      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
-      auto node = std::make_unique<WhereExpr>();
       node->kind = WhereExpr::Kind::kFormulaSat;
-      node->offset = offset;
-      node->formula = std::move(f);
+      LYRIC_ASSIGN_OR_RETURN(node->formula, ParseFormula());
+      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
       return node;
     }
-    // Entailment: formula |= formula (backtracks when no |= follows).
-    {
-      size_t save = pos_;
-      auto lhs = ParseFormulaOperand();
-      if (lhs.ok() && Accept(TokenKind::kEntails)) {
-        LYRIC_ASSIGN_OR_RETURN(auto rhs, ParseFormulaOperand());
-        auto node = std::make_unique<WhereExpr>();
-        node->kind = WhereExpr::Kind::kEntails;
-        node->offset = offset;
-        node->ent_lhs = std::move(lhs).value();
-        node->ent_rhs = std::move(rhs);
-        return node;
-      }
-      pos_ = save;
+    // Entailment: formula |= formula.
+    if (EntailmentAhead()) {
+      node->kind = WhereExpr::Kind::kEntails;
+      LYRIC_ASSIGN_OR_RETURN(node->ent_lhs, ParseAtomOrGroup());
+      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kEntails));
+      LYRIC_ASSIGN_OR_RETURN(node->ent_rhs, ParseAtomOrGroup());
+      return node;
     }
     // Parenthesized condition.
-    if (At(TokenKind::kLParen)) {
-      size_t save = pos_;
-      ++pos_;
-      auto inner = Nested(offset, [&] { return ParseWhereOr(); });
-      if (inner.ok() && Accept(TokenKind::kRParen)) {
-        return std::move(inner).value();
-      }
-      pos_ = save;
-      return Err("could not parse parenthesized condition");
+    if (Accept(TokenKind::kLParen)) {
+      LYRIC_ASSIGN_OR_RETURN(
+          auto inner, Nested(node->offset, [&] { return ParseWhere(); }));
+      LYRIC_RETURN_NOT_OK(Expect(TokenKind::kRParen));
+      return inner;
     }
     // Comparison or path predicate.
     LYRIC_ASSIGN_OR_RETURN(WhereExpr::Operand lhs, ParseOperand());
     if (AtRelop() || At(TokenKind::kContains)) {
-      auto node = std::make_unique<WhereExpr>();
       node->kind = WhereExpr::Kind::kCompare;
-      node->offset = offset;
       node->cmp_op = At(TokenKind::kContains) ? "contains" : TakeRelop();
       if (node->cmp_op == "contains") ++pos_;
       node->cmp_lhs = std::move(lhs);
@@ -740,11 +646,33 @@ class Parser {
     if (lhs.kind != WhereExpr::Operand::Kind::kPath) {
       return Err("a bare literal is not a condition");
     }
-    auto node = std::make_unique<WhereExpr>();
     node->kind = WhereExpr::Kind::kPathPred;
-    node->offset = offset;
     node->path = std::move(lhs.path);
     return node;
+  }
+
+  // A WHERE primary is an entailment exactly when `|=` comes before the
+  // next `and`, `or`, `)`, `;` or end at its depth, skipping groups.
+  bool EntailmentAhead() const {
+    for (size_t i = pos_;;) {
+      const Token& t = tokens_[i];
+      switch (t.kind) {
+        case TokenKind::kEntails:
+          return true;
+        case TokenKind::kAnd:
+        case TokenKind::kOr:
+        case TokenKind::kRParen:
+        case TokenKind::kSemicolon:
+        case TokenKind::kEnd:
+          return false;
+        case TokenKind::kLParen:
+          if (t.partner == Token::kNoPartner) return false;
+          i = t.partner + 1;
+          break;
+        default:
+          ++i;
+      }
+    }
   }
 
   Result<WhereExpr::Operand> ParseOperand() {
@@ -761,20 +689,17 @@ class Parser {
     return out;
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  const std::vector<Token>& tokens_;
+  size_t pos_;
   size_t error_offset_ = 0;
   size_t error_length_ = 1;
   int depth_ = 0;
-  Status too_deep_;  // Set once, by the first nesting overflow.
 };
 
 }  // namespace
 
 Result<ast::Query> ParseQuery(const std::string& text) {
-  LYRIC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  Parser parser(std::move(tokens));
-  return parser.Outcome(parser.ParseQuery());
+  return ParseQuery(text, nullptr);
 }
 
 Result<ast::Query> ParseQuery(const std::string& text, Diagnostic* diag) {
@@ -787,8 +712,8 @@ Result<ast::Query> ParseQuery(const std::string& text, Diagnostic* diag) {
     }
     return tokens.status();
   }
-  Parser parser(std::move(tokens).value());
-  Result<ast::Query> query = parser.Outcome(parser.ParseQuery());
+  Parser parser(*tokens, 0);
+  Result<ast::Query> query = parser.ParseQuery();
   if (!query.ok() && diag != nullptr) {
     *diag = MakeDiag(DiagCode::kSyntaxError,
                      {parser.error_offset(), parser.error_length()},
@@ -799,20 +724,18 @@ Result<ast::Query> ParseQuery(const std::string& text, Diagnostic* diag) {
 
 Result<ast::Formula> ParseFormula(const std::string& text) {
   LYRIC_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  Parser parser(std::move(tokens));
-  return parser.Outcome(parser.ParseStandaloneFormula());
+  Parser parser(tokens, 0);
+  LYRIC_ASSIGN_OR_RETURN(auto f, parser.ParseFormula());
+  LYRIC_RETURN_NOT_OK(parser.ExpectEnd());
+  return std::move(*f);
 }
 
 Result<ast::Formula> ParseFormulaPrefix(const std::vector<Token>& tokens,
                                         size_t* pos) {
-  std::vector<Token> rest(tokens.begin() + static_cast<ptrdiff_t>(*pos),
-                          tokens.end());
-  Parser parser(std::move(rest));
-  size_t consumed = 0;
-  LYRIC_ASSIGN_OR_RETURN(ast::Formula f,
-                         parser.Outcome(parser.ParsePrefixFormula(&consumed)));
-  *pos += consumed;
-  return f;
+  Parser parser(tokens, *pos);
+  LYRIC_ASSIGN_OR_RETURN(auto f, parser.ParseFormula());
+  *pos = parser.pos();
+  return std::move(*f);
 }
 
 }  // namespace lyric

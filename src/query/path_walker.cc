@@ -47,8 +47,9 @@ void CollectFromPath(const ast::PathExpr& p, std::set<std::string>* out,
 void CollectFromArith(const ast::ArithExpr& a, std::set<std::string>* out,
                       const Database& db) {
   if (a.path) CollectFromPath(*a.path, out, db);
-  if (a.lhs) CollectFromArith(*a.lhs, out, db);
-  if (a.rhs) CollectFromArith(*a.rhs, out, db);
+  for (const ast::ArithExpr& operand : a.operands) {
+    CollectFromArith(operand, out, db);
+  }
 }
 
 void CollectFromFormula(const ast::Formula& f, std::set<std::string>* out,

@@ -3,6 +3,8 @@
 #ifndef LYRIC_QUERY_TOKEN_H_
 #define LYRIC_QUERY_TOKEN_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "arith/rational.h"
@@ -36,10 +38,16 @@ const char* TokenKindToString(TokenKind kind);
 
 /// One lexed token with its source offset (for error messages).
 struct Token {
+  static constexpr size_t kNoPartner = SIZE_MAX;
+
   TokenKind kind = TokenKind::kEnd;
   std::string text;   // Raw identifier / string payload.
   Rational number;    // kNumber payload.
   size_t offset = 0;  // Byte offset in the query text.
+  // kLParen: index of the matching ')' in the lexed stream, or kNoPartner
+  // when the '(' is never closed. Lets the parser decide at a '(' from
+  // the token after its group without parsing the group twice.
+  size_t partner = kNoPartner;
 };
 
 }  // namespace lyric

@@ -137,29 +137,37 @@ Result<LinearExpr> FlatTranslator::ExtractArith(
           "flat translation: path-valued arithmetic operand '" +
           e.ToString() + "'");
     case Kind::kNeg: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(*e.lhs));
+      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(e.operands[0]));
       return -a;
     }
-    case Kind::kAdd:
-    case Kind::kSub: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(*e.lhs));
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr b, ExtractArith(*e.rhs));
-      return e.kind == Kind::kAdd ? a + b : a - b;
-    }
-    case Kind::kMul: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(*e.lhs));
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr b, ExtractArith(*e.rhs));
-      if (a.IsConstant()) return b.Scale(a.constant());
-      if (b.IsConstant()) return a.Scale(b.constant());
-      return Status::TypeError("non-linear product in formula");
-    }
-    case Kind::kDiv: {
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(*e.lhs));
-      LYRIC_ASSIGN_OR_RETURN(LinearExpr b, ExtractArith(*e.rhs));
-      if (!b.IsConstant() || b.constant().IsZero()) {
-        return Status::TypeError("bad divisor in formula");
+    case Kind::kSum: {
+      LinearExpr sum;
+      for (const ast::ArithExpr& operand : e.operands) {
+        LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(operand));
+        if (operand.op == '-') a = -a;
+        sum.AddConstant(a.constant());
+        for (const auto& [var, coeff] : a.terms()) sum.AddTerm(var, coeff);
       }
-      return a.Scale(b.constant().Inverse());
+      return sum;
+    }
+    case Kind::kProduct: {
+      LinearExpr product = LinearExpr::Constant(Rational(1));
+      for (const ast::ArithExpr& operand : e.operands) {
+        LYRIC_ASSIGN_OR_RETURN(LinearExpr a, ExtractArith(operand));
+        if (operand.op == '/') {
+          if (!a.IsConstant() || a.constant().IsZero()) {
+            return Status::TypeError("bad divisor in formula");
+          }
+          product = product.Scale(a.constant().Inverse());
+        } else if (product.IsConstant()) {
+          product = a.Scale(product.constant());
+        } else if (a.IsConstant()) {
+          product = product.Scale(a.constant());
+        } else {
+          return Status::TypeError("non-linear product in formula");
+        }
+      }
+      return product;
     }
   }
   return Status::Internal("bad arith node");

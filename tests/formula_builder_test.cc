@@ -84,6 +84,30 @@ TEST_F(FormulaBuilderTest, NonLinearProductRejected) {
   EXPECT_TRUE(Build("3 * x <= 6").Satisfiable().value());
 }
 
+// Products fold left to right, and of the product so far and the next
+// factor one must be constant: a zero factor before the second variable
+// makes the product constant, a zero after it comes too late.
+TEST_F(FormulaBuilderTest, ProductFoldsLeftToRight) {
+  EXPECT_TRUE(Build("x * 0 * y <= 1").Satisfiable().value());
+  EXPECT_TRUE(Build("0 * x * y <= 1").Satisfiable().value());
+  Status late = BuildError("x * y * 0 <= 1");
+  EXPECT_TRUE(late.IsTypeError()) << late;
+  EXPECT_NE(late.message().find("non-linear product in formula: (x) * (y)"),
+            std::string::npos)
+      << late;
+  // The left factor is the whole product so far.
+  Status prefix = BuildError("2 * x * 3 * y <= 1");
+  EXPECT_NE(prefix.message().find(
+                "non-linear product in formula: (((2 * x) * 3)) * (y)"),
+            std::string::npos)
+      << prefix;
+  Status divisor = BuildError("x * 2 / y <= 1");
+  EXPECT_NE(
+      divisor.message().find("division by a non-constant in formula: y"),
+      std::string::npos)
+      << divisor;
+}
+
 TEST_F(FormulaBuilderTest, NonNumericQueryVarRejected) {
   // X is bound to an object oid, not a number.
   EXPECT_TRUE(BuildError("x <= X").IsTypeError());

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <limits>
 #include <thread>
 
@@ -206,6 +207,30 @@ TEST_F(GovernorTest, DeadlineTripsFigure2QuerySerial) {
   ResultSet full = Run(kFigure2Query, EvalOptions{});
   EXPECT_TRUE(full.governor_status().ok());
   EXPECT_EQ(full.size(), 1u);
+}
+
+// -- End-to-end: a long `and` chain under a deadline -------------------------
+
+TEST_F(GovernorTest, DeadlineStopsALongAndChainMidBuild) {
+  // Folding a 10,000-atom conjunction copies the running conjunction at
+  // every step, which takes seconds ungoverned. The deadline is checked
+  // once per child, so the build stops soon after it expires.
+  std::string chain;
+  for (int i = 0; i < 10000; ++i) {
+    if (i > 0) chain += " and ";
+    chain += "x <= " + std::to_string(i);
+  }
+  EvalOptions opts;
+  opts.deadline_ms = 200;
+  const auto start = std::chrono::steady_clock::now();
+  ResultSet r = Run("SELECT D FROM Desk D WHERE SAT(" + chain + ")", opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(r.governor_status().IsDeadlineExceeded())
+      << r.governor_status();
+  EXPECT_EQ(r.governor_report().tripped, LimitKind::kDeadline);
+  EXPECT_EQ(r.governor_report().site, "formula_builder.and");
+  EXPECT_NE(r.ToString().find("PARTIAL"), std::string::npos);
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
 // -- End-to-end: adversarial DNF blowup under max_disjuncts ----------------

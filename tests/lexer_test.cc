@@ -93,6 +93,19 @@ TEST(LexerTest, OffsetsRecorded) {
   EXPECT_EQ(tokens[1].offset, 3u);
 }
 
+TEST(LexerTest, ParenthesesKnowTheirPartners) {
+  // ( a ( b ) ( ) c
+  // 0 1 2 3 4 5 6 7
+  auto tokens = Lex("(a (b) () c").value();
+  EXPECT_EQ(tokens[0].partner, Token::kNoPartner);  // Never closed.
+  EXPECT_EQ(tokens[2].partner, 4u);
+  EXPECT_EQ(tokens[5].partner, 6u);
+  EXPECT_EQ(tokens[1].partner, Token::kNoPartner);
+  // A stray ')' closes nothing.
+  tokens = Lex(") (x))").value();
+  EXPECT_EQ(tokens[1].partner, 3u);
+}
+
 TEST(LexerTest, MaxPointKeyword) {
   EXPECT_EQ(Kinds("MAX_POINT MIN_POINT MAX MIN"),
             (std::vector<TokenKind>{TokenKind::kMaxPoint, TokenKind::kMinPoint,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "query/lexer.h"
+
 #include <string>
 #include <vector>
 
@@ -248,6 +250,81 @@ TEST(ParserTest, PaperQueryThreeShape) {
   auto q = ParseQuery(text);
   ASSERT_TRUE(q.ok()) << q.status();
   EXPECT_EQ(q->select.size(), 2u);
+}
+
+// The storage layer embeds constraint bodies in its dump grammar: the
+// formula parser reads the caller's token stream in place, from *pos, and
+// stops on the first token that is not part of the formula.
+TEST(ParserTest, FormulaPrefixReadsFromTheMiddleOfAStream) {
+  std::vector<Token> tokens =
+      Lex("ATTR extent CST ((x) | (x + 1) <= 2 and x >= 0) ATTR next").value();
+  size_t pos = 3;
+  Formula f = ParseFormulaPrefix(tokens, &pos).value();
+  EXPECT_EQ(f.kind, Formula::Kind::kProject);
+  EXPECT_EQ(f.ToString(), "((x) | ((x + 1) <= 2) and (x >= 0))");
+  ASSERT_LT(pos, tokens.size());
+  EXPECT_EQ(tokens[pos].text, "ATTR");
+  EXPECT_EQ(tokens[pos + 1].text, "next");
+
+  // Inside a group of the surrounding grammar, the formula stops at the
+  // group's ')'.
+  tokens = Lex("f(x <= 1 or x >= 3) 7").value();
+  pos = 2;
+  f = ParseFormulaPrefix(tokens, &pos).value();
+  EXPECT_EQ(f.kind, Formula::Kind::kOr);
+  EXPECT_EQ(tokens[pos].kind, TokenKind::kRParen);
+}
+
+// Entailment operands make the same choice at a '(' as formula primaries:
+// a group followed by a relational or arithmetic operator leads an atom.
+// So `(x + 1) <= 2 |= phi` reads like `x + 1 <= 2 |= phi`.
+TEST(ParserTest, ParenthesizedArithmeticLeadsAnEntailmentOperand) {
+  Result<Query> q = ParseQuery(
+      "SELECT X FROM Desk X WHERE (x + 1) <= 2 |= x <= 1 and "
+      "x * (2) >= 0 |= (x >= 0)");
+  ASSERT_TRUE(q.ok()) << q.status();
+  ASSERT_EQ(q->where->kind, WhereExpr::Kind::kAnd);
+  const WhereExpr& first = *q->where->children[0];
+  ASSERT_EQ(first.kind, WhereExpr::Kind::kEntails);
+  EXPECT_EQ(first.ent_lhs->ToString(), "(x + 1) <= 2");
+  EXPECT_EQ(first.ent_rhs->ToString(), "x <= 1");
+  const WhereExpr& second = *q->where->children[1];
+  ASSERT_EQ(second.kind, WhereExpr::Kind::kEntails);
+  EXPECT_EQ(second.ent_lhs->ToString(), "(x * 2) >= 0");
+  EXPECT_EQ(second.ent_rhs->ToString(), "x >= 0");
+}
+
+// `|=` binds tighter than `and`/`or`: a WHERE primary is an entailment
+// exactly when `|=` comes before the next `and`, `or` or `)` at its
+// depth, groups skipped.
+TEST(ParserTest, EntailmentIsDecidedByTheTokensAhead) {
+  Query q = ParseQuery(
+                "SELECT X FROM Desk X WHERE X.a = 1 and (X.b or "
+                "((u) | u <= 1) |= u <= 2) and (X.c)")
+                .value();
+  ASSERT_EQ(q.where->kind, WhereExpr::Kind::kAnd);
+  ASSERT_EQ(q.where->children.size(), 3u);
+  EXPECT_EQ(q.where->children[0]->kind, WhereExpr::Kind::kCompare);
+  const WhereExpr& group = *q.where->children[1];
+  ASSERT_EQ(group.kind, WhereExpr::Kind::kOr);
+  EXPECT_EQ(group.children[0]->kind, WhereExpr::Kind::kPathPred);
+  EXPECT_EQ(group.children[1]->kind, WhereExpr::Kind::kEntails);
+  EXPECT_EQ(q.where->children[2]->kind, WhereExpr::Kind::kPathPred);
+  // An operand that is not a formula is an error, not another reading.
+  EXPECT_TRUE(ParseQuery("SELECT X FROM Desk X WHERE X.a = 'red' |= x <= 1")
+                  .status()
+                  .IsParseError());
+}
+
+// Once `( ( names ) |` opens a projection, an error in its body is the
+// result: no other reading starts from inside the failed body, which
+// would take `((x) | x <= 1 y <= 2` for the formula `y <= 2`.
+TEST(ParserTest, ErrorInsideAProjectionIsTheResult) {
+  Status st = ParseFormula("((x) | x <= 1 y <= 2").status();
+  EXPECT_TRUE(st.IsParseError()) << st;
+  EXPECT_TRUE(ParseQuery("SELECT D FROM Desk D WHERE SAT(((x) | x <= 1 y <= 2)")
+                  .status()
+                  .IsParseError());
 }
 
 // Nesting bound: a frame of deeply nested input must not overflow the

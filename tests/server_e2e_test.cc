@@ -179,6 +179,39 @@ TEST(ServerE2E, DeeplyNestedQueryGetsTypedErrorAndSessionSurvives) {
   server.Stop();
 }
 
+TEST(ServerE2E, LongSumFrameAnswersLikeItsValueAndSessionSurvives) {
+  // A ~400 KB frame holding one 200,000-term sum: the sum is one n-ary
+  // node, so parsing, checking and building it recurse by nesting, not
+  // by length. It answers with the rows of its folded value, and the
+  // connection goes on serving.
+  Database db = MakeDb(0);
+  net::Server server(&db, net::ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string prefix =
+      "SELECT O FROM Object_in_Room O WHERE SAT(x <= ";
+  std::string sum = "1";
+  for (int i = 1; i < 200000; ++i) sum += "+1";
+  net::Client client(TestClientOptions(server.port()));
+  Result<net::QueryResponse> chain = client.Execute(prefix + sum + ")");
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  ASSERT_TRUE(chain->status.ok()) << chain->status;
+  Result<net::QueryResponse> folded = client.Execute(prefix + "200000)");
+  ASSERT_TRUE(folded.ok()) << folded.status();
+  EXPECT_EQ(chain->rendered, folded->rendered);
+  EXPECT_EQ(chain->row_count, folded->row_count);
+  EXPECT_GT(chain->row_count, 0u);
+
+  const std::string paper = kSuite[1];
+  Result<net::QueryResponse> after = client.Execute(paper);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->Fingerprint(),
+            DirectEval(&db, paper, EvalOptions{}).Fingerprint());
+  if (!fault::Enabled()) {
+    EXPECT_EQ(client.stats().reconnects, 0u);
+  }
+  server.Stop();
+}
+
 TEST(ServerE2E, DiagnosticsTravel) {
   Database db = MakeDb(0);
   net::Server server(&db, net::ServerOptions{});

@@ -97,6 +97,25 @@ if [ -n "$CHECK_BIN" ]; then
     || fail "lyric_check crashed (exit $rc) instead of reporting"
 fi
 
+# 6. A 1,000,000-term sum (a 2 MB statement) is one n-ary node: the
+#    shell answers it and lyric_check analyzes it without recursing once
+#    per term.
+chain=$(mktemp /tmp/lyric_chain.XXXXXX.lyric)
+{ printf 'SELECT D FROM Desk D WHERE SAT(x <= 1'
+  yes '+1' | head -n 999999 | tr -d '\n'
+  printf ');\n'; } > "$chain"
+out=$({ printf '.office\n'; cat "$chain"; printf '.quit\n'; } \
+      | "$SHELL_BIN" 2>&1)
+rc=$?
+[ "$rc" -eq 0 ] || fail "shell exited $rc on a 1,000,000-term sum"
+echo "$out" | grep -q "row" || fail "shell did not answer the long sum"
+if [ -n "$CHECK_BIN" ]; then
+  "$CHECK_BIN" "$chain" > /dev/null 2>&1
+  rc=$?
+  [ "$rc" -eq 0 ] || fail "lyric_check exited $rc on a 1,000,000-term sum"
+fi
+rm -f "$chain"
+
 if [ "$fails" -ne 0 ]; then
   echo "$fails shell robustness check(s) failed" >&2
   exit 1
