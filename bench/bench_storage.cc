@@ -238,8 +238,8 @@ BENCHMARK(BM_PagedImportOffice)->Arg(4)->Arg(16)
 
 /// One served CREATE VIEW, end to end below the wire: evaluate the view
 /// over the durable_mixed database (Figure 2 plus 12 desks on a shared
-/// catalog), apply its change set to the store and commit with fsync —
-/// what lyric_serverd does under its exclusive schema gate. `range` views
+/// catalog), install it, append its change set to the store and wait for
+/// the fsync — what lyric_serverd does across one write. `range` views
 /// were written through before timing starts; the cost per write should
 /// not depend on it.
 void BM_PagedCreateView(benchmark::State& state) {
@@ -264,8 +264,9 @@ void BM_PagedCreateView(benchmark::State& state) {
         ")";
     Evaluator ev(&db, EvalOptions{});
     Status s = ev.Execute(text).status();
-    if (s.ok()) s = store->ApplyChanges(db, db.TakeChanges());
-    return s;
+    if (!s.ok()) return s;
+    Result<uint64_t> lsn = store->ApplyChanges(db, db.TakeChanges());
+    return lsn.ok() ? store->WaitDurable(*lsn) : lsn.status();
   };
   {
     // The prior views, written through without fsync to keep set-up short.

@@ -177,18 +177,17 @@ HealthInfo Server::BuildHealthInfo() {
   return info;
 }
 
-Status Server::SyncStore() {
-  Status st = options_.store->ApplyChanges(*db_, db_->TakeChanges());
-  if (!st.ok()) {
-    // The commit never became durable, so the client will NOT be
-    // acknowledged (the caller turns this status into the response) —
-    // no torn acknowledgement. The in-memory view stays visible until
-    // restart; read-only mode quarantines the divergence by refusing
-    // every further mutation (docs/ROBUSTNESS.md).
-    LYRIC_OBS_COUNT("net.store.sync_failures");
-    EnterReadOnly(st);
-  }
-  return st;
+QueryResponse Server::WriteThroughFailed(const Status& st) {
+  // The commit never became durable, so the client is NOT acknowledged —
+  // no torn acknowledgement. The installed view stays visible until
+  // restart; read-only mode quarantines the divergence by refusing every
+  // further mutation (docs/ROBUSTNESS.md).
+  LYRIC_OBS_COUNT("net.store.sync_failures");
+  EnterReadOnly(st);
+  QueryResponse failed;
+  failed.status =
+      Status(st.code(), "store write-through failed: " + st.message());
+  return failed;
 }
 
 void Server::Stop() {
@@ -412,40 +411,17 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
   // std::terminate, whatever the evaluator throws.
   try {
     if (IsSchemaMutation(request.query)) {
-      if (read_only_.load(std::memory_order_acquire)) {
-        LYRIC_OBS_COUNT("net.readonly.sheds");
-        QueryResponse shed;
-        shed.status = Status::Unavailable(
-                          "server read-only (store degraded: " +
-                          DegradedCauseMessage() + "); write shed")
-                          .WithRetryAfter(options_.read_only_retry_after_ms);
-        return shed;
-      }
-      sync::WriterMutexLock gate(schema_gate_);
-      Evaluator evaluator(db_, opts);
-      Result<ResultSet> result = evaluator.Execute(request.query);
-      if (options_.store == nullptr) {
-        db_->TakeChanges();  // Nothing persists them.
-      } else if (result.ok()) {
-        // Write-through while still holding the exclusive gate: the
-        // mutation is durable (or the server is degraded) before any
-        // response leaves and before any other mutation can interleave.
-        // A failed CREATE keeps its changes pending, so the next
-        // successful one writes them too.
-        Status synced = SyncStore();
-        if (!synced.ok()) {
-          QueryResponse failed;
-          failed.status = Status(
-              synced.code(),
-              "store write-through failed: " + synced.message());
-          return failed;
-        }
-      }
-      return ResponseFromResult(result);
+      return HandleWrite(request.query, opts);
     }
-    sync::ReaderMutexLock gate(schema_gate_);
-    Evaluator evaluator(db_, opts);
-    return ResponseFromResult(evaluator.Execute(request.query));
+    uint64_t seen_lsn = 0;
+    Result<ResultSet> result = [&] {
+      sync::ReaderMutexLock gate(schema_gate_);
+      seen_lsn = published_lsn_;
+      Evaluator evaluator(db_, opts);
+      return evaluator.Execute(request.query);
+    }();
+    AwaitDurable(seen_lsn);
+    return ResponseFromResult(result);
   } catch (const std::exception& e) {
     QueryResponse response;
     response.status =
@@ -456,6 +432,67 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
     response.status = Status::Internal("server: evaluation threw");
     return response;
   }
+}
+
+QueryResponse Server::HandleWrite(const std::string& query,
+                                  const EvalOptions& opts) {
+  static obs::Histogram& exclusive_ns =
+      obs::Registry::Global().GetHistogram("net.schema_gate.exclusive_ns");
+  sync::MutexLock writer(writer_mu_);
+  if (read_only_.load(std::memory_order_acquire)) {
+    LYRIC_OBS_COUNT("net.readonly.sheds");
+    QueryResponse shed;
+    shed.status = Status::Unavailable("server read-only (store degraded: " +
+                                      DegradedCauseMessage() +
+                                      "); write shed")
+                      .WithRetryAfter(options_.read_only_retry_after_ms);
+    return shed;
+  }
+  // Phase 1: evaluate beside the reads; nothing in the database changes.
+  Evaluator evaluator(db_, opts);
+  Result<ResultSet> result = [&] {
+    sync::ReaderMutexLock gate(schema_gate_);
+    return evaluator.Evaluate(query);
+  }();
+  // Phase 2: the exclusive section — install, append, publish. A failed
+  // install keeps the rows it did install pending, so the next successful
+  // write appends them too.
+  uint64_t lsn = 0;
+  {
+    sync::WriterMutexLock gate(schema_gate_);
+    obs::ScopedHistogramTimer hold(exclusive_ns);
+    result = evaluator.Install(std::move(result));
+    if (options_.store == nullptr) {
+      db_->TakeChanges();  // Nothing persists them.
+    } else if (result.ok()) {
+      Result<uint64_t> appended =
+          options_.store->ApplyChanges(*db_, db_->TakeChanges());
+      if (!appended.ok()) return WriteThroughFailed(appended.status());
+      lsn = *appended;
+      if (lsn != 0) published_lsn_ = lsn;
+    }
+  }
+  // Phase 3: durable before acknowledged. Reads that saw the install
+  // wait on the same LSN and share the fsync.
+  if (lsn != 0) {
+    Status durable = options_.store->WaitDurable(lsn);
+    if (!durable.ok()) return WriteThroughFailed(durable);
+  }
+  return ResponseFromResult(result);
+}
+
+void Server::AwaitDurable(uint64_t lsn) {
+  storage::PagedStore* store = options_.store;
+  // Degraded mode answers from memory without waiting.
+  if (store == nullptr || lsn <= store->durable_lsn() ||
+      read_only_.load(std::memory_order_acquire)) {
+    return;
+  }
+  static obs::Histogram& wait_ns =
+      obs::Registry::Global().GetHistogram("net.read_durable_wait_ns");
+  obs::ScopedHistogramTimer timer(wait_ns);
+  Status st = store->WaitDurable(lsn);
+  if (!st.ok()) EnterReadOnly(st);
 }
 
 Status Server::SendFrame(Socket& socket, FrameType type,

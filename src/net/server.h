@@ -17,13 +17,18 @@
 //     (PARTIAL results) are end-to-end visible on the wire.
 //   * CREATE VIEW queries mutate the schema, which concurrent readers
 //     scan unlocked; a server-wide SharedMutex (rank kNetSchemaGate)
-//     serializes them: shared for reads, exclusive for view creation.
-//   * with a PagedStore attached (ServerOptions::store), a schema
-//     mutation is written through to the store — diffed, committed,
-//     fsynced — while the exclusive gate is still held, BEFORE the
-//     client is acknowledged: a committed response is a durable
-//     response. A failed write-through degrades the server to
-//     read-only (reads keep serving, writes shed typed kUnavailable
+//     guards it: shared for reads and for a view's evaluation, exclusive
+//     only to install the view's rows. A writer mutex (rank kNetWriter),
+//     held across a whole write, keeps writes serialized end to end.
+//   * with a PagedStore attached (ServerOptions::store), a write runs in
+//     three phases: evaluate under the shared gate; under the exclusive
+//     gate, install the rows, append the change set to the WAL and
+//     publish the commit LSN; after releasing the gate, wait for that
+//     LSN to be durable (the WAL's group commit), and only then answer.
+//     A read notes the published LSN under the shared gate and holds its
+//     answer until that LSN is durable too, so whatever a response
+//     reflects is durable. A failed append or fsync degrades the server
+//     to read-only (reads keep serving, writes shed typed kUnavailable
 //     with a retry-after hint) instead of aborting.
 //   * graceful drain: BeginDrain() stops accepting and closes the
 //     listener, lets every already-accepted query finish and be
@@ -43,8 +48,10 @@
 //
 // Observability: connection counts ride the net.connections.* counters
 // and the net.connections.active gauge, per-frame service time lands in
-// the net.frame.latency histogram, and protocol violations count into
-// net.protocol_errors — all in the PR-6 registry, so `.metrics` /
+// the net.frame.latency histogram, each write's exclusive hold of the
+// schema gate in net.schema_gate.exclusive_ns, each read's wait for
+// durability in net.read_durable_wait_ns, and protocol violations count
+// into net.protocol_errors — all in the PR-6 registry, so `.metrics` /
 // lyric_stats / the Prometheus flusher see the server for free.
 
 #ifndef LYRIC_NET_SERVER_H_
@@ -86,10 +93,11 @@ struct ServerOptions {
   /// owns backoff.
   EvalOptions eval;
   /// When set, the server is store-backed: schema mutations write
-  /// through to this store (ApplyChanges: the records the mutation
-  /// touched, commit + fsync) under the exclusive schema gate before the
-  /// client is acknowledged. Not owned; must outlive the server. The
-  /// caller hydrates `db` from the store before Start.
+  /// through to this store (ApplyChanges appends the records the
+  /// mutation touched under the exclusive schema gate; WaitDurable
+  /// fsyncs after the gate is released) before the client is
+  /// acknowledged. Not owned; must outlive the server. The caller
+  /// hydrates `db` from the store before Start.
   storage::PagedStore* store = nullptr;
   /// Retry-after hint (ms) on queries shed because a drain is in
   /// progress — "come back to the restarted process / another replica".
@@ -177,10 +185,19 @@ class Server {
 
   void AcceptLoop();
   void ServeConnection(Session* session);
-  /// Write-through after a successful schema mutation; called on a
-  /// reader thread holding the exclusive schema gate. Non-OK poisons ->
-  /// the server enters read-only and the status becomes the response.
-  Status SyncStore() LYRIC_EXCLUDES(lifecycle_mu_);
+  /// Serves one schema mutation: evaluate under the shared gate;
+  /// install, append and publish the LSN under the exclusive gate; wait
+  /// for durability after releasing it.
+  QueryResponse HandleWrite(const std::string& query, const EvalOptions& opts)
+      LYRIC_EXCLUDES(writer_mu_, schema_gate_, lifecycle_mu_);
+  /// A failed append or fsync: the server enters read-only and the
+  /// writer is answered with the typed storage error.
+  QueryResponse WriteThroughFailed(const Status& st)
+      LYRIC_EXCLUDES(lifecycle_mu_);
+  /// Holds a read's answer until the commit `lsn` it saw is durable. A
+  /// store error ends the wait and the read is answered from memory, as
+  /// degraded mode answers every read.
+  void AwaitDurable(uint64_t lsn) LYRIC_EXCLUDES(schema_gate_, lifecycle_mu_);
   /// The degraded-mode cause message ("" while healthy).
   std::string DegradedCauseMessage() const LYRIC_EXCLUDES(lifecycle_mu_);
   /// Reads and serves one frame. Non-OK means the connection is finished
@@ -213,8 +230,8 @@ class Server {
 
   /// Lifecycle state: the in-flight count the drain barrier waits on,
   /// and the degraded-mode cause. Rank kNetLifecycle (8) — above the
-  /// schema gate (6), because a failed write-through enters read-only
-  /// while still holding the exclusive gate.
+  /// schema gate (6), because a failed append enters read-only while
+  /// still holding the exclusive gate.
   mutable sync::Mutex lifecycle_mu_{sync::LockRank::kNetLifecycle,
                                     "net_lifecycle"};
   sync::CondVar drain_idle_cv_;
@@ -226,11 +243,17 @@ class Server {
       LYRIC_GUARDED_BY(mu_);
   uint64_t next_session_id_ LYRIC_GUARDED_BY(mu_) = 1;
 
-  /// Readers share, CREATE VIEW excludes. Acquired on reader threads for
-  /// the duration of one evaluation; ranked before every lock evaluation
-  /// takes (docs/CONCURRENCY.md).
+  /// Serializes schema mutations end to end, so at most one write is
+  /// unacknowledged. Ranked before the schema gate.
+  sync::Mutex writer_mu_{sync::LockRank::kNetWriter, "net_writer"};
+  /// Reads and view evaluation share, a view's install excludes.
+  /// Acquired on reader threads for the duration of one evaluation;
+  /// ranked before every lock evaluation takes (docs/CONCURRENCY.md).
   sync::SharedMutex schema_gate_{sync::LockRank::kNetSchemaGate,
                                  "net_schema_gate"};
+  /// The commit LSN of the last installed write, published under the
+  /// exclusive gate; a read loads it under the shared gate.
+  uint64_t published_lsn_ LYRIC_GUARDED_BY(schema_gate_) = 0;
 };
 
 /// True when `query` starts (after whitespace and `--` comments) with a

@@ -154,6 +154,13 @@ void AppendJsonString(std::ostringstream* os, const std::string& s) {
 std::string RenderDiagnostic(const std::string& source,
                              const Diagnostic& diag,
                              const std::string& filename) {
+  // A long line is clipped to a window around the span: kContext columns
+  // before and after it, and at most kSpanShown columns of the span, with
+  // "..." where a side is cut. Lines up to kMaxLine columns print whole.
+  constexpr size_t kMaxLine = 120;
+  constexpr size_t kContext = 32;
+  constexpr size_t kSpanShown = 48;
+  constexpr char kElided[] = "...";
   LineCol pos = LineColAt(source, diag.span.offset);
   std::ostringstream os;
   if (!filename.empty()) os << filename << ":";
@@ -161,17 +168,26 @@ std::string RenderDiagnostic(const std::string& source,
   size_t line_start = 0;
   std::string line = LineContaining(source, diag.span.offset, &line_start);
   if (!line.empty()) {
-    os << "  " << line << "\n  ";
     size_t col = diag.span.offset >= line_start
                      ? diag.span.offset - line_start
                      : 0;
     col = std::min(col, line.size());
-    for (size_t i = 0; i < col; ++i) {
+    const size_t span_len = std::max<size_t>(diag.span.length, 1);
+    size_t begin = 0;
+    size_t end = line.size();
+    if (line.size() > kMaxLine) {
+      begin = col > kContext ? col - kContext : 0;
+      end = std::min(line.size(),
+                     col + std::min(span_len, kSpanShown) + kContext);
+    }
+    const char* lead = begin > 0 ? kElided : "";
+    os << "  " << lead << line.substr(begin, end - begin)
+       << (end < line.size() ? kElided : "") << "\n  " << lead;
+    for (size_t i = begin; i < col; ++i) {
       os << (line[i] == '\t' ? '\t' : ' ');
     }
     os << '^';
-    size_t span_len = std::max<size_t>(diag.span.length, 1);
-    size_t tail = std::min(span_len - 1, line.size() - col);
+    size_t tail = std::min(span_len - 1, end - col);
     for (size_t i = 0; i < tail; ++i) os << '~';
     os << "\n";
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "constraint/solver_cache.h"
 #include "exec/governor.h"
@@ -118,15 +119,19 @@ std::string SummarizeAstQuery(const ast::Query& query) {
 }  // namespace
 
 Result<ResultSet> Evaluator::Execute(const std::string& query_text) {
-  return ExecuteLogged(&query_text, nullptr);
+  return Install(Evaluate(query_text));
 }
 
 Result<ResultSet> Evaluator::Execute(const ast::Query& query) {
-  return ExecuteLogged(nullptr, &query);
+  return Install(EvaluateLogged(nullptr, &query));
 }
 
-Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
-                                           const ast::Query* parsed) {
+Result<ResultSet> Evaluator::Evaluate(const std::string& query_text) {
+  return EvaluateLogged(&query_text, nullptr);
+}
+
+Result<ResultSet> Evaluator::EvaluateLogged(const std::string* text,
+                                            const ast::Query* parsed) {
   const uint64_t slow_ms = options_.slow_ms.has_value()
                                ? *options_.slow_ms
                                : obs::SlowQueryThresholdMs();
@@ -142,26 +147,30 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
   const SolverCache::Traffic cache_before = SolverCache::Global().traffic();
   const auto start = std::chrono::steady_clock::now();
   AdmissionInfo admission;
+  parsed_.reset();
+  evaluated_ = parsed;
+  // Parses the text into parsed_, which Install may still need.
+  auto parse = [&]() -> Status {
+    Result<ast::Query> query = ParseQuery(*text);
+    if (!query.ok()) return query.status();
+    evaluated_ = &parsed_.emplace(std::move(*query));
+    return Status::OK();
+  };
 
   std::shared_ptr<obs::QueryProfile> profile;
   Result<ResultSet> r = [&]() -> Result<ResultSet> {
     if (!tracing) {
-      if (text == nullptr) return ExecuteWithRetry(*parsed, &admission);
-      LYRIC_ASSIGN_OR_RETURN(ast::Query query, ParseQuery(*text));
-      return ExecuteWithRetry(query, &admission);
+      if (text != nullptr) LYRIC_RETURN_NOT_OK(parse());
+      return ExecuteWithRetry(*evaluated_, &admission);
     }
     profile = std::make_shared<obs::QueryProfile>();
     profile->counters_before = obs::Registry::Global().Snapshot();
     obs::ScopedTraceSession session(&profile->trace);
-    std::optional<ast::Query> owned;
     if (text != nullptr) {
       obs::Span span("parse");
-      Result<ast::Query> query = ParseQuery(*text);
-      if (!query.ok()) return query.status();
-      owned.emplace(std::move(*query));
+      LYRIC_RETURN_NOT_OK(parse());
     }
-    Result<ResultSet> res =
-        ExecuteWithRetry(owned.has_value() ? *owned : *parsed, &admission);
+    Result<ResultSet> res = ExecuteWithRetry(*evaluated_, &admission);
     session.Stop();
     profile->counters_after = obs::Registry::Global().Snapshot();
     if (res.ok() && options_.collect_trace) res->set_profile(profile);
@@ -185,15 +194,39 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
   rec.retries = admission.retries;
   rec.cache_hits = cache_after.hits - cache_before.hits;
   rec.cache_misses = cache_after.misses - cache_before.misses;
-  if (r.ok()) {
-    // Surface the admission facts on the result so callers that cannot
-    // reach the query log (the network server serializing a response)
-    // still see how the scheduler treated this query.
-    r->set_admission(std::move(admission));
+  // Surface the admission facts on the result so callers that cannot
+  // reach the query log (the network server serializing a response) still
+  // see how the scheduler treated this query.
+  if (r.ok()) r->set_admission(std::move(admission));
+  rec.slow = slow_ms > 0 && duration_ns >= slow_ms * 1000000ull;
+  if (rec.slow) {
+    LYRIC_OBS_COUNT("evaluator.slow_queries");
+    if (profile != nullptr) rec.stages = profile->trace.ToPrettyString();
+  }
+  log_record_ = std::move(rec);
+  return r;
+}
+
+Result<ResultSet> Evaluator::Install(Result<ResultSet> evaluated) {
+  if (evaluated.ok()) {
+    for (const auto& [binding, row] : view_rows_) {
+      Status st = MaterializeView(*evaluated_, binding, row);
+      if (!st.ok()) {
+        evaluated = st;
+        break;
+      }
+    }
+  }
+  view_rows_.clear();
+  parsed_.reset();
+  evaluated_ = nullptr;
+
+  obs::QueryLogRecord rec = std::exchange(log_record_, {});
+  if (evaluated.ok()) {
     rec.status = "ok";
-    rec.rows = r->size();
-    rec.truncated = r->truncated();
-    const Status& governor = r->governor_status();
+    rec.rows = evaluated->size();
+    rec.truncated = evaluated->truncated();
+    const Status& governor = evaluated->governor_status();
     if (!governor.ok()) {
       // The closed vocabulary the log documents; any future trip kind
       // falls through to its status-code name rather than "".
@@ -204,15 +237,10 @@ Result<ResultSet> Evaluator::ExecuteLogged(const std::string* text,
                          : StatusCodeToString(governor.code());
     }
   } else {
-    rec.status = StatusCodeToString(r.status().code());
-  }
-  rec.slow = slow_ms > 0 && duration_ns >= slow_ms * 1000000ull;
-  if (rec.slow) {
-    LYRIC_OBS_COUNT("evaluator.slow_queries");
-    if (profile != nullptr) rec.stages = profile->trace.ToPrettyString();
+    rec.status = StatusCodeToString(evaluated.status().code());
   }
   obs::QueryLog::Global().Append(std::move(rec));
-  return r;
+  return evaluated;
 }
 
 Result<ResultSet> Evaluator::ExecuteWithRetry(const ast::Query& query,
@@ -608,6 +636,7 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
                                          AdmissionInfo* admission) {
   LYRIC_OBS_COUNT("evaluator.queries");
   created_classes_.clear();
+  view_rows_.clear();
 
   // -- Admission control (docs/ROBUSTNESS.md) -----------------------------
   // A shed admission returns the typed kUnavailable error here —
@@ -712,8 +741,7 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
     LYRIC_OBS_COUNT_N("evaluator.bindings_filtered",
                       survivors.empty() ? 1 : 0);
     // Every survivor's SELECT rows are computed before any is committed,
-    // so a failure inside this binding commits none of its rows and
-    // materializes none of its view instances.
+    // so a failure inside this binding commits none of its rows.
     std::vector<std::vector<std::vector<Oid>>> rows(survivors.size());
     for (size_t i = 0; i < survivors.size(); ++i) {
       obs::Span span("select");
@@ -731,10 +759,10 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
           out.set_truncated(true);
           return out;
         }
-        if (query.is_view) {
-          Status st = MaterializeView(query, survivors[i], row);
-          if (!st.ok()) return fail(st);
-        }
+        // A view's rows are kept for Install, which materializes them
+        // after the scan; FROM enumerated its extents up front, so no
+        // binding of this scan depends on them.
+        if (query.is_view) view_rows_.emplace_back(survivors[i], row);
         out.AddRow(std::move(row));
         LYRIC_OBS_COUNT("evaluator.rows_emitted");
       }

@@ -10,18 +10,24 @@
 // objects for projection formulas and running exact LPs for MAX/MIN.
 // CREATE VIEW materializes the result as a new subclass (higher-order
 // class variables supported: a view named by a FROM variable creates one
-// class per binding of that variable).
+// class per binding of that variable). Execute runs in two halves:
+// Evaluate computes the answer without changing the database, keeping a
+// view's rows, and Install materializes them — so a server can evaluate
+// a view under a shared lock and take its exclusive lock only to install.
 
 #ifndef LYRIC_QUERY_EVALUATOR_H_
 #define LYRIC_QUERY_EVALUATOR_H_
 
 #include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "constraint/canonical.h"
 #include "exec/governor.h"
 #include "exec/scheduler.h"
 #include "object/database.h"
+#include "obs/query_log.h"
 #include "query/ast.h"
 #include "query/binding.h"
 #include "query/result_set.h"
@@ -101,10 +107,25 @@ class Evaluator {
   explicit Evaluator(Database* db, EvalOptions options = EvalOptions())
       : db_(db), options_(options) {}
 
-  /// Parses and executes.
+  /// Parses and executes: Evaluate, then Install.
   Result<ResultSet> Execute(const std::string& query_text);
   /// Executes a parsed query.
   Result<ResultSet> Execute(const ast::Query& query);
+
+  /// The first half of Execute: parses and evaluates without changing the
+  /// database (only CST objects are interned, which is thread-safe), so
+  /// readers may share it meanwhile. A CREATE VIEW's rows are kept, with
+  /// the bindings that produced them, for Install. Every Evaluate must be
+  /// followed by one Install.
+  Result<ResultSet> Evaluate(const std::string& query_text);
+  /// The second half: materializes the view rows the last Evaluate kept,
+  /// in scan order — exactly the rows `evaluated` returns, so a governed
+  /// partial or a `max_rows` truncation installs what it answers, and an
+  /// evaluation error installs nothing — then appends the query's log
+  /// record. Returns `evaluated`, or the error an install failed with;
+  /// rows installed before that error stay in the database. The caller
+  /// must hold the database exclusively.
+  Result<ResultSet> Install(Result<ResultSet> evaluated);
 
   /// Names of classes the last CREATE VIEW created.
   const std::vector<std::string>& created_classes() const {
@@ -112,17 +133,17 @@ class Evaluator {
   }
 
  private:
-  // The shared front door behind both public Execute overloads: installs
-  // a trace session when needed (collect_trace, or a slow-query threshold
-  // is armed), parses `text` when `parsed` is null, runs the retry loop,
-  // and appends one QueryLogRecord. Exactly one of text/parsed is
-  // non-null.
-  Result<ResultSet> ExecuteLogged(const std::string* text,
-                                  const ast::Query* parsed);
+  // The shared front door behind Evaluate and Execute: installs a trace
+  // session when needed (collect_trace, or a slow-query threshold is
+  // armed), parses `text` when `parsed` is null, runs the retry loop, and
+  // begins the QueryLogRecord that Install completes and appends. Exactly
+  // one of text/parsed is non-null.
+  Result<ResultSet> EvaluateLogged(const std::string* text,
+                                   const ast::Query* parsed);
   // The untraced evaluation pipeline. ExecuteWithRetry retries transient
   // failures (shed admissions, injected faults) under the configured
   // RetryPolicy; ExecuteImpl asks the scheduler for a slot, then
-  // evaluates. Both record into `*admission`, which ExecuteLogged owns:
+  // evaluates. Both record into `*admission`, which EvaluateLogged owns:
   // the retry count, and the mode and queue wait of the last attempt.
   Result<ResultSet> ExecuteWithRetry(const ast::Query& query,
                                      AdmissionInfo* admission);
@@ -144,6 +165,13 @@ class Evaluator {
   Database* db_;
   EvalOptions options_;
   std::vector<std::string> created_classes_;
+  // What Evaluate leaves for Install: the parsed text (when Evaluate
+  // parsed it), the query it evaluated, a view's (binding, row) pairs in
+  // scan order, and the log record with everything but the outcome.
+  std::optional<ast::Query> parsed_;
+  const ast::Query* evaluated_ = nullptr;
+  std::vector<std::pair<Binding, std::vector<Oid>>> view_rows_;
+  obs::QueryLogRecord log_record_;
 };
 
 }  // namespace lyric

@@ -41,8 +41,16 @@ void PageRef::Reset() {
   buf_ = nullptr;
 }
 
-BufferPool::BufferPool(Pager* pager, size_t capacity)
-    : pager_(pager), capacity_(capacity == 0 ? 1 : capacity) {}
+BufferPool::BufferPool(Pager* pager, size_t capacity,
+                       const std::atomic<uint64_t>* durable_lsn)
+    : pager_(pager),
+      capacity_(capacity == 0 ? 1 : capacity),
+      durable_lsn_(durable_lsn) {}
+
+bool BufferPool::WritableLocked(const Frame& frame) const {
+  if (!frame.dirty) return true;
+  return !frame.unlogged && frame.lsn <= durable_lsn_->load();
+}
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
   // Metric handles resolve before mu_ (registry ranks above the pool,
@@ -126,11 +134,13 @@ size_t BufferPool::UnloggedCount() {
 }
 
 void BufferPool::MarkLogged(
-    const std::vector<std::pair<PageId, PageBuf>>& ids) {
+    const std::vector<std::pair<PageId, PageBuf>>& ids, uint64_t lsn) {
   sync::MutexLock lock(mu_);
   for (const auto& [id, image] : ids) {
     auto it = frames_.find(id);
-    if (it != frames_.end()) it->second->unlogged = false;
+    if (it == frames_.end()) continue;
+    it->second->unlogged = false;
+    it->second->lsn = lsn;
   }
 }
 
@@ -144,10 +154,11 @@ Status BufferPool::FlushDirty() {
   {
     sync::MutexLock lock(mu_);
     for (auto& [id, frame] : frames_) {
-      if (frame->unlogged) {
+      if (!WritableLocked(*frame)) {
         return Status::Internal(
-            "FlushDirty with unlogged page " + std::to_string(id) +
-            " — write-ahead rule violation (commit must log it first)");
+            "FlushDirty with page " + std::to_string(id) +
+            " not durably logged — write-ahead rule violation (the log "
+            "must be durable first)");
       }
       if (frame->dirty) dirty.push_back(frame.get());
     }
@@ -201,20 +212,21 @@ Status BufferPool::EvictIfNeededLocked() {
   while (frames_.size() >= capacity_) {
     Frame* victim = nullptr;
     for (auto& [id, frame] : frames_) {
-      if (frame->pins > 0 || frame->unlogged) continue;
+      if (frame->pins > 0 || !WritableLocked(*frame)) continue;
       if (victim == nullptr || frame->last_used < victim->last_used) {
         victim = frame.get();
       }
     }
     if (victim == nullptr) {
-      // Everything pinned or unlogged: let the pool grow past capacity
-      // instead of failing the fetch; commit/checkpoint will drain it.
+      // Everything pinned or not yet durable: let the pool grow past
+      // capacity instead of failing the fetch; the commit's fsync or a
+      // checkpoint will drain it.
       overflows.Increment();
       return Status::OK();
     }
     if (victim->dirty) {
-      // Logged + dirty: safe to write back (its WAL image repairs any
-      // torn write), no fsync needed here.
+      // Durably logged + dirty: safe to write back (its WAL image repairs
+      // any torn write), no fsync needed here.
       LYRIC_RETURN_NOT_OK(pager_->WritePage(victim->id, victim->buf));
     }
     evictions.Increment();

@@ -2,23 +2,28 @@
 // the pager, built on the ranked sync layer (rank kBufferPool, see
 // docs/CONCURRENCY.md).
 //
-// Frames carry two staleness flags that implement the engine's no-steal
+// Frames carry the state that implements the engine's no-steal
 // redo-only crash protocol (docs/STORAGE.md):
 //
 //   dirty     the frame differs from the data file; checkpoint flushes
-//             it (or eviction does, once it is logged).
-//   unlogged  the frame holds mutations not yet in the WAL. Unlogged
-//             frames are NEVER written to the data file and never
-//             evicted: if the process dies, the data file still holds
-//             only durably committed bytes, and recovery replays the
-//             WAL on top. Commit snapshots the unlogged frames into the
-//             WAL and clears the flag; only then may eviction write
-//             them (the full image in the WAL repairs any torn write).
+//             it (or eviction does, once its image is durable).
+//   unlogged  the frame holds mutations not yet in the WAL. A commit
+//             appends the unlogged frames' images and clears the flag
+//             (MarkLogged), recording the commit's LSN on each frame.
+//   lsn       the commit that logged the frame's current image. The
+//             write-ahead rule, by LSN (ARIES' pageLSN <= flushedLSN):
+//             a dirty frame reaches the data file only once its lsn is
+//             at or below the store's durable LSN, so an unlogged frame,
+//             or one whose commit is appended but not yet fsynced, is
+//             never written or evicted. If the process dies, the data
+//             file holds only durably committed bytes and recovery
+//             replays the WAL on top (the full image in the WAL repairs
+//             any torn write).
 //
-// Eviction picks the least-recently-used unpinned, logged frame; if all
-// frames are pinned or unlogged, the pool temporarily exceeds its
-// capacity (counted in storage.pool.overflows) rather than fail — a
-// page fetch must not error because a large transaction is in flight.
+// Eviction picks the least-recently-used unpinned frame that may be
+// written; if none may, the pool temporarily exceeds its capacity
+// (counted in storage.pool.overflows) rather than fail — a page fetch
+// must not error because a large transaction is in flight.
 //
 // Pins are handed out as RAII PageRefs. The pool lock guards only the
 // frame table and LRU bookkeeping; the page bytes themselves are
@@ -29,6 +34,7 @@
 #ifndef LYRIC_STORAGE_BUFFER_POOL_H_
 #define LYRIC_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -78,8 +84,11 @@ class PageRef {
 
 class BufferPool {
  public:
-  /// `capacity` is the soft frame cap (pages kept cached).
-  BufferPool(Pager* pager, size_t capacity);
+  /// `capacity` is the soft frame cap (pages kept cached). `durable_lsn`
+  /// is the owner's durable-LSN watermark, read for the write-ahead rule;
+  /// it must outlive the pool.
+  BufferPool(Pager* pager, size_t capacity,
+             const std::atomic<uint64_t>* durable_lsn);
 
   /// Pins page `id`, reading (and checksum-verifying) it from the data
   /// file on a miss.
@@ -97,14 +106,16 @@ class BufferPool {
   /// copying them.
   size_t UnloggedCount() LYRIC_EXCLUDES(mu_);
 
-  /// Clears the unlogged flag on `ids` (their images are durably in the
-  /// WAL; eviction may now write them to the data file).
-  void MarkLogged(const std::vector<std::pair<PageId, PageBuf>>& ids)
-      LYRIC_EXCLUDES(mu_);
+  /// Clears the unlogged flag on `ids`, whose images the commit with LSN
+  /// `lsn` appended to the WAL; eviction may write them once `lsn` is
+  /// durable.
+  void MarkLogged(const std::vector<std::pair<PageId, PageBuf>>& ids,
+                  uint64_t lsn) LYRIC_EXCLUDES(mu_);
 
-  /// Writes every dirty logged frame to the data file (no fsync — the
-  /// caller owns the checkpoint fsync ordering). Fails if any frame is
-  /// still unlogged: flushing one would break the WAL-first rule.
+  /// Writes every dirty frame to the data file (no fsync — the caller
+  /// owns the checkpoint fsync ordering). Fails if any dirty frame is
+  /// unlogged or logged by a commit that is not yet durable: flushing it
+  /// would break the write-ahead rule.
   Status FlushDirty() LYRIC_EXCLUDES(mu_);
 
   /// Drops frames for pages that no longer exist (store re-import) or
@@ -125,17 +136,22 @@ class BufferPool {
     PageBuf buf;
     bool dirty = false;
     bool unlogged = false;
+    uint64_t lsn = 0;
     int pins = 0;
     uint64_t last_used = 0;
   };
 
   void Unpin(PageId id) LYRIC_EXCLUDES(mu_);
-  /// Evicts LRU unpinned logged frames until the pool is within
+  /// The write-ahead rule: `frame` may reach the data file — it is clean,
+  /// or its image is logged by a durable commit.
+  bool WritableLocked(const Frame& frame) const LYRIC_REQUIRES(mu_);
+  /// Evicts LRU unpinned writable frames until the pool is within
   /// capacity; dirty evictees are written back (not fsynced) first.
   Status EvictIfNeededLocked() LYRIC_REQUIRES(mu_);
 
   Pager* pager_;
   const size_t capacity_;
+  const std::atomic<uint64_t>* durable_lsn_;
   mutable sync::Mutex mu_{sync::LockRank::kBufferPool, "buffer_pool"};
   std::map<PageId, std::unique_ptr<Frame>> frames_ LYRIC_GUARDED_BY(mu_);
   uint64_t use_tick_ LYRIC_GUARDED_BY(mu_) = 0;

@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/sync.h"
 
 namespace lyric {
 namespace storage {
@@ -75,7 +77,71 @@ bool DiskFullArmed() {
   return g_full_armed.load(std::memory_order_relaxed);
 }
 
+// HoldSyncsForTesting: while `armed`, File::Sync parks in ParkIfHeld
+// until ReleaseSyncsForTesting bumps the generation. The flag outside the
+// lock keeps the unarmed path to one atomic load.
+std::atomic<bool> g_sync_hold_armed{false};
+
+struct SyncHold {
+  sync::Mutex mu{sync::LockRank::kUnranked, "sync_hold"};
+  sync::CondVar changed;
+  bool armed LYRIC_GUARDED_BY(mu) = false;
+  uint64_t generation LYRIC_GUARDED_BY(mu) = 0;
+  size_t parked LYRIC_GUARDED_BY(mu) = 0;
+  std::string parked_path LYRIC_GUARDED_BY(mu);
+  Status outcome LYRIC_GUARDED_BY(mu);
+};
+
+SyncHold& Hold() {
+  static SyncHold* hold = new SyncHold();
+  return *hold;
+}
+
+// Parks the calling sync while the hold is armed; returns how it ends
+// (OK: go on and sync).
+Status ParkIfHeld(const std::string& path) {
+  if (!g_sync_hold_armed.load(std::memory_order_acquire)) return Status::OK();
+  SyncHold& hold = Hold();
+  sync::MutexLock lock(hold.mu);
+  if (!hold.armed) return Status::OK();
+  const uint64_t generation = hold.generation;
+  ++hold.parked;
+  hold.parked_path = path;
+  hold.changed.NotifyAll();
+  while (hold.generation == generation) hold.changed.Wait(hold.mu);
+  --hold.parked;
+  return hold.outcome;
+}
+
 }  // namespace
+
+void HoldSyncsForTesting() {
+  SyncHold& hold = Hold();
+  sync::MutexLock lock(hold.mu);
+  hold.armed = true;
+  g_sync_hold_armed.store(true, std::memory_order_release);
+}
+
+std::string WaitForHeldSyncForTesting(uint64_t timeout_ms) {
+  SyncHold& hold = Hold();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  sync::MutexLock lock(hold.mu);
+  while (hold.parked == 0) {
+    if (hold.changed.WaitUntil(hold.mu, deadline)) break;
+  }
+  return hold.parked == 0 ? std::string() : hold.parked_path;
+}
+
+void ReleaseSyncsForTesting(const Status& outcome) {
+  SyncHold& hold = Hold();
+  sync::MutexLock lock(hold.mu);
+  hold.armed = false;
+  g_sync_hold_armed.store(false, std::memory_order_release);
+  hold.outcome = outcome;
+  ++hold.generation;
+  hold.changed.NotifyAll();
+}
 
 int64_t CrashBudgetRemainingForTesting() { return CrashBudget(); }
 
@@ -234,6 +300,7 @@ Status File::Append(const void* buf, size_t len, bool crash_accounted) {
 
 Status File::Sync() {
   if (fd_ < 0) return Status::Internal("fsync on closed file");
+  LYRIC_RETURN_NOT_OK(ParkIfHeld(path_));
   if (fault::Enabled() && fault::Inject(fault::kSiteStorage)) {
     return InjectedFault("fsync");
   }

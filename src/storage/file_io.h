@@ -2,7 +2,7 @@
 //
 // Every syscall the engine depends on for crash safety funnels through
 // this translation unit: positional reads/writes, appends, fsync, atomic
-// whole-file replacement, and directory sync. Three concerns live here so
+// whole-file replacement, and directory sync. Five concerns live here so
 // the rest of the engine stays pure logic:
 //
 //  1. Typed errors. Failures come back as Status (kUnavailable for
@@ -24,6 +24,9 @@
 //     how a full filesystem behaves until space is freed. The ENOSPC
 //     fault-gate tests prove a full disk surfaces as a typed error
 //     through the server, never an abort.
+//  5. A held fsync. HoldSyncsForTesting parks File::Sync until the test
+//     releases it, with success or a chosen error, so a test can observe
+//     a commit that is appended but not yet durable.
 
 #ifndef LYRIC_STORAGE_FILE_IO_H_
 #define LYRIC_STORAGE_FILE_IO_H_
@@ -111,6 +114,19 @@ int64_t DiskFullBudgetRemainingForTesting();
 /// Once the budget is crossed, writes fail sticky with typed
 /// kResourceExhausted until re-armed/disarmed. Tests only.
 void ArmDiskFullForTesting(int64_t budget);
+
+/// Parks every File::Sync at its start until ReleaseSyncsForTesting, so
+/// a test can hold a commit between its WAL append and its fsync. Tests
+/// only.
+void HoldSyncsForTesting();
+
+/// Blocks until a File::Sync is parked by HoldSyncsForTesting, or
+/// `timeout_ms` passes. Returns the parked file's path, "" on timeout.
+std::string WaitForHeldSyncForTesting(uint64_t timeout_ms);
+
+/// Disarms the hold and lets the parked syncs go on; with a non-OK
+/// `outcome`, each of them fails with it instead of syncing. Tests only.
+void ReleaseSyncsForTesting(const Status& outcome = Status::OK());
 
 }  // namespace storage
 }  // namespace lyric

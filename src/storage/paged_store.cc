@@ -115,6 +115,8 @@ Result<std::unique_ptr<PagedStore>> PagedStore::Open(
                     stats.torn_tail_bytes);
   LYRIC_ASSIGN_OR_RETURN(store->wal_, Wal::Open(wal_path));
   LYRIC_RETURN_NOT_OK(store->wal_->Reset(stats.next_lsn));
+  // Everything replayed is in the fsynced data file.
+  store->durable_lsn_.store(stats.next_lsn - 1);
 
   PageBuf meta_page;
   LYRIC_RETURN_NOT_OK(pager.ReadPage(0, &meta_page));
@@ -123,8 +125,8 @@ Result<std::unique_ptr<PagedStore>> PagedStore::Open(
                             "' is not a lyric paged store (bad meta page)");
   }
   store->pager_ = std::make_unique<Pager>(std::move(pager));
-  store->pool_ =
-      std::make_unique<BufferPool>(store->pager_.get(), opts.pool_pages);
+  store->pool_ = std::make_unique<BufferPool>(
+      store->pager_.get(), opts.pool_pages, &store->durable_lsn_);
   // The private-base upcast is only accessible here, inside the class.
   PageAllocator* alloc = store.get();
   store->tree_ = std::make_unique<BTree>(store->pool_.get(), alloc);
@@ -233,19 +235,46 @@ Status PagedStore::Scan(
 }
 
 Status PagedStore::Commit() {
-  sync::MutexLock lock(mu_);
-  LYRIC_RETURN_NOT_OK(poisoned_);
-  return CommitLocked();
+  uint64_t lsn = 0;
+  {
+    sync::MutexLock lock(mu_);
+    LYRIC_RETURN_NOT_OK(poisoned_);
+    LYRIC_ASSIGN_OR_RETURN(lsn, AppendCommitLocked());
+  }
+  return WaitDurable(lsn);
 }
 
-Status PagedStore::CommitLocked() {
+void PagedStore::AdvanceDurable(uint64_t lsn) {
+  uint64_t seen = durable_lsn_.load();
+  while (seen < lsn && !durable_lsn_.compare_exchange_weak(seen, lsn)) {
+  }
+}
+
+Status PagedStore::WaitDurable(uint64_t lsn) {
+  if (lsn <= durable_lsn()) return Status::OK();
+  Wal* wal = nullptr;
+  {
+    sync::MutexLock lock(mu_);
+    LYRIC_RETURN_NOT_OK(poisoned_);
+    wal = wal_.get();  // Set once by Open; Wal locks for itself.
+  }
+  Status st = wal->SyncTo(lsn);
+  if (!st.ok()) {
+    sync::MutexLock lock(mu_);
+    return Poison(st);
+  }
+  AdvanceDurable(lsn);
+  return Status::OK();
+}
+
+Result<uint64_t> PagedStore::AppendCommitLocked() {
   static obs::Counter& commits =
       obs::Registry::Global().GetCounter("storage.commit.count");
   static obs::Histogram& commit_ns =
       obs::Registry::Global().GetHistogram("storage.commit_ns");
   static obs::Histogram& commit_pages =
       obs::Registry::Global().GetHistogram("storage.commit.pages");
-  if (!pool_->HasUnlogged()) return Status::OK();
+  if (!pool_->HasUnlogged()) return uint64_t{0};
   obs::ScopedHistogramTimer timer(commit_ns);
 
   // Refresh the meta page: root, free list and record count move only
@@ -273,16 +302,12 @@ Status PagedStore::CommitLocked() {
         std::to_string(commit_or.value()) + " vs " +
         std::to_string(predicted) + ") — concurrent WAL writer?"));
   }
-  if (opts_.sync_commits) {
-    Status st = wal_->SyncTo(commit_or.value());
-    if (!st.ok()) return MaybePoison(st);
-  }
-  // Only now — images durable in the WAL — may these frames reach the
-  // data file (write-ahead rule).
-  pool_->MarkLogged(snapshot);
+  // The frames may reach the data file once this LSN is durable.
+  pool_->MarkLogged(snapshot, predicted);
+  if (!opts_.sync_commits) AdvanceDurable(predicted);
   commits.Increment();
   commit_pages.Record(snapshot.size());
-  return Status::OK();
+  return predicted;
 }
 
 Status PagedStore::Checkpoint() {
@@ -297,13 +322,21 @@ Status PagedStore::CheckpointLocked() {
   static obs::Histogram& checkpoint_ns =
       obs::Registry::Global().GetHistogram("storage.checkpoint_ns");
   obs::ScopedHistogramTimer timer(checkpoint_ns);
-  LYRIC_RETURN_NOT_OK(CommitLocked());
+  LYRIC_RETURN_NOT_OK(AppendCommitLocked().status());
+  // The write-ahead rule: the log is durable before any page it covers
+  // is flushed.
+  const uint64_t appended = wal_->NextLsn() - 1;
+  if (appended > durable_lsn()) {
+    Status st = wal_->SyncTo(appended);
+    if (!st.ok()) return MaybePoison(st);
+    AdvanceDurable(appended);
+  }
   Status st = pool_->FlushDirty();
   if (!st.ok()) return MaybePoison(st);
   st = pager_->Sync();
   if (!st.ok()) return MaybePoison(st);
   // Every committed image is now durably in the data file; the log can
-  // start over.
+  // start over, numbering on from where it stopped.
   st = wal_->Reset(wal_->NextLsn());
   if (!st.ok()) return MaybePoison(st);
   checkpoints.Increment();
@@ -323,33 +356,37 @@ Status PagedStore::Close() {
 }
 
 Status PagedStore::ImportDatabase(Database& db) {
-  sync::MutexLock lock(mu_);
-  LYRIC_RETURN_NOT_OK(poisoned_);
-  if (meta_.record_count != 0) {
-    return Status::InvalidArgument(
-        "ImportDatabase requires an empty store; '" + opts_.path +
-        "' holds " + std::to_string(meta_.record_count) + " records");
+  uint64_t lsn = 0;
+  {
+    sync::MutexLock lock(mu_);
+    LYRIC_RETURN_NOT_OK(poisoned_);
+    if (meta_.record_count != 0) {
+      return Status::InvalidArgument(
+          "ImportDatabase requires an empty store; '" + opts_.path +
+          "' holds " + std::to_string(meta_.record_count) + " records");
+    }
+    std::map<std::string, std::string> records;
+    LYRIC_RETURN_NOT_OK(BuildRecords(db, &records));
+    for (const auto& [key, value] : records) {
+      LYRIC_RETURN_NOT_OK(PutLocked(key, value));
+    }
+    next_seq_.clear();
+    LYRIC_OBS_COUNT("storage.store.imports");
+    LYRIC_ASSIGN_OR_RETURN(lsn, AppendCommitLocked());
   }
-  std::map<std::string, std::string> records;
-  LYRIC_RETURN_NOT_OK(BuildRecords(db, &records));
-  for (const auto& [key, value] : records) {
-    LYRIC_RETURN_NOT_OK(PutLocked(key, value));
-  }
-  next_seq_.clear();
-  LYRIC_OBS_COUNT("storage.store.imports");
-  LYRIC_RETURN_NOT_OK(CommitLocked());
+  LYRIC_RETURN_NOT_OK(WaitDurable(lsn));
   // The store now holds every record, so nothing is pending.
   db.TakeChanges();
   return Status::OK();
 }
 
-Status PagedStore::ApplyChanges(const Database& db,
-                                const ChangeSet& changes) {
+Result<uint64_t> PagedStore::ApplyChanges(const Database& db,
+                                          const ChangeSet& changes) {
   static obs::Histogram& sync_ns =
       obs::Registry::Global().GetHistogram("storage.sync_db_ns");
   sync::MutexLock lock(mu_);
   LYRIC_RETURN_NOT_OK(poisoned_);
-  if (changes.empty()) return Status::OK();
+  if (changes.empty()) return uint64_t{0};
   obs::ScopedHistogramTimer timer(sync_ns);
   for (const Change& change : changes) {
     Status st = ApplyChangeLocked(db, change);
@@ -358,7 +395,7 @@ Status PagedStore::ApplyChanges(const Database& db,
     if (!st.ok()) return Poison(st);
   }
   LYRIC_OBS_COUNT("storage.store.syncs");
-  return CommitLocked();
+  return AppendCommitLocked();
 }
 
 Status PagedStore::ApplyChangeLocked(const Database& db,

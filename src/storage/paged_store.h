@@ -21,29 +21,38 @@
 // Crash protocol (no-steal, redo-only):
 //   * Mutations live in buffer-pool frames flagged `unlogged`; such
 //     frames are never written to the data file.
-//   * Commit seals every unlogged frame, appends the images plus a
-//     commit record to the WAL, fsyncs (group commit), and only then
-//     clears the flags. A kill -9 at any byte leaves either a replayable
-//     committed transaction or an ignorable torn tail.
-//   * Checkpoint commits, writes dirty pages to the data file, fsyncs
-//     it, and truncates the WAL.
+//   * A commit is two steps. The append (ApplyChanges, or the first half
+//     of Commit) seals every unlogged frame, appends the images plus a
+//     commit record to the WAL, clears the flags and stamps each frame
+//     with the commit's LSN. WaitDurable(lsn) then fsyncs through the
+//     WAL's group commit, outside the engine lock, and advances
+//     durable_lsn(). A frame reaches the data file only once its LSN is
+//     durable (the write-ahead rule, by LSN). A kill -9 at any byte
+//     leaves either a replayable committed transaction or an ignorable
+//     torn tail.
+//   * Checkpoint commits, makes the log durable, writes dirty pages to
+//     the data file, fsyncs it, and truncates the WAL. LSNs keep
+//     growing across the truncation.
 //   * Open replays the WAL (committed transactions only), fsyncs, and
 //     truncates it — deterministic redo recovery.
 //
-// Failure discipline: a failed mutation or commit POISONS the store
-// (fail-stop; every later call returns the first error) because
+// Failure discipline: a failed mutation, append or fsync POISONS the
+// store (fail-stop; every later call returns the first error) because
 // half-applied unlogged frames cannot be rolled back in place — the
-// durable state is untouched, and reopening recovers it. Validation
-// errors (bad key, missing record) do not poison.
+// durable state is untouched, and reopening recovers it. A failed fsync
+// stays failed (the fsyncgate rule: retrying it would report durability
+// that does not exist). Validation errors (bad key, missing record) do
+// not poison.
 //
 // Locking: one engine mutex (rank kStorageEngine) serializes every
-// operation; it ranks before the WAL (kWal) and pool (kBufferPool)
-// locks taken underneath, and before kCstStore so import/export may
-// intern CSTs (docs/CONCURRENCY.md).
+// operation but the commit fsync; it ranks before the WAL (kWal) and
+// pool (kBufferPool) locks taken underneath, and before kCstStore so
+// import/export may intern CSTs (docs/CONCURRENCY.md).
 
 #ifndef LYRIC_STORAGE_PAGED_STORE_H_
 #define LYRIC_STORAGE_PAGED_STORE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,8 +71,9 @@ struct StoreOptions {
   std::string path;
   /// Buffer-pool capacity in pages (soft cap).
   size_t pool_pages = 256;
-  /// When false, Commit skips the WAL fsync — benchmarks only; a crash
-  /// may then lose the tail of acknowledged commits (never corrupt).
+  /// When false, a commit counts as durable once appended, with no WAL
+  /// fsync — benchmarks only; a crash may then lose the tail of
+  /// acknowledged commits.
   bool sync_commits = true;
 };
 
@@ -97,9 +107,17 @@ class PagedStore : private PageAllocator {
                                                std::string_view)>& fn)
       LYRIC_EXCLUDES(mu_);
 
-  /// Makes every buffered mutation durable (WAL append + fsync). No-op
-  /// when nothing changed.
+  /// Makes every buffered mutation durable: appends it to the WAL, then
+  /// WaitDurable. No-op when nothing changed.
   Status Commit() LYRIC_EXCLUDES(mu_);
+  /// Blocks until the commit with LSN `lsn` is durable, fsyncing through
+  /// the WAL's group commit without the engine lock, so the next commit
+  /// may append meanwhile. OK at once when `lsn` is 0 or already durable.
+  /// A failed fsync poisons the store and every waiter gets its error;
+  /// on a poisoned store a not-yet-durable `lsn` fails at once.
+  Status WaitDurable(uint64_t lsn) LYRIC_EXCLUDES(mu_);
+  /// The highest commit LSN known durable. Lock-free.
+  uint64_t durable_lsn() const { return durable_lsn_.load(); }
   /// Commit + flush dirty pages to the data file + fsync + truncate the
   /// WAL.
   Status Checkpoint() LYRIC_EXCLUDES(mu_);
@@ -115,15 +133,16 @@ class PagedStore : private PageAllocator {
   /// into the (empty) `db`, leaving its change set empty.
   Status ExportToDatabase(Database* db) LYRIC_EXCLUDES(mu_);
   /// Writes exactly the records `changes` touched, rendered from `db` as
-  /// it stands now, and commits them in one transaction — the
-  /// write-through path for a live server: after a schema mutation
-  /// evaluates, ApplyChanges makes the new state durable before the
-  /// client is acknowledged. `changes` must be everything `db` changed
-  /// since the store last matched it (Database::TakeChanges), so that
-  /// afterwards the store holds exactly `db`. No commit when nothing
+  /// it stands now, and appends them to the WAL as one commit, without
+  /// fsyncing — the write-through path for a live server: after a schema
+  /// mutation installs, ApplyChanges appends it, and WaitDurable on the
+  /// returned LSN makes it durable before the client is acknowledged.
+  /// `changes` must be everything `db` changed since the store last
+  /// matched it (Database::TakeChanges), so that afterwards the store
+  /// holds exactly `db`. Returns the commit's LSN, or 0 when nothing
   /// changed. Any failure poisons the store fail-stop; the durable state
   /// stays the previous committed prefix.
-  Status ApplyChanges(const Database& db, const ChangeSet& changes)
+  Result<uint64_t> ApplyChanges(const Database& db, const ChangeSet& changes)
       LYRIC_EXCLUDES(mu_);
 
   uint64_t RecordCount() LYRIC_EXCLUDES(mu_);
@@ -149,7 +168,11 @@ class PagedStore : private PageAllocator {
   Status PutLocked(std::string_view key, std::string_view value)
       LYRIC_REQUIRES(mu_);
   Status DeleteLocked(std::string_view key) LYRIC_REQUIRES(mu_);
-  Status CommitLocked() LYRIC_REQUIRES(mu_);
+  /// Appends every unlogged frame plus a commit record to the WAL (no
+  /// fsync) and returns the commit's LSN, or 0 when nothing changed.
+  Result<uint64_t> AppendCommitLocked() LYRIC_REQUIRES(mu_);
+  /// Raises durable_lsn_ to `lsn` (never lowers it).
+  void AdvanceDurable(uint64_t lsn);
   Status CheckpointLocked() LYRIC_REQUIRES(mu_);
   Status ApplyChangeLocked(const Database& db, const Change& change)
       LYRIC_REQUIRES(mu_);
@@ -165,6 +188,10 @@ class PagedStore : private PageAllocator {
 
   const StoreOptions opts_;
   RecoveryInfo recovery_;
+  /// Every commit at or below this LSN is durable. Advanced by
+  /// WaitDurable and Checkpoint (and by each append when sync_commits is
+  /// off); the buffer pool reads it for the write-ahead rule.
+  std::atomic<uint64_t> durable_lsn_{0};
   sync::Mutex mu_{sync::LockRank::kStorageEngine, "paged_store"};
   std::unique_ptr<Pager> pager_ LYRIC_GUARDED_BY(mu_);
   std::unique_ptr<BufferPool> pool_ LYRIC_GUARDED_BY(mu_);

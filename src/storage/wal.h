@@ -16,12 +16,14 @@
 // applies a transaction's images only when its commit record is intact,
 // so recovery lands exactly on the last durable commit.
 //
-// Durability: Append only buffers into the OS file; Commit is not
+// Durability: Append only buffers into the OS file; a commit is not
 // durable until SyncTo(lsn) returns. SyncTo implements group commit
 // (leader/follower): the first waiter becomes the leader, releases the
 // lock, fsyncs once, and wakes everyone whose records the sync covered —
-// concurrent committers share one fsync (counted in
-// storage.wal.group_commit_riders). A failed fsync poisons the log
+// concurrent waiters share one fsync (counted in
+// storage.wal.group_commit_riders). PagedStore::WaitDurable calls it
+// without the engine lock, so the waiters are a committing writer and
+// the server's reads that saw its commit. A failed fsync poisons the log
 // (sticky error): the kernel may have dropped dirty pages and "retry"
 // would report durability that does not exist (the PostgreSQL fsyncgate
 // lesson); the owning store reopens instead.

@@ -107,14 +107,20 @@ enum class LockRank : int {
   /// loop registers/reaps sessions and publishes connection gauges, but
   /// never holds this lock across query evaluation.
   kNetSession = 4,
-  /// lyric_serverd schema gate (net/server.h): shared for read queries,
-  /// exclusive for CREATE VIEW. Held across a whole evaluation, so it
-  /// must rank before every lock evaluation can take (scheduler first).
+  /// lyric_serverd writer mutex (net/server.h): serializes CREATE VIEWs
+  /// end to end — evaluation, install and the wait for durability — so
+  /// at most one write is unacknowledged. Taken before the schema gate,
+  /// which the write takes shared and then exclusive under it.
+  kNetWriter = 5,
+  /// lyric_serverd schema gate (net/server.h): shared for read queries
+  /// and a CREATE VIEW's evaluation, exclusive only to install a view and
+  /// append it to the store. Held across a whole evaluation, so it must
+  /// rank before every lock evaluation can take (scheduler first).
   kNetSchemaGate = 6,
   /// lyric_serverd lifecycle state (net/server.h): in-flight query
   /// count, drain condvar, degraded-mode cause. Above the schema gate
-  /// because a failed store write-through degrades the server to
-  /// read-only while still holding the exclusive gate.
+  /// because a failed store append degrades the server to read-only
+  /// while still holding the exclusive gate.
   kNetLifecycle = 8,
   /// QueryScheduler admission ledger + wait queue (exec/scheduler.h).
   kScheduler = 10,

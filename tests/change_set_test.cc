@@ -4,7 +4,8 @@
 // objects, empty, OID FUNCTION, over CST oids, one class per binding)
 // mixed with the Database mutators (Insert, SetAttribute,
 // ClearAttribute, DeleteObject, AddInstanceOf) are written through with
-// PagedStore::ApplyChanges, the call lyric_serverd makes. After every
+// PagedStore::ApplyChanges and WaitDurable, the calls lyric_serverd
+// makes. After every
 // write-through, and again after a close, a reopen and more writes, the
 // store must export a database that dumps byte-identically to the live
 // one, and hold exactly its records.
@@ -42,6 +43,12 @@ std::string FreshStorePath(const std::string& name) {
   ::unlink(path.c_str());
   ::unlink(PagedStore::WalPathFor(path).c_str());
   return path;
+}
+
+// Appends `db`'s pending changes and waits until they are durable.
+Status WriteThrough(PagedStore* store, Database* db) {
+  Result<uint64_t> lsn = store->ApplyChanges(*db, db->TakeChanges());
+  return lsn.ok() ? store->WaitDurable(*lsn) : lsn.status();
 }
 
 // -- the reference scan -----------------------------------------------------
@@ -377,13 +384,13 @@ TEST(ChangeSetOracle, SeededSequencesMatchTheStoreAcrossReopen) {
       // Most steps write through at once; the rest leave their changes
       // pending for the next one, as a failed CREATE VIEW does.
       if (rng() % 4 != 0) {
-        ASSERT_TRUE(store->ApplyChanges(db, db.TakeChanges()).ok()) << at;
+        ASSERT_TRUE(WriteThrough(store.get(), &db).ok()) << at;
         ExpectStoreMatches(store.get(), db, at);
       }
       if (step == 29 || step == 59) {
         // Close and reopen: the reopened store numbers new facts after
         // its own highest keys.
-        ASSERT_TRUE(store->ApplyChanges(db, db.TakeChanges()).ok()) << at;
+        ASSERT_TRUE(WriteThrough(store.get(), &db).ok()) << at;
         ASSERT_TRUE(store->Close().ok());
         store = PagedStore::Open({.path = path}).value();
         ExpectStoreMatches(store.get(), db, "reopened " + at);
@@ -458,7 +465,7 @@ TEST(ChangeSetOracle, CreateViewWritesFewPagesHoweverManyViewsPrecede) {
         " AS SUBCLASS OF Object_in_Room SELECT O FROM Object_in_Room O "
         "WHERE O.location[L] and L(x, y) |= " + Box(rng, 12, 8);
     ASSERT_TRUE(ev.Execute(text).ok()) << text;
-    ASSERT_TRUE(store->ApplyChanges(db, db.TakeChanges()).ok());
+    ASSERT_TRUE(WriteThrough(store.get(), &db).ok());
   };
   // Page images per committed view over the next ten views.
   auto images_per_commit = [&] {

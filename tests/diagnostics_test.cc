@@ -94,6 +94,45 @@ TEST(RenderTest, CaretSnippetUnderlinesSpan) {
   EXPECT_NE(rendered.find("^~~~"), std::string::npos);
 }
 
+TEST(RenderTest, LongLineSnippetIsClippedAroundTheSpan) {
+  // One line of 1,000,000 terms, the shape of long_chain_test's queries.
+  std::string src = "SELECT ((x) | SAT(x <= 1";
+  src.reserve(src.size() + 2 * 1000000 + 32);
+  for (int i = 1; i < 1000000; ++i) src += "+1";
+  src += ")) FROM Desk D";
+  // A note whose span covers the back half of the chain (both sides cut),
+  // and an error on a short span at the start of the line (right side
+  // cut).
+  const size_t middle = src.find("+1", src.size() / 2);
+  const struct {
+    Diagnostic diag;
+    std::string snippet_head;
+  } cases[] = {
+      {MakeDiag(DiagCode::kFamilyInfo, {middle, src.size() - middle},
+                "family: linear"),
+       "  ..."},
+      {MakeDiag(DiagCode::kUnknownClass, {7, 3}, "synthetic"), "  SELECT"},
+  };
+  for (const auto& c : cases) {
+    const std::string rendered = RenderDiagnostic(src, c.diag, "chain.lyric");
+    EXPECT_LT(rendered.size(), 300u) << rendered;
+    // Header, snippet, caret line.
+    const size_t first = rendered.find('\n');
+    const size_t second = rendered.find('\n', first + 1);
+    ASSERT_NE(second, std::string::npos) << rendered;
+    const std::string snippet = rendered.substr(first + 1, second - first - 1);
+    const std::string carets = rendered.substr(second + 1);
+    EXPECT_EQ(snippet.substr(0, c.snippet_head.size()), c.snippet_head)
+        << rendered;
+    EXPECT_EQ(snippet.substr(snippet.size() - 3), "...") << rendered;
+    // The caret still sits under the span's first characters.
+    const size_t caret = carets.find('^');
+    ASSERT_NE(caret, std::string::npos) << rendered;
+    EXPECT_EQ(snippet.substr(caret, 8), src.substr(c.diag.span.offset, 8))
+        << rendered;
+  }
+}
+
 TEST(RenderTest, JsonCarriesPositionsAndCodes) {
   const std::string src = "SELECT X FROM Dekk X";
   std::vector<Diagnostic> diags = {MakeDiag(

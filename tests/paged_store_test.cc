@@ -7,11 +7,16 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
+#include "storage/file_io.h"
+#include "storage/pager.h"
 #include "storage/serializer.h"
+#include "util/fault.h"
 
 namespace lyric {
 namespace storage {
@@ -32,6 +37,50 @@ std::unique_ptr<PagedStore> MustOpen(const std::string& path,
   auto store = PagedStore::Open(opts);
   EXPECT_TRUE(store.ok()) << store.status();
   return std::move(*store);
+}
+
+// The data file's pages as a second Pager reads them.
+std::vector<PageBuf> DataFilePages(const std::string& path) {
+  std::vector<PageBuf> pages;
+  auto pager = Pager::Open(path);
+  EXPECT_TRUE(pager.ok()) << pager.status();
+  if (!pager.ok()) return pages;
+  auto count = pager->PageCountOnDisk();
+  EXPECT_TRUE(count.ok()) << count.status();
+  pages.resize(count.ok() ? *count : 0);
+  for (PageId id = 0; id < pages.size(); ++id) {
+    EXPECT_TRUE(pager->ReadPageRaw(id, &pages[id]).ok()) << id;
+  }
+  return pages;
+}
+
+// Appends one commit (a new class record) without waiting for it to be
+// durable, the way a server's exclusive section does.
+uint64_t AppendClass(PagedStore* store, Database* db,
+                     const std::string& name) {
+  ClassDef def;
+  def.name = name;
+  EXPECT_TRUE(db->AddClass(def).ok()) << name;
+  Result<uint64_t> lsn = store->ApplyChanges(*db, db->TakeChanges());
+  EXPECT_TRUE(lsn.ok()) << lsn.status();
+  return lsn.ok() ? *lsn : 0;
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name).value();
+}
+
+// Reads every record, pulling each leaf through the pool.
+void ScanAll(PagedStore* store) {
+  size_t seen = 0;
+  ASSERT_TRUE(store
+                  ->Scan("",
+                         [&](std::string_view, std::string_view) {
+                           ++seen;
+                           return Result<bool>(true);
+                         })
+                  .ok());
+  EXPECT_GT(seen, 0u);
 }
 
 TEST(PagedStoreTest, PutGetDeleteRoundTrip) {
@@ -277,6 +326,134 @@ TEST(PagedStoreTest, CheckpointTruncatesWal) {
   // Data survives the truncation, of course.
   EXPECT_EQ(store->Get("k49").value(), filler);
   ASSERT_TRUE(store->Close().ok());
+}
+
+TEST(PagedStoreTest, AppendedCommitStaysOutOfTheDataFileUntilDurable) {
+  std::string path = FreshPath("ps_wal_rule.lyricpg");
+  {
+    auto writer = MustOpen(path);
+    const std::string filler(300, 'f');
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_TRUE(writer->Put("k" + std::to_string(1000 + i), filler).ok());
+    }
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  auto store = MustOpen(path, 4);  // every scan below evicts
+  const std::vector<PageBuf> checkpointed = DataFilePages(path);
+  ASSERT_GT(checkpointed.size(), 8u) << "the tree must outgrow the pool";
+
+  // Appended, not yet durable: fetches that force eviction must skip the
+  // commit's dirty frames.
+  Database db;
+  const uint64_t lsn = AppendClass(store.get(), &db, "Held");
+  ASSERT_GT(lsn, store->durable_lsn());
+  const uint64_t evictions = CounterValue("storage.pool.evictions");
+  ScanAll(store.get());
+  ScanAll(store.get());
+  EXPECT_GT(CounterValue("storage.pool.evictions"), evictions);
+  EXPECT_TRUE(DataFilePages(path) == checkpointed)
+      << "a frame reached the data file before its commit was durable";
+
+  // Durable: now eviction may write them back.
+  ASSERT_TRUE(store->WaitDurable(lsn).ok());
+  EXPECT_GE(store->durable_lsn(), lsn);
+  ScanAll(store.get());
+  ScanAll(store.get());
+  EXPECT_FALSE(DataFilePages(path) == checkpointed)
+      << "eviction never wrote the durable commit's frames";
+  ASSERT_TRUE(store->Close().ok());
+
+  auto reopened = MustOpen(path);
+  EXPECT_EQ(reopened->RecordCount(), 401u);
+  ASSERT_TRUE(reopened->Close().ok());
+}
+
+TEST(PagedStoreTest, CheckpointSyncsTheLogBeforeItFlushes) {
+  std::string path = FreshPath("ps_ckpt_order.lyricpg");
+  auto store = MustOpen(path);
+  ASSERT_TRUE(store->Put("before", "1").ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  const std::vector<PageBuf> checkpointed = DataFilePages(path);
+  Database db;
+  AppendClass(store.get(), &db, "Pending");
+
+  HoldSyncsForTesting();
+  Status checkpoint;
+  std::thread worker([&] { checkpoint = store->Checkpoint(); });
+  // The first sync Checkpoint issues is the log's, and until it returns
+  // no page has been flushed.
+  EXPECT_EQ(WaitForHeldSyncForTesting(10000), PagedStore::WalPathFor(path));
+  EXPECT_TRUE(DataFilePages(path) == checkpointed);
+  ReleaseSyncsForTesting();
+  worker.join();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint;
+  EXPECT_FALSE(DataFilePages(path) == checkpointed);
+  ASSERT_TRUE(store->Close().ok());
+}
+
+TEST(PagedStoreTest, WaitDurableIsIdempotentAndLsnsGrowAcrossCheckpoint) {
+  std::string path = FreshPath("ps_wait_durable.lyricpg");
+  auto store = MustOpen(path);
+  Database db;
+  EXPECT_TRUE(store->ApplyChanges(db, db.TakeChanges()).value() == 0u)
+      << "nothing changed, nothing appended";
+  EXPECT_TRUE(store->WaitDurable(0).ok());
+
+  const uint64_t first = AppendClass(store.get(), &db, "First");
+  ASSERT_GT(first, 0u);
+  EXPECT_LT(store->durable_lsn(), first);
+  ASSERT_TRUE(store->WaitDurable(first).ok());
+  EXPECT_GE(store->durable_lsn(), first);
+  const uint64_t fsyncs = CounterValue("storage.wal.fsyncs");
+  ASSERT_TRUE(store->WaitDurable(first).ok());
+  EXPECT_EQ(CounterValue("storage.wal.fsyncs"), fsyncs)
+      << "a durable LSN must not fsync again";
+
+  // Checkpoint resets the WAL; numbering goes on, and the old LSN stays
+  // durable.
+  ASSERT_TRUE(store->Checkpoint().ok());
+  EXPECT_GE(store->durable_lsn(), first);
+  const uint64_t second = AppendClass(store.get(), &db, "Second");
+  EXPECT_GT(second, first);
+  ASSERT_TRUE(store->WaitDurable(first).ok());
+  ASSERT_TRUE(store->WaitDurable(second).ok());
+  ASSERT_TRUE(store->Close().ok());
+
+  // And across a reopen.
+  store = MustOpen(path);
+  EXPECT_GE(store->durable_lsn(), second);
+  Database reloaded;
+  ASSERT_TRUE(store->ExportToDatabase(&reloaded).ok());
+  EXPECT_GT(AppendClass(store.get(), &reloaded, "Third"), second);
+  ASSERT_TRUE(store->Close().ok());
+}
+
+TEST(PagedStoreTest, FailedFsyncPoisonsAndEveryWaiterGetsTheError) {
+  std::string path = FreshPath("ps_fsync_fail.lyricpg");
+  auto store = MustOpen(path);
+  Database db;
+  const uint64_t lsn = AppendClass(store.get(), &db, "Doomed");
+  ASSERT_GT(lsn, store->durable_lsn());
+
+  ASSERT_TRUE(fault::ConfigureForTesting("storage:1"));
+  std::vector<Status> waited(3);
+  std::vector<std::thread> waiters;
+  for (Status& out : waited) {
+    waiters.emplace_back([&store, &out, lsn] { out = store->WaitDurable(lsn); });
+  }
+  for (std::thread& t : waiters) t.join();
+  ASSERT_TRUE(fault::ConfigureForTesting(""));
+
+  for (const Status& st : waited) {
+    EXPECT_TRUE(st.IsUnavailable()) << st;
+    EXPECT_NE(st.message().find("fsync"), std::string::npos) << st;
+  }
+  EXPECT_EQ(store->poison_status().ToString(), waited[0].ToString());
+  EXPECT_LT(store->durable_lsn(), lsn);
+  // Sticky: with the fault gone, the fsync is not retried.
+  EXPECT_EQ(store->WaitDurable(lsn).ToString(), waited[0].ToString());
+  EXPECT_FALSE(store->Commit().ok());
+  EXPECT_FALSE(store->Close().ok());
 }
 
 TEST(PagedStoreTest, FreshOpenReportsNoRecovery) {

@@ -1,8 +1,9 @@
 // Store-backed serving: a Server with ServerOptions::store attached
 // must make every acknowledged schema mutation durable BEFORE the
-// client sees the response (commit-before-ack), hydrate byte-identically
-// on reopen, and degrade to read-only — reads keep serving, writes shed
-// typed errors — when the store fails underneath it.
+// client sees the response (commit-before-ack), answer no read before
+// the mutation it saw is durable, hydrate byte-identically on reopen,
+// and degrade to read-only — reads keep serving, writes shed typed
+// errors — when the store fails underneath it.
 //
 // The crash half of the story (kill -9 mid-commit against a real
 // lyric_serverd process) lives in server_chaos_test.cc; this binary
@@ -13,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -431,6 +433,158 @@ TEST_F(ServerStoreTest, ReadersScanTheParentExtentWhileViewsCommit) {
   ASSERT_TRUE(live_dump.ok());
   EXPECT_EQ(*recovered_dump, *live_dump);
   ASSERT_TRUE(reopened->Close().ok());
+}
+
+// Waits until the server has accepted `n` queries that are still
+// unanswered.
+bool WaitForInFlight(const net::Server& server, uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.in_flight_queries() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A CREATE VIEW whose WAL fsync is held, and a read issued after its
+// install: the write's client and the read's client both wait, a HEALTH
+// probe does not. The held sync comes after the install and the append,
+// so the read starts after the view is installed.
+class HeldFsync {
+ public:
+  HeldFsync(uint16_t port, const std::string& store_path)
+      : writer_client_(PlainClient(port)), reader_client_(PlainClient(port)) {
+    storage::HoldSyncsForTesting();
+    writer_ = std::thread([this] {
+      created_ = writer_client_.Execute(kViewQuery);
+      created_done_.store(true);
+    });
+    held_path_ = storage::WaitForHeldSyncForTesting(10000);
+    EXPECT_EQ(held_path_, PagedStore::WalPathFor(store_path));
+    reader_ = std::thread([this] {
+      read_ = reader_client_.Execute(kViewReadQuery);
+      read_done_.store(true);
+    });
+  }
+  ~HeldFsync() { Release(Status::OK()); }
+
+  bool answered_any() const { return created_done_ || read_done_; }
+  void Release(const Status& outcome) {
+    if (!writer_.joinable()) return;
+    storage::ReleaseSyncsForTesting(outcome);
+    writer_.join();
+    reader_.join();
+  }
+  const Result<net::QueryResponse>& created() const { return created_; }
+  const Result<net::QueryResponse>& read() const { return read_; }
+
+ private:
+  net::Client writer_client_;
+  net::Client reader_client_;
+  std::string held_path_;
+  std::thread writer_;
+  std::thread reader_;
+  std::atomic<bool> created_done_{false};
+  std::atomic<bool> read_done_{false};
+  Result<net::QueryResponse> created_{Status::Internal("not answered")};
+  Result<net::QueryResponse> read_{Status::Internal("not answered")};
+};
+
+TEST_F(ServerStoreTest, NothingIsAnsweredBeforeWhatItSawIsDurable) {
+  const std::string path = FreshStorePath("srv_store_held_fsync.lyricpg");
+  auto store = PagedStore::Open({.path = path}).value();
+  Database db = MakeOfficeDb();
+  ASSERT_TRUE(store->ImportDatabase(db).ok());
+  net::ServerOptions sopts;
+  sopts.store = store.get();
+  net::Server server(&db, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    HeldFsync held(server.port(), path);
+    ASSERT_TRUE(WaitForInFlight(server, 2));
+    // A probe still answers while the fsync is held...
+    net::Client probe(PlainClient(server.port()));
+    net::HealthInfo info;
+    ASSERT_TRUE(probe.Health(&info).ok());
+    EXPECT_EQ(info.state, net::HealthState::kServing);
+    EXPECT_EQ(info.in_flight_queries, 2u);
+    // ...but neither the write nor the read that saw its install does.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_FALSE(held.answered_any());
+
+    held.Release(Status::OK());
+    ASSERT_TRUE(held.created().ok()) << held.created().status();
+    EXPECT_TRUE(held.created()->status.ok()) << held.created()->status;
+    ASSERT_TRUE(held.read().ok()) << held.read().status();
+    ASSERT_TRUE(held.read()->status.ok()) << held.read()->status;
+    // The read's rows are the view's.
+    Database replica = MakeOfficeDb();
+    Evaluator ev(&replica, EvalOptions{});
+    ASSERT_TRUE(ev.Execute(kViewQuery).ok());
+    Result<ResultSet> view_rows = ev.Execute(kViewReadQuery);
+    ASSERT_TRUE(view_rows.ok()) << view_rows.status();
+    ASSERT_GT(view_rows->size(), 0u);
+    EXPECT_EQ(held.read()->row_count, view_rows->size());
+    EXPECT_EQ(held.read()->rendered, view_rows->ToString());
+  }
+  EXPECT_FALSE(server.read_only());
+  server.Stop();
+  ASSERT_TRUE(store->Close().ok());
+
+  // The reopened store holds the view.
+  auto reopened = PagedStore::Open({.path = path}).value();
+  Database recovered;
+  ASSERT_TRUE(reopened->ExportToDatabase(&recovered).ok());
+  EXPECT_TRUE(recovered.schema().HasClass("Near_Wall"));
+  ASSERT_TRUE(reopened->Close().ok());
+}
+
+TEST_F(ServerStoreTest, FailedFsyncAnswersTheWriterTypedAndTheReadDegraded) {
+  const std::string path = FreshStorePath("srv_store_failed_fsync.lyricpg");
+  auto store = PagedStore::Open({.path = path}).value();
+  Database db = MakeOfficeDb();
+  ASSERT_TRUE(store->ImportDatabase(db).ok());
+  net::ServerOptions sopts;
+  sopts.store = store.get();
+  net::Server server(&db, sopts);
+  ASSERT_TRUE(server.Start().ok());
+
+  {
+    HeldFsync held(server.port(), path);
+    ASSERT_TRUE(WaitForInFlight(server, 2));
+    held.Release(Status::Internal("fsync failed: injected EIO"));
+    // The writer gets the typed storage error, not an ack...
+    ASSERT_TRUE(held.created().ok()) << held.created().status();
+    EXPECT_EQ(held.created()->status.code(), StatusCode::kInternal)
+        << held.created()->status;
+    EXPECT_NE(held.created()->status.message().find("write-through"),
+              std::string::npos)
+        << held.created()->status;
+    // ...and the read is answered from memory, as degraded mode answers
+    // every read: the quarantined view included.
+    ASSERT_TRUE(held.read().ok()) << held.read().status();
+    EXPECT_TRUE(held.read()->status.ok()) << held.read()->status;
+    EXPECT_GT(held.read()->row_count, 0u);
+  }
+  EXPECT_TRUE(server.read_only());
+  net::Client client(PlainClient(server.port()));
+  Result<net::QueryResponse> read = client.Execute(kViewReadQuery);
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_TRUE(read->status.ok()) << read->status;
+  EXPECT_EQ(client.last_server_health(), net::HealthState::kReadOnly);
+  Result<net::QueryResponse> shed = client.Execute(
+      "CREATE VIEW Second AS SUBCLASS OF Object_in_Room "
+      "SELECT O FROM Object_in_Room O");
+  ASSERT_TRUE(shed.ok()) << shed.status();
+  EXPECT_TRUE(shed->status.IsUnavailable()) << shed->status;
+  net::HealthInfo info;
+  ASSERT_TRUE(client.Health(&info).ok());
+  EXPECT_NE(info.detail.find("injected EIO"), std::string::npos)
+      << info.detail;
+  server.Stop();
+  EXPECT_FALSE(store->Close().ok());
 }
 
 // Same ENOSPC story as the gate test at the top of this file, but armed
