@@ -170,8 +170,8 @@ class CoreLp {
       // before publishing, so this value never escapes.
       if (exec::AccountPivots(1, "simplex.run") ||
           ((iterations & 63) == 0 &&
-           exec::GovernorScope::Current() != nullptr &&
-           exec::GovernorScope::Current()->CheckDeadline("simplex.run"))) {
+           exec::CurrentToken() != nullptr &&
+           exec::CurrentToken()->CheckDeadline("simplex.run"))) {
         return LpStatus::kInfeasible;
       }
       iteration_counter->Increment();

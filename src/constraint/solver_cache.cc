@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/query_context.h"
 #include "util/fault.h"
 #include "util/string_util.h"
 
@@ -148,6 +149,22 @@ void SolverCache::PublishGauges() const {
       static_cast<int64_t>(approx_bytes_.load(std::memory_order_relaxed)));
 }
 
+void SolverCache::CountHit() {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  LYRIC_OBS_COUNT("solver_cache.hits");
+  if (obs::QueryContext* query = obs::QueryContext::Current()) {
+    ++query->cache_hits;
+  }
+}
+
+void SolverCache::CountMiss() {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  LYRIC_OBS_COUNT("solver_cache.misses");
+  if (obs::QueryContext* query = obs::QueryContext::Current()) {
+    ++query->cache_misses;
+  }
+}
+
 SolverCache::Stats SolverCache::stats() const {
   Stats out;
   out.hits = hits_.load(std::memory_order_relaxed);
@@ -236,13 +253,11 @@ std::optional<bool> SolverCache::LookupSat(const Conjunction& c) {
   sync::MutexLock lock(shard.mu);
   Entry* e = FindLocked(shard, key, hash);
   if (e != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    LYRIC_OBS_COUNT("solver_cache.hits");
+    CountHit();
     LYRIC_OBS_COUNT("solver_cache.sat_hits");
     return e->verdict;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("solver_cache.misses");
+  CountMiss();
   return std::nullopt;
 }
 
@@ -264,13 +279,11 @@ std::optional<Conjunction> SolverCache::LookupCanonical(
   sync::MutexLock lock(shard.mu);
   Entry* e = FindLocked(shard, key, hash);
   if (e != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    LYRIC_OBS_COUNT("solver_cache.hits");
+    CountHit();
     LYRIC_OBS_COUNT("solver_cache.canonical_hits");
     return e->canonical;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("solver_cache.misses");
+  CountMiss();
   return std::nullopt;
 }
 
@@ -293,13 +306,11 @@ std::optional<bool> SolverCache::LookupEntails(const Conjunction& lhs,
   sync::MutexLock lock(shard.mu);
   Entry* e = FindLocked(shard, key, hash);
   if (e != nullptr) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    LYRIC_OBS_COUNT("solver_cache.hits");
+    CountHit();
     LYRIC_OBS_COUNT("solver_cache.entailment_hits");
     return e->verdict;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LYRIC_OBS_COUNT("solver_cache.misses");
+  CountMiss();
   return std::nullopt;
 }
 

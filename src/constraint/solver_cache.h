@@ -27,7 +27,10 @@
 // The cache is sharded (hash-picked shard, one mutex each) so concurrent
 // queries rarely contend, and size-bounded with per-shard LRU
 // eviction. Hits/misses/evictions feed the obs metrics registry
-// ("solver_cache.*"); lyric_shell's `.cache` prints them.
+// ("solver_cache.*"); lyric_shell's `.cache` prints them. Each hit and
+// miss is also counted into the calling thread's QueryContext, so a
+// query's log record carries its own lookups, not those of queries
+// running beside it.
 
 #ifndef LYRIC_CONSTRAINT_SOLVER_CACHE_H_
 #define LYRIC_CONSTRAINT_SOLVER_CACHE_H_
@@ -90,20 +93,6 @@ class SolverCache {
   void Clear();
 
   Stats stats() const;
-
-  /// Lifetime traffic counters, readable without touching shard locks.
-  /// The evaluator samples these before and after each query to attribute
-  /// hit/miss deltas to its per-query log record.
-  struct Traffic {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-  Traffic traffic() const {
-    Traffic t;
-    t.hits = hits_.load(std::memory_order_relaxed);
-    t.misses = misses_.load(std::memory_order_relaxed);
-    return t;
-  }
 
   // -- The three memoized verdict families ---------------------------------
 
@@ -168,6 +157,12 @@ class SolverCache {
   void StoreEntry(Entry entry);
   void EraseFromIndexLocked(Shard& shard, std::list<Entry>::iterator it)
       LYRIC_REQUIRES(shard.mu);
+
+  /// Counts a lookup's outcome: the lifetime atomics, the registry's
+  /// "solver_cache.hits"/"solver_cache.misses" and the calling query's
+  /// context.
+  void CountHit();
+  void CountMiss();
 
   /// Rough heap footprint of one entry, for the occupancy gauge (exact
   /// accounting would walk every rational; the atom count dominates).

@@ -12,8 +12,6 @@ namespace exec {
 
 namespace {
 
-thread_local CancellationToken* t_current_token = nullptr;
-
 void CountTrip(LimitKind kind) {
   obs::Registry::Global()
       .GetCounter(std::string("governor.trips.") + LimitKindToString(kind))
@@ -164,33 +162,6 @@ GovernorReport CancellationToken::Report() const {
           std::chrono::steady_clock::now() - start_)
           .count());
   return report;
-}
-
-GovernorScope::GovernorScope(CancellationToken* token)
-    : previous_(t_current_token) {
-  t_current_token = token;
-}
-
-GovernorScope::~GovernorScope() { t_current_token = previous_; }
-
-CancellationToken* GovernorScope::Current() { return t_current_token; }
-
-bool AccountPivots(uint64_t n, const char* site) {
-  CancellationToken* token = GovernorScope::Current();
-  if (token == nullptr) return false;
-  return token->AccountPivots(n, site);
-}
-
-bool AccountKernelMemory(uint64_t bytes, const char* site) {
-  CancellationToken* token = GovernorScope::Current();
-  if (token == nullptr) return false;
-  return token->AccountMemory(bytes, site);
-}
-
-bool AccountDisjuncts(uint64_t n, const char* site) {
-  CancellationToken* token = GovernorScope::Current();
-  if (token == nullptr) return false;
-  return token->AccountDisjuncts(n, site);
 }
 
 }  // namespace exec

@@ -13,9 +13,9 @@
 //   * A CancellationToken carries the per-query limits — wall-clock
 //     deadline, kernel memory budget, simplex pivot cap, DNF disjunct cap
 //     — plus the usage counters and the sticky "tripped" record.
-//   * The evaluating thread owns the token: Evaluator::Execute creates it
-//     on its own stack and installs it as an *ambient* thread-local
-//     (GovernorScope), so the constraint kernels observe it without
+//   * The evaluating thread owns the token: the evaluator creates it on
+//     its own stack and attaches it to the query's ambient QueryContext
+//     (obs/query_context.h), so the constraint kernels observe it without
 //     threading a parameter through every call signature. No other
 //     thread ever sees it, so its counters are plain fields.
 //   * Kernels check cooperatively: hot loops call the cheap counting
@@ -35,9 +35,10 @@
 //     the verdicts it completed before tripping stay cached, and a
 //     repeat may get further and trip at a later site.
 //
-// With no limits configured nothing is installed and every check is one
-// thread_local load — bench_paper_queries' governed variant keeps the
-// overhead visible (<5% is the CI budget).
+// With no limits configured no token is attached and every check is one
+// thread-local load, a null test and one pointer load —
+// bench_paper_queries' governed variant keeps the overhead visible (<5%
+// is the CI budget).
 
 #ifndef LYRIC_EXEC_GOVERNOR_H_
 #define LYRIC_EXEC_GOVERNOR_H_
@@ -47,6 +48,7 @@
 #include <optional>
 #include <string>
 
+#include "obs/query_context.h"
 #include "util/status.h"
 
 namespace lyric {
@@ -168,32 +170,20 @@ class CancellationToken {
   const char* trip_site_ = "";
 };
 
-/// Installs a token as the current thread's ambient governor for the
-/// scope's lifetime (restores the previous one on exit, so scopes nest).
-/// The evaluator opens one on the query thread; kernels read it through
-/// Current().
-class GovernorScope {
- public:
-  explicit GovernorScope(CancellationToken* token);
-  ~GovernorScope();
-
-  GovernorScope(const GovernorScope&) = delete;
-  GovernorScope& operator=(const GovernorScope&) = delete;
-
-  /// The token governing the current thread, or nullptr (ungoverned).
-  static CancellationToken* Current();
-
- private:
-  CancellationToken* previous_;
-};
-
 // -- Kernel-side hooks (free functions so call sites stay one line) --------
+
+/// The token governing the current thread's query, or nullptr (no query
+/// context installed, or the query is ungoverned).
+inline CancellationToken* CurrentToken() {
+  obs::QueryContext* context = obs::QueryContext::Current();
+  return context == nullptr ? nullptr : context->token;
+}
 
 /// Returns the ambient token's trip Status (sampling the deadline), or OK
 /// when ungoverned/untripped. Every Result-bearing kernel entry point
 /// calls this on entry and before publishing a computed result.
 inline Status CheckCancellation(const char* site) {
-  CancellationToken* token = GovernorScope::Current();
+  CancellationToken* token = CurrentToken();
   if (token == nullptr) return Status::OK();
   return token->Check(site);
 }
@@ -201,15 +191,24 @@ inline Status CheckCancellation(const char* site) {
 /// True when the ambient token has tripped — for inner loops that cannot
 /// return a Status and just stop producing work.
 inline bool CancellationRequested() {
-  CancellationToken* token = GovernorScope::Current();
+  CancellationToken* token = CurrentToken();
   return token != nullptr && token->stopped();
 }
 
 /// Accounting hooks; no-ops when ungoverned. Each returns true when the
 /// caller should unwind (the token is tripped).
-bool AccountPivots(uint64_t n, const char* site);
-bool AccountKernelMemory(uint64_t bytes, const char* site);
-bool AccountDisjuncts(uint64_t n, const char* site);
+inline bool AccountPivots(uint64_t n, const char* site) {
+  CancellationToken* token = CurrentToken();
+  return token != nullptr && token->AccountPivots(n, site);
+}
+inline bool AccountKernelMemory(uint64_t bytes, const char* site) {
+  CancellationToken* token = CurrentToken();
+  return token != nullptr && token->AccountMemory(bytes, site);
+}
+inline bool AccountDisjuncts(uint64_t n, const char* site) {
+  CancellationToken* token = CurrentToken();
+  return token != nullptr && token->AccountDisjuncts(n, site);
+}
 
 }  // namespace exec
 }  // namespace lyric

@@ -109,23 +109,15 @@ void QueryScheduler::PublishGaugesLocked() const {
   static obs::Gauge& waiting_gauge = reg.GetGauge("scheduler.waiting");
   static obs::Gauge& reserved_gauge =
       reg.GetGauge("scheduler.reserved_memory_bytes");
-  uint64_t waiting = 0;
-  for (const Waiter& w : waiters_) {
-    if (!w.granted) ++waiting;
-  }
   active_gauge.Set(static_cast<int64_t>(active_));
-  waiting_gauge.Set(static_cast<int64_t>(waiting));
+  waiting_gauge.Set(static_cast<int64_t>(waiting_));
   reserved_gauge.Set(static_cast<int64_t>(reserved_memory_));
 }
 
 uint64_t QueryScheduler::RetryAfterHintLocked() const {
-  uint64_t waiting = 0;
-  for (const Waiter& w : waiters_) {
-    if (!w.granted) ++waiting;
-  }
   const double avg = has_avg_ ? avg_duration_ms_ : kDefaultAvgDurationMs;
   const uint64_t lanes = std::max<uint64_t>(limits_.max_concurrent.value_or(1), 1);
-  const double hint = (static_cast<double>(waiting) + 1.0) * avg /
+  const double hint = (static_cast<double>(waiting_) + 1.0) * avg /
                       static_cast<double>(lanes);
   return std::clamp<uint64_t>(static_cast<uint64_t>(hint), 1, kMaxRetryAfterMs);
 }
@@ -170,6 +162,7 @@ void QueryScheduler::GrantWaitersLocked() {
       break;
     }
     best->granted = true;
+    --waiting_;
     ++active_;
     peak_active_ = std::max(peak_active_, active_);
     reserved_memory_ += best->memory;
@@ -220,14 +213,10 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
   }
 
   // No slot (or arrivals already queued): queue or shed.
-  uint64_t waiting = 0;
-  for (const Waiter& w : waiters_) {
-    if (!w.granted) ++waiting;
-  }
   const uint64_t queue_cap = limits_.queue_capacity.value_or(
       SchedulerLimits::kDefaultQueueCapacity);
   if (forced_shed) return ShedLocked("injected fault: queue full");
-  if (waiting >= queue_cap) return ShedLocked("queue full");
+  if (waiting_ >= queue_cap) return ShedLocked("queue full");
 
   waiters_.emplace_back();
   auto it = std::prev(waiters_.end());
@@ -237,6 +226,7 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
     it->has_deadline = true;
     it->deadline_at = DeadlineAfterMs(now, *request.deadline_ms);
   }
+  ++waiting_;
   ++queued_;
   LYRIC_OBS_COUNT("scheduler.queued");
   PublishGaugesLocked();
@@ -264,6 +254,7 @@ Result<AdmissionTicket> QueryScheduler::Admit(const AdmissionRequest& request) {
               it->has_deadline &&
               std::chrono::steady_clock::now() >= it->deadline_at;
           waiters_.erase(it);
+          --waiting_;
           ++expired_;
           LYRIC_OBS_COUNT("scheduler.expired");
           PublishGaugesLocked();
@@ -314,9 +305,7 @@ SchedulerStats QueryScheduler::stats() const {
   out.shed = shed_;
   out.expired = expired_;
   out.active = active_;
-  for (const Waiter& w : waiters_) {
-    if (!w.granted) ++out.waiting;
-  }
+  out.waiting = waiting_;
   out.peak_active = peak_active_;
   out.reserved_memory = reserved_memory_;
   return out;
@@ -328,11 +317,7 @@ bool QueryScheduler::WaitForWaiters(uint64_t count, uint64_t timeout_ms) const {
   for (;;) {
     {
       sync::MutexLock lock(mu_);
-      uint64_t waiting = 0;
-      for (const Waiter& w : waiters_) {
-        if (!w.granted) ++waiting;
-      }
-      if (waiting >= count) return true;
+      if (waiting_ >= count) return true;
     }
     if (std::chrono::steady_clock::now() >= give_up) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -389,17 +374,12 @@ uint64_t RetryPolicy::BackoffMs(uint32_t attempt, const Status& failed) const {
   return std::max<uint64_t>(backoff, 1);
 }
 
-Status RunWithRetry(const RetryPolicy& policy,
-                    const std::function<Status()>& op) {
-  uint32_t attempt = 0;
-  for (;;) {
-    Status status = op();
-    if (status.ok() || !policy.ShouldRetry(status, attempt)) return status;
-    LYRIC_OBS_COUNT("scheduler.retries");
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(policy.BackoffMs(attempt, status)));
-    ++attempt;
-  }
+bool RetryPolicy::WaitToRetry(const Status& failed, uint32_t attempt) const {
+  if (!ShouldRetry(failed, attempt)) return false;
+  LYRIC_OBS_COUNT("scheduler.retries");
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(BackoffMs(attempt, failed)));
+  return true;
 }
 
 }  // namespace exec

@@ -31,7 +31,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <optional>
 #include <string>
@@ -205,6 +204,9 @@ class QueryScheduler {
   mutable sync::Mutex mu_{sync::LockRank::kScheduler, "scheduler"};
   SchedulerLimits limits_ LYRIC_GUARDED_BY(mu_);
   std::list<Waiter> waiters_ LYRIC_GUARDED_BY(mu_);
+  /// Waiters not yet granted: incremented where a waiter is queued,
+  /// decremented where it is granted or expires.
+  uint64_t waiting_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t active_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t reserved_memory_ LYRIC_GUARDED_BY(mu_) = 0;
@@ -252,15 +254,36 @@ struct RetryPolicy {
   /// The deterministic backoff before retry `attempt`; honors `failed`'s
   /// retry-after hint as a lower bound.
   uint64_t BackoffMs(uint32_t attempt, const Status& failed) const;
+  /// ShouldRetry; when true, first counts the retry (obs counter
+  /// "scheduler.retries") and sleeps its backoff.
+  bool WaitToRetry(const Status& failed, uint32_t attempt) const;
 };
 
-/// Runs `op` under `policy`: on a transient failure sleeps the backoff
-/// and retries, up to policy.max_retries times. Returns the first
-/// success or the last failure. Increments obs counter
-/// "scheduler.retries" per retry. Used by the shell (.load/.save) and
-/// lyric_check; the evaluator has its own inline loop so it can preserve
-/// the Result<ResultSet> payload.
-Status RunWithRetry(const RetryPolicy& policy, const std::function<Status()>& op);
+/// The status of an outcome RunWithRetry judges: a Status itself, or a
+/// Result's status.
+inline const Status& StatusOf(const Status& status) { return status; }
+template <typename T>
+const Status& StatusOf(const Result<T>& result) {
+  return result.status();
+}
+
+/// Runs `op`, which returns a Status or a Result<T>, under `policy`: on a
+/// transient failure sleeps the backoff and retries, up to
+/// policy.max_retries times. Returns the first success or the last
+/// failure, and stores how many retries it took in `*retries` when
+/// given. The one retry loop: the evaluator's admission, the shell's
+/// .load/.save and lyric_check's database load all run through it.
+template <typename Op>
+auto RunWithRetry(const RetryPolicy& policy, const Op& op,
+                  uint32_t* retries = nullptr) {
+  for (uint32_t attempt = 0;; ++attempt) {
+    auto outcome = op();
+    if (outcome.ok() || !policy.WaitToRetry(StatusOf(outcome), attempt)) {
+      if (retries != nullptr) *retries = attempt;
+      return outcome;
+    }
+  }
+}
 
 }  // namespace exec
 }  // namespace lyric

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -450,7 +451,7 @@ QueryResponse Server::HandleWrite(const std::string& query,
   }
   // Phase 1: evaluate beside the reads; nothing in the database changes.
   Evaluator evaluator(db_, opts);
-  Result<ResultSet> result = [&] {
+  Evaluation evaluation = [&] {
     sync::ReaderMutexLock gate(schema_gate_);
     return evaluator.Evaluate(query);
   }();
@@ -458,13 +459,14 @@ QueryResponse Server::HandleWrite(const std::string& query,
   // install keeps the rows it did install pending, so the next successful
   // write appends them too.
   uint64_t lsn = 0;
+  std::optional<Result<ResultSet>> result;
   {
     sync::WriterMutexLock gate(schema_gate_);
     obs::ScopedHistogramTimer hold(exclusive_ns);
-    result = evaluator.Install(std::move(result));
+    result.emplace(evaluator.Install(std::move(evaluation)));
     if (options_.store == nullptr) {
       db_->TakeChanges();  // Nothing persists them.
-    } else if (result.ok()) {
+    } else if (result->ok()) {
       Result<uint64_t> appended =
           options_.store->ApplyChanges(*db_, db_->TakeChanges());
       if (!appended.ok()) return WriteThroughFailed(appended.status());
@@ -478,7 +480,7 @@ QueryResponse Server::HandleWrite(const std::string& query,
     Status durable = options_.store->WaitDurable(lsn);
     if (!durable.ok()) return WriteThroughFailed(durable);
   }
-  return ResponseFromResult(result);
+  return ResponseFromResult(*result);
 }
 
 void Server::AwaitDurable(uint64_t lsn) {

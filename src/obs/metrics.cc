@@ -419,24 +419,6 @@ MetricsSnapshot Registry::Snapshot() const {
   return out;
 }
 
-void Registry::ResetForTesting() {
-  sync::MutexLock lock(mu_);
-  for (auto& [name, counter] : counters_) {
-    counter->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, hist] : histograms_) {
-    hist->count_.store(0, std::memory_order_relaxed);
-    hist->sum_.store(0, std::memory_order_relaxed);
-    hist->max_.store(0, std::memory_order_relaxed);
-    for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      hist->buckets_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
 namespace {
 
 // LYRIC_METRICS_OUT state, set once at arm time.

@@ -240,10 +240,6 @@ class Registry {
   std::string ExportPrometheus() const { return Snapshot().ToPrometheus(); }
   std::string ExportJson() const { return Snapshot().ToJson(); }
 
-  /// Zeroes every registered metric. Tests and benchmark setup only —
-  /// production counters are monotonic by contract.
-  void ResetForTesting() LYRIC_EXCLUDES(mu_);
-
  private:
   Registry() = default;
 

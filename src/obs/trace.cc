@@ -3,14 +3,13 @@
 #include <cstdio>
 
 #include "obs/metrics.h"
+#include "obs/query_context.h"
 #include "util/fault.h"
 
 namespace lyric {
 namespace obs {
 
 namespace {
-
-thread_local TraceCollector* g_current = nullptr;
 
 std::string FormatDurNs(uint64_t ns) {
   char buf[32];
@@ -75,8 +74,6 @@ uint64_t TraceCollector::NowNs() const {
 }
 
 void TraceCollector::Finish() {
-  if (finished_) return;
-  finished_ = true;
   root_.dur_ns = NowNs();
   current_ = &root_;
 }
@@ -95,20 +92,6 @@ std::string TraceCollector::ToChromeTraceJson() const {
   return out;
 }
 
-ScopedTraceSession::ScopedTraceSession(TraceCollector* collector)
-    : collector_(collector), previous_(g_current) {
-  g_current = collector_;
-}
-
-ScopedTraceSession::~ScopedTraceSession() { Stop(); }
-
-void ScopedTraceSession::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  if (collector_ != nullptr) collector_->Finish();
-  g_current = previous_;
-}
-
 namespace {
 
 // Simulated span-open failure: the span is silently dropped (its children
@@ -121,7 +104,8 @@ bool TraceFault() {
 }  // namespace
 
 Span::Span(const char* name) {
-  TraceCollector* collector = g_current;
+  QueryContext* context = QueryContext::Current();
+  TraceCollector* collector = context == nullptr ? nullptr : context->trace;
   if (collector == nullptr || TraceFault()) return;
   collector_ = collector;
   parent_ = collector->current_;

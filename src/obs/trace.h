@@ -4,12 +4,13 @@
 // Chrome trace_event JSON (load with chrome://tracing or
 // https://ui.perfetto.dev).
 //
-// Tracing is opt-in and zero-overhead when off: a Span constructed while
-// no collector is installed on the current thread is a single
-// thread_local null check. Install a collector with ScopedTraceSession
-// (the evaluator does this when EvalOptions::collect_trace is set). A
-// collector records the spans of the one thread that installed it, so
-// span recording takes no lock.
+// Tracing is opt-in and zero-overhead when off: a Span records into the
+// collector of the calling thread's QueryContext (obs/query_context.h),
+// and with no context or no collector it is a thread-local load and a
+// null test or two. The evaluator sets the collector when
+// EvalOptions::collect_trace is set or a slow-query threshold is armed.
+// A collector records the spans of the one thread evaluating its query,
+// so span recording takes no lock.
 
 #ifndef LYRIC_OBS_TRACE_H_
 #define LYRIC_OBS_TRACE_H_
@@ -46,8 +47,8 @@ class TraceCollector {
   TraceCollector(const TraceCollector&) = delete;
   TraceCollector& operator=(const TraceCollector&) = delete;
 
-  /// Closes the root span at the current time (idempotent; also called by
-  /// ScopedTraceSession when the session ends).
+  /// Closes the root span at the current time. The evaluator calls it
+  /// once the query's last span has closed.
   void Finish();
 
   /// The span tree (rooted at "query").
@@ -63,7 +64,6 @@ class TraceCollector {
 
  private:
   friend class Span;
-  friend class ScopedTraceSession;
 
   uint64_t NowNs() const;
 
@@ -71,32 +71,10 @@ class TraceCollector {
   // The innermost open span; new spans become its children.
   SpanNode* current_ = &root_;
   std::chrono::steady_clock::time_point base_;
-  bool finished_ = false;
 };
 
-/// Installs a TraceCollector as the current thread's collector for the
-/// lifetime of the session (restores the previous one on exit, so
-/// sessions nest).
-class ScopedTraceSession {
- public:
-  explicit ScopedTraceSession(TraceCollector* collector);
-  ~ScopedTraceSession();
-
-  /// Finishes the collector and restores the previous one. Idempotent;
-  /// the destructor calls it if the caller did not.
-  void Stop();
-
-  ScopedTraceSession(const ScopedTraceSession&) = delete;
-  ScopedTraceSession& operator=(const ScopedTraceSession&) = delete;
-
- private:
-  TraceCollector* collector_;
-  TraceCollector* previous_;
-  bool stopped_ = false;
-};
-
-/// RAII scoped span. A no-op (one thread_local load) when no collector is
-/// installed on the current thread.
+/// RAII scoped span. A no-op (a thread-local load and at most two null
+/// tests) when the current thread's query is untraced.
 class Span {
  public:
   explicit Span(const char* name);

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <utility>
 
-#include "constraint/solver_cache.h"
 #include "exec/governor.h"
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
+#include "obs/query_context.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "query/analyzer.h"
@@ -99,83 +98,63 @@ ResultSet GovernedPartial(ResultSet out, exec::CancellationToken& token) {
   return out;
 }
 
-// The parsed-AST Execute overload has no raw text, so the log record
-// carries a reconstructed shape instead: enough to identify the query in
-// the log without re-implementing a full printer.
-std::string SummarizeAstQuery(const ast::Query& query) {
-  std::string out;
-  if (query.is_view) {
-    out = "create view " + query.view_name + " ";
-  }
-  out += "select <" + std::to_string(query.select.size()) + " items> from";
-  for (const ast::FromItem& item : query.from) {
-    out += " " + item.class_name + " " + item.var + ",";
-  }
-  if (!query.from.empty()) out.pop_back();
-  if (query.where) out += " where <...>";
-  return out;
-}
-
 }  // namespace
 
 Result<ResultSet> Evaluator::Execute(const std::string& query_text) {
   return Install(Evaluate(query_text));
 }
 
-Result<ResultSet> Evaluator::Execute(const ast::Query& query) {
-  return Install(EvaluateLogged(nullptr, &query));
-}
-
-Result<ResultSet> Evaluator::Evaluate(const std::string& query_text) {
-  return EvaluateLogged(&query_text, nullptr);
-}
-
-Result<ResultSet> Evaluator::EvaluateLogged(const std::string* text,
-                                            const ast::Query* parsed) {
+Evaluation Evaluator::Evaluate(const std::string& query_text) {
   const uint64_t slow_ms = options_.slow_ms.has_value()
                                ? *options_.slow_ms
                                : obs::SlowQueryThresholdMs();
-  // A trace is collected when the caller asked for one, or silently when
-  // the slow-query threshold is armed so a slow record can carry its
-  // per-stage profile. The profile only attaches to the ResultSet under
-  // collect_trace — the silent trace exists solely for the log.
-  const bool tracing = options_.collect_trace || slow_ms > 0;
-
   static obs::Gauge& active_gauge =
       obs::Registry::Global().GetGauge("evaluator.active_queries");
   active_gauge.Add(1);
-  const SolverCache::Traffic cache_before = SolverCache::Global().traffic();
   const auto start = std::chrono::steady_clock::now();
-  AdmissionInfo admission;
-  parsed_.reset();
-  evaluated_ = parsed;
-  // Parses the text into parsed_, which Install may still need.
-  auto parse = [&]() -> Status {
-    Result<ast::Query> query = ParseQuery(*text);
-    if (!query.ok()) return query.status();
-    evaluated_ = &parsed_.emplace(std::move(*query));
-    return Status::OK();
-  };
 
+  // A trace is collected when the caller asked for one, or silently when
+  // the slow-query threshold is armed so a slow record can carry its
+  // per-stage profile. The profile, and the registry snapshots its
+  // counter deltas come from, only attach to the ResultSet under
+  // collect_trace — the silent trace exists solely for the log.
+  obs::QueryContext context;
   std::shared_ptr<obs::QueryProfile> profile;
-  Result<ResultSet> r = [&]() -> Result<ResultSet> {
-    if (!tracing) {
-      if (text != nullptr) LYRIC_RETURN_NOT_OK(parse());
-      return ExecuteWithRetry(*evaluated_, &admission);
-    }
+  if (options_.collect_trace || slow_ms > 0) {
     profile = std::make_shared<obs::QueryProfile>();
-    profile->counters_before = obs::Registry::Global().Snapshot();
-    obs::ScopedTraceSession session(&profile->trace);
-    if (text != nullptr) {
-      obs::Span span("parse");
-      LYRIC_RETURN_NOT_OK(parse());
+    context.trace = &profile->trace;
+    if (options_.collect_trace) {
+      profile->counters_before = obs::Registry::Global().Snapshot();
     }
-    Result<ResultSet> res = ExecuteWithRetry(*evaluated_, &admission);
-    session.Stop();
-    profile->counters_after = obs::Registry::Global().Snapshot();
-    if (res.ok() && options_.collect_trace) res->set_profile(profile);
-    return res;
+  }
+  // The context covers the parse and every admission attempt; transient
+  // failures (shed admissions) are retried under the configured policy.
+  const exec::RetryPolicy& policy = options_.retry.has_value()
+                                        ? *options_.retry
+                                        : exec::RetryPolicy::FromEnv();
+  AdmissionInfo admission;
+  std::optional<ast::Query> query;
+  ViewRows view_rows;
+  Result<ResultSet> result = [&]() -> Result<ResultSet> {
+    obs::QueryContextScope scope(&context);
+    {
+      obs::Span span("parse");
+      Result<ast::Query> parsed = ParseQuery(query_text);
+      if (!parsed.ok()) return parsed.status();
+      query.emplace(std::move(*parsed));
+    }
+    return exec::RunWithRetry(
+        policy,
+        [&] { return ExecuteImpl(*query, &context, &admission, &view_rows); },
+        &admission.retries);
   }();
+  if (profile != nullptr) {
+    profile->trace.Finish();
+    if (options_.collect_trace && result.ok()) {
+      profile->counters_after = obs::Registry::Global().Snapshot();
+      result->set_profile(profile);
+    }
+  }
 
   const uint64_t duration_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -184,49 +163,46 @@ Result<ResultSet> Evaluator::EvaluateLogged(const std::string* text,
   LYRIC_OBS_RECORD("query.latency", duration_ns);
   active_gauge.Add(-1);
 
-  const SolverCache::Traffic cache_after = SolverCache::Global().traffic();
   obs::QueryLogRecord rec;
-  rec.query = text != nullptr ? *text : SummarizeAstQuery(*parsed);
+  rec.query = query_text;
   rec.query_hash = obs::HashQueryText(rec.query);
   rec.duration_ns = duration_ns;
   rec.queue_wait_ns = admission.queue_wait_ns;
   rec.admission = admission.mode;
   rec.retries = admission.retries;
-  rec.cache_hits = cache_after.hits - cache_before.hits;
-  rec.cache_misses = cache_after.misses - cache_before.misses;
+  rec.cache_hits = context.cache_hits;
+  rec.cache_misses = context.cache_misses;
   // Surface the admission facts on the result so callers that cannot
   // reach the query log (the network server serializing a response) still
   // see how the scheduler treated this query.
-  if (r.ok()) r->set_admission(std::move(admission));
+  if (result.ok()) result->set_admission(std::move(admission));
   rec.slow = slow_ms > 0 && duration_ns >= slow_ms * 1000000ull;
   if (rec.slow) {
     LYRIC_OBS_COUNT("evaluator.slow_queries");
     if (profile != nullptr) rec.stages = profile->trace.ToPrettyString();
   }
-  log_record_ = std::move(rec);
-  return r;
+  return Evaluation(std::move(query), std::move(result), std::move(view_rows),
+                    std::move(rec));
 }
 
-Result<ResultSet> Evaluator::Install(Result<ResultSet> evaluated) {
-  if (evaluated.ok()) {
-    for (const auto& [binding, row] : view_rows_) {
-      Status st = MaterializeView(*evaluated_, binding, row);
+Result<ResultSet> Evaluator::Install(Evaluation evaluation) {
+  Result<ResultSet>& result = evaluation.result_;
+  if (result.ok()) {
+    for (const auto& [binding, row] : evaluation.view_rows_) {
+      Status st = MaterializeView(*evaluation.query_, binding, row);
       if (!st.ok()) {
-        evaluated = st;
+        result = st;
         break;
       }
     }
   }
-  view_rows_.clear();
-  parsed_.reset();
-  evaluated_ = nullptr;
 
-  obs::QueryLogRecord rec = std::exchange(log_record_, {});
-  if (evaluated.ok()) {
+  obs::QueryLogRecord& rec = evaluation.log_record_;
+  if (result.ok()) {
     rec.status = "ok";
-    rec.rows = evaluated->size();
-    rec.truncated = evaluated->truncated();
-    const Status& governor = evaluated->governor_status();
+    rec.rows = result->size();
+    rec.truncated = result->truncated();
+    const Status& governor = result->governor_status();
     if (!governor.ok()) {
       // The closed vocabulary the log documents; any future trip kind
       // falls through to its status-code name rather than "".
@@ -237,30 +213,10 @@ Result<ResultSet> Evaluator::Install(Result<ResultSet> evaluated) {
                          : StatusCodeToString(governor.code());
     }
   } else {
-    rec.status = StatusCodeToString(evaluated.status().code());
+    rec.status = StatusCodeToString(result.status().code());
   }
   obs::QueryLog::Global().Append(std::move(rec));
-  return evaluated;
-}
-
-Result<ResultSet> Evaluator::ExecuteWithRetry(const ast::Query& query,
-                                              AdmissionInfo* admission) {
-  const exec::RetryPolicy& policy = options_.retry.has_value()
-                                        ? *options_.retry
-                                        : exec::RetryPolicy::FromEnv();
-  uint32_t attempt = 0;
-  for (;;) {
-    Result<ResultSet> r = ExecuteImpl(query, admission);
-    if (r.ok() || !policy.ShouldRetry(r.status(), attempt)) return r;
-    // Transient failures only (kUnavailable: admission sheds, injected
-    // transport faults) — a kDeadlineExceeded partial is a *result* and
-    // never reaches here as an error.
-    LYRIC_OBS_COUNT("scheduler.retries");
-    ++admission->retries;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(policy.BackoffMs(attempt, r.status())));
-    ++attempt;
-  }
+  return std::move(result);
 }
 
 Result<std::vector<Binding>> Evaluator::EnumerateFrom(
@@ -633,14 +589,16 @@ Status Evaluator::MaterializeView(const ast::Query& query,
 }
 
 Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
-                                         AdmissionInfo* admission) {
+                                         obs::QueryContext* context,
+                                         AdmissionInfo* admission,
+                                         ViewRows* view_rows) {
   LYRIC_OBS_COUNT("evaluator.queries");
   created_classes_.clear();
-  view_rows_.clear();
+  view_rows->clear();
 
   // -- Admission control (docs/ROBUSTNESS.md) -----------------------------
-  // A shed admission returns the typed kUnavailable error here —
-  // ExecuteWithRetry may retry it.
+  // A shed admission returns the typed kUnavailable error here — the
+  // retry loop in Evaluate may retry it.
   exec::QueryScheduler& scheduler = options_.scheduler != nullptr
                                         ? *options_.scheduler
                                         : exec::QueryScheduler::Global();
@@ -673,18 +631,20 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
   // Arm the resource governor when any limit is configured — after the
   // pre-flight, so limits govern data-dependent evaluation and cannot
   // trip inside the (bounded) static analysis. The token lives on this
-  // frame; the scope makes it ambient for the kernels on this thread.
+  // frame; attached to the query's context, it is ambient for the kernels
+  // on this thread until the frame returns.
   exec::GovernorLimits limits;
   limits.deadline_ms = options_.deadline_ms;
   limits.memory_budget = options_.memory_budget;
   limits.max_pivots = options_.max_pivots;
   limits.max_disjuncts = options_.max_disjuncts;
   std::optional<exec::CancellationToken> token;
-  std::optional<exec::GovernorScope> governor_scope;
-  if (limits.Any()) {
-    token.emplace(limits);
-    governor_scope.emplace(&*token);
-  }
+  if (limits.Any()) token.emplace(limits);
+  struct AttachedToken {
+    obs::QueryContext* context;
+    ~AttachedToken() { context->token = nullptr; }
+  } attached{context};
+  if (token.has_value()) context->token = &*token;
 
   // Column names.
   std::vector<std::string> columns;
@@ -762,7 +722,7 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
         // A view's rows are kept for Install, which materializes them
         // after the scan; FROM enumerated its extents up front, so no
         // binding of this scan depends on them.
-        if (query.is_view) view_rows_.emplace_back(survivors[i], row);
+        if (query.is_view) view_rows->emplace_back(survivors[i], row);
         out.AddRow(std::move(row));
         LYRIC_OBS_COUNT("evaluator.rows_emitted");
       }

@@ -11,9 +11,10 @@
 // CREATE VIEW materializes the result as a new subclass (higher-order
 // class variables supported: a view named by a FROM variable creates one
 // class per binding of that variable). Execute runs in two halves:
-// Evaluate computes the answer without changing the database, keeping a
-// view's rows, and Install materializes them — so a server can evaluate
-// a view under a shared lock and take its exclusive lock only to install.
+// Evaluate computes the answer without changing the database and returns
+// it as an Evaluation, keeping a view's rows, and Install consumes that
+// value to materialize them — so a server can evaluate a view under a
+// shared lock and take its exclusive lock only to install.
 
 #ifndef LYRIC_QUERY_EVALUATOR_H_
 #define LYRIC_QUERY_EVALUATOR_H_
@@ -27,6 +28,7 @@
 #include "exec/governor.h"
 #include "exec/scheduler.h"
 #include "object/database.h"
+#include "obs/query_context.h"
 #include "obs/query_log.h"
 #include "query/ast.h"
 #include "query/binding.h"
@@ -57,7 +59,8 @@ struct EvalOptions {
   bool analyze_first = false;
   /// Record a per-query obs::QueryProfile (stage span tree + counter
   /// deltas) and attach it to the ResultSet. Off by default: with no
-  /// collector installed every obs::Span is a single null check.
+  /// collector in the query's context every obs::Span is a thread-local
+  /// load and a null test or two.
   bool collect_trace = false;
   /// Slow-query threshold in milliseconds: a query slower than this is
   /// marked slow in the per-query log and its full per-stage profile is
@@ -101,31 +104,52 @@ struct EvalOptions {
   std::optional<exec::RetryPolicy> retry;
 };
 
+/// A view's rows in scan order, each with the binding that produced it.
+using ViewRows = std::vector<std::pair<Binding, std::vector<Oid>>>;
+
+/// One evaluated query on its way from Evaluator::Evaluate to
+/// Evaluator::Install: the parsed query, its answer, a view's rows and
+/// the log record with everything but the outcome. Move-only (it owns
+/// the parsed query), so an evaluation is installed at most once.
+class Evaluation {
+ private:
+  friend class Evaluator;
+  Evaluation(std::optional<ast::Query> query, Result<ResultSet> result,
+             ViewRows view_rows, obs::QueryLogRecord log_record)
+      : query_(std::move(query)),
+        result_(std::move(result)),
+        view_rows_(std::move(view_rows)),
+        log_record_(std::move(log_record)) {}
+
+  std::optional<ast::Query> query_;  // Unset when the text did not parse.
+  Result<ResultSet> result_;
+  ViewRows view_rows_;
+  obs::QueryLogRecord log_record_;
+};
+
 /// Executes LyriC queries against a Database.
 class Evaluator {
  public:
   explicit Evaluator(Database* db, EvalOptions options = EvalOptions())
       : db_(db), options_(options) {}
 
-  /// Parses and executes: Evaluate, then Install.
+  /// Parses and executes: Install(Evaluate(query_text)).
   Result<ResultSet> Execute(const std::string& query_text);
-  /// Executes a parsed query.
-  Result<ResultSet> Execute(const ast::Query& query);
 
-  /// The first half of Execute: parses and evaluates without changing the
-  /// database (only CST objects are interned, which is thread-safe), so
-  /// readers may share it meanwhile. A CREATE VIEW's rows are kept, with
-  /// the bindings that produced them, for Install. Every Evaluate must be
-  /// followed by one Install.
-  Result<ResultSet> Evaluate(const std::string& query_text);
-  /// The second half: materializes the view rows the last Evaluate kept,
-  /// in scan order — exactly the rows `evaluated` returns, so a governed
-  /// partial or a `max_rows` truncation installs what it answers, and an
-  /// evaluation error installs nothing — then appends the query's log
-  /// record. Returns `evaluated`, or the error an install failed with;
+  /// The first half of Execute, and its front door: parses and evaluates
+  /// without changing the database (only CST objects are interned, which
+  /// is thread-safe), so readers may share it meanwhile. A CREATE VIEW's
+  /// rows are kept in the Evaluation, with the bindings that produced
+  /// them, for Install.
+  Evaluation Evaluate(const std::string& query_text);
+  /// The second half: materializes the view rows `evaluation` kept, in
+  /// scan order — exactly the rows it answers, so a governed partial or a
+  /// `max_rows` truncation installs what it answers, and an evaluation
+  /// error installs nothing — then appends the query's log record.
+  /// Returns the evaluated answer, or the error an install failed with;
   /// rows installed before that error stay in the database. The caller
   /// must hold the database exclusively.
-  Result<ResultSet> Install(Result<ResultSet> evaluated);
+  Result<ResultSet> Install(Evaluation evaluation);
 
   /// Names of classes the last CREATE VIEW created.
   const std::vector<std::string>& created_classes() const {
@@ -133,22 +157,14 @@ class Evaluator {
   }
 
  private:
-  // The shared front door behind Evaluate and Execute: installs a trace
-  // session when needed (collect_trace, or a slow-query threshold is
-  // armed), parses `text` when `parsed` is null, runs the retry loop, and
-  // begins the QueryLogRecord that Install completes and appends. Exactly
-  // one of text/parsed is non-null.
-  Result<ResultSet> EvaluateLogged(const std::string* text,
-                                   const ast::Query* parsed);
-  // The untraced evaluation pipeline. ExecuteWithRetry retries transient
-  // failures (shed admissions, injected faults) under the configured
-  // RetryPolicy; ExecuteImpl asks the scheduler for a slot, then
-  // evaluates. Both record into `*admission`, which EvaluateLogged owns:
-  // the retry count, and the mode and queue wait of the last attempt.
-  Result<ResultSet> ExecuteWithRetry(const ast::Query& query,
-                                     AdmissionInfo* admission);
+  // One admission attempt: asks the scheduler for a slot, then evaluates,
+  // attaching the governor token (when any limit is set) to `*context`
+  // for the scan. Records the mode and queue wait into `*admission` and
+  // a view's rows into `*view_rows`.
   Result<ResultSet> ExecuteImpl(const ast::Query& query,
-                                AdmissionInfo* admission);
+                                obs::QueryContext* context,
+                                AdmissionInfo* admission,
+                                ViewRows* view_rows);
   Result<std::vector<Binding>> EnumerateFrom(const ast::Query& query) const;
   Result<std::vector<Binding>> EvalWhere(const ast::WhereExpr& where,
                                          const Binding& binding,
@@ -165,13 +181,6 @@ class Evaluator {
   Database* db_;
   EvalOptions options_;
   std::vector<std::string> created_classes_;
-  // What Evaluate leaves for Install: the parsed text (when Evaluate
-  // parsed it), the query it evaluated, a view's (binding, row) pairs in
-  // scan order, and the log record with everything but the outcome.
-  std::optional<ast::Query> parsed_;
-  const ast::Query* evaluated_ = nullptr;
-  std::vector<std::pair<Binding, std::vector<Oid>>> view_rows_;
-  obs::QueryLogRecord log_record_;
 };
 
 }  // namespace lyric

@@ -17,11 +17,6 @@ struct FlatTranslator::TranslationState {
   std::string Fresh() { return "$t" + std::to_string(fresh_counter++); }
 };
 
-Result<FlatRelation> FlatTranslator::Execute(const std::string& query_text) {
-  LYRIC_ASSIGN_OR_RETURN(ast::Query query, ParseQuery(query_text));
-  return Execute(query);
-}
-
 Status FlatTranslator::ProcessFrom(const ast::Query& query,
                                    TranslationState* st) const {
   for (const ast::FromItem& item : query.from) {
@@ -295,7 +290,8 @@ Status FlatTranslator::ProcessWhere(const ast::WhereExpr& where,
   }
 }
 
-Result<FlatRelation> FlatTranslator::Execute(const ast::Query& query) {
+Result<FlatRelation> FlatTranslator::Execute(const std::string& query_text) {
+  LYRIC_ASSIGN_OR_RETURN(ast::Query query, ParseQuery(query_text));
   LYRIC_OBS_COUNT("translator.queries");
   if (query.is_view) {
     return Status::NotImplemented(

@@ -38,7 +38,6 @@ class FlatTranslator {
 
   /// Parses and executes.
   Result<FlatRelation> Execute(const std::string& query_text);
-  Result<FlatRelation> Execute(const ast::Query& query);
 
  private:
   struct TranslationState;

@@ -61,6 +61,8 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
       obs::Registry::Global().GetCounter("storage.pool.misses");
   static obs::Gauge& pages =
       obs::Registry::Global().GetGauge("storage.pool.pages");
+  static obs::Counter& overflows =
+      obs::Registry::Global().GetCounter("storage.pool.overflows");
   {
     sync::MutexLock lock(mu_);
     auto it = frames_.find(id);
@@ -69,6 +71,16 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
       ++frame.pins;
       frame.last_used = ++use_tick_;
       hits.Increment();
+      // Frames taken past capacity while a commit was unlogged may be
+      // writable now; the pinned hit itself is never the victim.
+      if (frames_.size() > capacity_ &&
+          durable_lsn_->load() != stuck_at_lsn_) {
+        Status st = EvictToLocked(capacity_);
+        if (!st.ok()) {
+          --frame.pins;
+          return st;
+        }
+      }
       return PageRef(this, id, &frame.buf);
     }
   }
@@ -82,12 +94,13 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
   sync::MutexLock lock(mu_);
   auto it = frames_.find(id);
   if (it == frames_.end()) {
-    LYRIC_RETURN_NOT_OK(EvictIfNeededLocked());
+    LYRIC_RETURN_NOT_OK(EvictToLocked(capacity_ - 1));
     auto frame = std::make_unique<Frame>();
     frame->id = id;
     frame->buf = buf;
     it = frames_.emplace(id, std::move(frame)).first;
     pages.Set(static_cast<int64_t>(frames_.size()));
+    if (frames_.size() > capacity_) overflows.Increment();
   }
   Frame& frame = *it->second;
   ++frame.pins;
@@ -98,8 +111,10 @@ Result<PageRef> BufferPool::Fetch(PageId id) {
 Result<PageRef> BufferPool::CreateZeroed(PageId id, PageType type) {
   static obs::Gauge& pages =
       obs::Registry::Global().GetGauge("storage.pool.pages");
+  static obs::Counter& overflows =
+      obs::Registry::Global().GetCounter("storage.pool.overflows");
   sync::MutexLock lock(mu_);
-  LYRIC_RETURN_NOT_OK(EvictIfNeededLocked());
+  LYRIC_RETURN_NOT_OK(EvictToLocked(capacity_ - 1));
   auto frame = std::make_unique<Frame>();
   frame->id = id;
   InitPage(frame->buf, type);
@@ -110,6 +125,7 @@ Result<PageRef> BufferPool::CreateZeroed(PageId id, PageType type) {
   Frame& ref = *frame;
   frames_[id] = std::move(frame);  // replaces any stale frame (freed page reuse)
   pages.Set(static_cast<int64_t>(frames_.size()));
+  if (frames_.size() > capacity_) overflows.Increment();
   return PageRef(this, id, &ref.buf);
 }
 
@@ -171,18 +187,7 @@ Status BufferPool::FlushDirty() {
   int64_t remaining = 0;
   for (auto& [id, frame] : frames_) remaining += frame->dirty ? 1 : 0;
   dirty_gauge.Set(remaining);
-  return Status::OK();
-}
-
-void BufferPool::DropAllForTesting() {
-  sync::MutexLock lock(mu_);
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (it->second->pins == 0) {
-      it = frames_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  return EvictToLocked(capacity_);
 }
 
 bool BufferPool::HasUnlogged() {
@@ -193,23 +198,18 @@ bool BufferPool::HasUnlogged() {
   return false;
 }
 
-size_t BufferPool::FrameCount() {
-  sync::MutexLock lock(mu_);
-  return frames_.size();
-}
-
 void BufferPool::Unpin(PageId id) {
   sync::MutexLock lock(mu_);
   auto it = frames_.find(id);
   if (it != frames_.end() && it->second->pins > 0) --it->second->pins;
 }
 
-Status BufferPool::EvictIfNeededLocked() {
+Status BufferPool::EvictToLocked(size_t limit) {
   static obs::Counter& evictions =
       obs::Registry::Global().GetCounter("storage.pool.evictions");
-  static obs::Counter& overflows =
-      obs::Registry::Global().GetCounter("storage.pool.overflows");
-  while (frames_.size() >= capacity_) {
+  static obs::Gauge& pages =
+      obs::Registry::Global().GetGauge("storage.pool.pages");
+  while (frames_.size() > limit) {
     Frame* victim = nullptr;
     for (auto& [id, frame] : frames_) {
       if (frame->pins > 0 || !WritableLocked(*frame)) continue;
@@ -219,9 +219,9 @@ Status BufferPool::EvictIfNeededLocked() {
     }
     if (victim == nullptr) {
       // Everything pinned or not yet durable: let the pool grow past
-      // capacity instead of failing the fetch; the commit's fsync or a
-      // checkpoint will drain it.
-      overflows.Increment();
+      // capacity instead of failing the fetch; a hit after the commit is
+      // durable, or a checkpoint, drains it.
+      stuck_at_lsn_ = durable_lsn_->load();
       return Status::OK();
     }
     if (victim->dirty) {
@@ -231,6 +231,7 @@ Status BufferPool::EvictIfNeededLocked() {
     }
     evictions.Increment();
     frames_.erase(victim->id);
+    pages.Set(static_cast<int64_t>(frames_.size()));
   }
   return Status::OK();
 }

@@ -23,7 +23,9 @@
 // Eviction picks the least-recently-used unpinned frame that may be
 // written; if none may, the pool temporarily exceeds its capacity
 // (counted in storage.pool.overflows) rather than fail — a page fetch
-// must not error because a large transaction is in flight.
+// must not error because a large transaction is in flight. The overflow
+// drains once frames may be written again: a fetch that hits while the
+// pool is over capacity evicts back to it, and so does FlushDirty.
 //
 // Pins are handed out as RAII PageRefs. The pool lock guards only the
 // frame table and LRU bookkeeping; the page bytes themselves are
@@ -113,20 +115,14 @@ class BufferPool {
                   uint64_t lsn) LYRIC_EXCLUDES(mu_);
 
   /// Writes every dirty frame to the data file (no fsync — the caller
-  /// owns the checkpoint fsync ordering). Fails if any dirty frame is
-  /// unlogged or logged by a commit that is not yet durable: flushing it
-  /// would break the write-ahead rule.
+  /// owns the checkpoint fsync ordering), then evicts unpinned frames
+  /// down to capacity. Fails if any dirty frame is unlogged or logged by
+  /// a commit that is not yet durable: flushing it would break the
+  /// write-ahead rule.
   Status FlushDirty() LYRIC_EXCLUDES(mu_);
-
-  /// Drops frames for pages that no longer exist (store re-import) or
-  /// all clean frames (memory pressure relief).
-  void DropAllForTesting() LYRIC_EXCLUDES(mu_);
 
   /// True when any frame holds unlogged mutations.
   bool HasUnlogged() LYRIC_EXCLUDES(mu_);
-
-  size_t FrameCount() LYRIC_EXCLUDES(mu_);
-  size_t capacity() const { return capacity_; }
 
  private:
   friend class PageRef;
@@ -145,9 +141,10 @@ class BufferPool {
   /// The write-ahead rule: `frame` may reach the data file — it is clean,
   /// or its image is logged by a durable commit.
   bool WritableLocked(const Frame& frame) const LYRIC_REQUIRES(mu_);
-  /// Evicts LRU unpinned writable frames until the pool is within
-  /// capacity; dirty evictees are written back (not fsynced) first.
-  Status EvictIfNeededLocked() LYRIC_REQUIRES(mu_);
+  /// Evicts LRU unpinned writable frames until the pool holds at most
+  /// `limit` frames (or none is evictable); dirty evictees are written
+  /// back (not fsynced) first.
+  Status EvictToLocked(size_t limit) LYRIC_REQUIRES(mu_);
 
   Pager* pager_;
   const size_t capacity_;
@@ -155,6 +152,12 @@ class BufferPool {
   mutable sync::Mutex mu_{sync::LockRank::kBufferPool, "buffer_pool"};
   std::map<PageId, std::unique_ptr<Frame>> frames_ LYRIC_GUARDED_BY(mu_);
   uint64_t use_tick_ LYRIC_GUARDED_BY(mu_) = 0;
+  /// The durable LSN when an eviction last found no frame it could evict.
+  /// Unlogged and not-yet-durable frames become writable only as the
+  /// durable LSN moves, so a hit over capacity retries eviction only
+  /// once it has: a long unlogged transaction does not rescan the frame
+  /// table on every hit.
+  uint64_t stuck_at_lsn_ LYRIC_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace storage

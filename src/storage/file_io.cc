@@ -7,11 +7,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 #include "util/sync.h"
 
 namespace lyric {
@@ -29,6 +31,18 @@ Status InjectedFault(const char* op) {
   return Status::Unavailable(std::string("injected fault: storage ") + op);
 }
 
+// A storage test hook's byte budget from the environment: the value
+// ParseUint64 accepts, or -1 (unarmed) when the variable is unset,
+// malformed or above INT64_MAX.
+int64_t EnvBudget(const char* name) {
+  const std::optional<uint64_t> budget = EnvUint64(name);
+  if (!budget.has_value() ||
+      *budget > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return -1;
+  }
+  return static_cast<int64_t>(*budget);
+}
+
 // LYRIC_STORAGE_CRASH_AT=<n>: _exit(137) once n bytes of crash-accounted
 // (WAL) appends have been written; the byte prefix below n IS written
 // first, so the on-disk state is exactly a kill -9 at WAL offset n.
@@ -38,14 +52,8 @@ std::atomic<bool> g_crash_armed_checked{false};
 
 int64_t CrashBudget() {
   if (!g_crash_armed_checked.load(std::memory_order_acquire)) {
-    const char* env = std::getenv("LYRIC_STORAGE_CRASH_AT");
-    int64_t budget = -1;
-    if (env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      long long v = std::strtoll(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 0) budget = v;
-    }
-    g_crash_budget.store(budget, std::memory_order_relaxed);
+    g_crash_budget.store(EnvBudget("LYRIC_STORAGE_CRASH_AT"),
+                         std::memory_order_relaxed);
     g_crash_armed_checked.store(true, std::memory_order_release);
   }
   return g_crash_budget.load(std::memory_order_relaxed);
@@ -63,13 +71,7 @@ std::atomic<bool> g_full_armed_checked{false};
 
 bool DiskFullArmed() {
   if (!g_full_armed_checked.load(std::memory_order_acquire)) {
-    const char* env = std::getenv("LYRIC_STORAGE_FULL_AT");
-    int64_t budget = -1;
-    if (env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      long long v = std::strtoll(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 0) budget = v;
-    }
+    const int64_t budget = EnvBudget("LYRIC_STORAGE_FULL_AT");
     g_full_budget.store(budget, std::memory_order_relaxed);
     g_full_armed.store(budget >= 0, std::memory_order_relaxed);
     g_full_armed_checked.store(true, std::memory_order_release);

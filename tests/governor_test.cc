@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "constraint/solver_cache.h"
+#include "obs/query_context.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
 #include "util/fault.h"
@@ -25,7 +26,6 @@ namespace {
 using exec::CancellationToken;
 using exec::GovernorLimits;
 using exec::GovernorReport;
-using exec::GovernorScope;
 using exec::LimitKind;
 
 // Q3 from §4.1 — the drawer-area query on the Figure 2 database; the
@@ -147,25 +147,34 @@ TEST_F(GovernorTest, HugeDeadlinesSaturateInsteadOfTripping) {
 }
 
 TEST_F(GovernorTest, ScopesNestAndRestore) {
-  EXPECT_EQ(GovernorScope::Current(), nullptr);
+  EXPECT_EQ(exec::CurrentToken(), nullptr);
   GovernorLimits limits;
   limits.max_pivots = 1;
   CancellationToken outer(limits);
   CancellationToken inner(limits);
+  obs::QueryContext outer_context;
+  outer_context.token = &outer;
+  obs::QueryContext inner_context;
+  inner_context.token = &inner;
   {
-    GovernorScope outer_scope(&outer);
-    EXPECT_EQ(GovernorScope::Current(), &outer);
+    obs::QueryContextScope outer_scope(&outer_context);
+    EXPECT_EQ(exec::CurrentToken(), &outer);
     {
-      GovernorScope inner_scope(&inner);
-      EXPECT_EQ(GovernorScope::Current(), &inner);
+      obs::QueryContextScope inner_scope(&inner_context);
+      EXPECT_EQ(exec::CurrentToken(), &inner);
+      // The kernel hooks charge the innermost query's token.
+      EXPECT_TRUE(exec::AccountPivots(2, "inner.site"));
     }
-    EXPECT_EQ(GovernorScope::Current(), &outer);
+    EXPECT_EQ(exec::CurrentToken(), &outer);
+    EXPECT_FALSE(exec::CancellationRequested());
   }
-  EXPECT_EQ(GovernorScope::Current(), nullptr);
+  EXPECT_EQ(exec::CurrentToken(), nullptr);
+  EXPECT_EQ(inner.tripped_kind(), LimitKind::kPivots);
+  EXPECT_EQ(outer.tripped_kind(), LimitKind::kNone);
 }
 
 TEST_F(GovernorTest, FreeHooksAreNoOpsWhenUngoverned) {
-  ASSERT_EQ(GovernorScope::Current(), nullptr);
+  ASSERT_EQ(exec::CurrentToken(), nullptr);
   EXPECT_FALSE(exec::AccountPivots(1'000'000, "x"));
   EXPECT_FALSE(exec::AccountKernelMemory(1'000'000'000, "x"));
   EXPECT_FALSE(exec::AccountDisjuncts(1'000'000, "x"));

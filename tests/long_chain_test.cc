@@ -11,6 +11,7 @@
 #include <string>
 
 #include "exec/governor.h"
+#include "obs/query_context.h"
 #include "office/office_db.h"
 #include "query/analyzer.h"
 #include "query/formula_builder.h"
@@ -78,7 +79,9 @@ class LongChainTest : public ::testing::Test {
     exec::GovernorLimits limits;
     limits.deadline_ms = 200;
     exec::CancellationToken token(limits);
-    exec::GovernorScope scope(&token);
+    obs::QueryContext context;
+    context.token = &token;
+    obs::QueryContextScope scope(&context);
     FormulaBuilder fb(&db_, &declared_);
     Result<DisjunctiveExistential> built = fb.Build(formula, Binding{});
     EXPECT_TRUE(built.ok() || built.status().IsDeadlineExceeded())

@@ -9,6 +9,7 @@
 
 #include "constraint/simplex.h"
 #include "obs/metrics.h"
+#include "obs/query_context.h"
 #include "obs/trace.h"
 
 namespace lyric {
@@ -84,15 +85,17 @@ TEST(TraceTest, SpanWithoutCollectorIsNoOp) {
 
 TEST(TraceTest, CollectsNestedSpans) {
   TraceCollector collector;
+  QueryContext context;
+  context.trace = &collector;
   {
-    ScopedTraceSession session(&collector);
+    QueryContextScope scope(&context);
     {
       Span outer("from");
       Span inner("where");
     }
     Span select("select");
   }
-  Span after("after");  // The session is over: records nowhere.
+  Span after("after");  // The context is gone: records nowhere.
   const SpanNode& root = collector.root();
   EXPECT_EQ(root.name, "query");
   ASSERT_EQ(root.children.size(), 2u);
@@ -106,10 +109,13 @@ TEST(TraceTest, CollectsNestedSpans) {
 
 TEST(TraceTest, ChromeTraceJsonShape) {
   TraceCollector collector;
+  QueryContext context;
+  context.trace = &collector;
   {
-    ScopedTraceSession session(&collector);
+    QueryContextScope scope(&context);
     Span s("parse");
   }
+  collector.Finish();
   std::string json = collector.ToChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -121,25 +127,36 @@ TEST(TraceTest, ChromeTraceJsonShape) {
 
 TEST(TraceTest, PrettyStringListsStages) {
   TraceCollector collector;
+  QueryContext context;
+  context.trace = &collector;
   {
-    ScopedTraceSession session(&collector);
+    QueryContextScope scope(&context);
     Span s("from");
   }
+  collector.Finish();
   std::string pretty = collector.ToPrettyString();
   EXPECT_NE(pretty.find("query"), std::string::npos);
   EXPECT_NE(pretty.find("from"), std::string::npos);
 }
 
-TEST(TraceTest, SessionsNest) {
+TEST(TraceTest, ContextScopesNest) {
   TraceCollector outer_collector;
   TraceCollector inner_collector;
-  ScopedTraceSession outer(&outer_collector);
+  QueryContext outer_context;
+  outer_context.trace = &outer_collector;
+  QueryContext inner_context;
+  inner_context.trace = &inner_collector;
   {
-    ScopedTraceSession inner(&inner_collector);
-    Span s("inner_stage");
+    QueryContextScope outer(&outer_context);
+    {
+      QueryContextScope inner(&inner_context);
+      EXPECT_EQ(QueryContext::Current(), &inner_context);
+      Span s("inner_stage");
+    }
+    EXPECT_EQ(QueryContext::Current(), &outer_context);
+    Span s("outer_stage");
   }
-  { Span s("outer_stage"); }
-  outer.Stop();
+  EXPECT_EQ(QueryContext::Current(), nullptr);
   { Span s("orphan"); }
   EXPECT_NE(inner_collector.root().FindChild("inner_stage"), nullptr);
   EXPECT_EQ(inner_collector.root().children.size(), 1u);

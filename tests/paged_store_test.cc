@@ -70,6 +70,10 @@ uint64_t CounterValue(const char* name) {
   return obs::Registry::Global().GetCounter(name).value();
 }
 
+int64_t GaugeValue(const char* name) {
+  return obs::Registry::Global().GetGauge(name).value();
+}
+
 // Reads every record, pulling each leaf through the pool.
 void ScanAll(PagedStore* store) {
   size_t seen = 0;
@@ -366,6 +370,29 @@ TEST(PagedStoreTest, AppendedCommitStaysOutOfTheDataFileUntilDurable) {
   auto reopened = MustOpen(path);
   EXPECT_EQ(reopened->RecordCount(), 401u);
   ASSERT_TRUE(reopened->Close().ok());
+}
+
+TEST(PagedStoreTest, PoolReturnsToCapacityOnceItsFramesAreDurable) {
+  std::string path = FreshPath("ps_pool_bound.lyricpg");
+  auto store = MustOpen(path, 4);
+  const std::string filler(300, 'f');
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(store->Put("k" + std::to_string(1000 + i), filler).ok());
+  }
+  ASSERT_GT(GaugeValue("storage.pool.pages"), 8)
+      << "the unlogged puts must take the pool past its capacity";
+  ASSERT_TRUE(store->Commit().ok());
+  ASSERT_TRUE(store->Checkpoint().ok());
+
+  // Every frame may be written now, so the pool is bounded again: the
+  // scans below miss and evict instead of hitting an overgrown pool.
+  const uint64_t evictions = CounterValue("storage.pool.evictions");
+  ScanAll(store.get());
+  ScanAll(store.get());
+  EXPECT_GT(CounterValue("storage.pool.evictions"), evictions);
+  // A scan pins at most the leaf it reads and the next one.
+  EXPECT_LE(GaugeValue("storage.pool.pages"), 4 + 2);
+  ASSERT_TRUE(store->Close().ok());
 }
 
 TEST(PagedStoreTest, CheckpointSyncsTheLogBeforeItFlushes) {

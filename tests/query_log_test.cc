@@ -6,11 +6,13 @@
 
 #include <unistd.h>
 
+#include <barrier>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/query_log.h"
@@ -237,6 +239,59 @@ TEST_F(QueryLogTest, AdmissionFactsAgreeBetweenResultAndRecord) {
   EXPECT_EQ(rec.admission, "shed");
   EXPECT_EQ(rec.retries, 3u);
   EXPECT_EQ(rec.status, StatusCodeToString(StatusCode::kUnavailable));
+}
+
+// A record's cache traffic is its own query's lookups: two queries with
+// different solver work, run at the same moment again and again, each
+// log exactly the hits they make alone.
+TEST_F(QueryLogTest, CacheTrafficCountsOnlyTheQuerysOwnLookups) {
+  Database db;
+  auto ids = office::BuildOfficeDatabase(&db);
+  ASSERT_TRUE(ids.ok()) << ids.status();
+  obs::QueryLog& log = obs::QueryLog::Global();
+  const std::string queries[2] = {
+      "SELECT CO, ((u, v) | E and D and x = 6 and y = 4) "
+      "FROM Office_Object CO WHERE CO.extent[E] and CO.translation[D]",
+      "SELECT O FROM Object_in_Room O "
+      "WHERE O.location[L] and L(x, y) |= x <= 12",
+  };
+
+  // Warm the cache; a second run alone then hits on every lookup.
+  uint64_t solo_hits[2];
+  for (int q = 0; q < 2; ++q) {
+    Evaluator ev(&db);
+    ASSERT_TRUE(ev.Execute(queries[q]).ok());
+    ASSERT_TRUE(ev.Execute(queries[q]).ok());
+    const obs::QueryLogRecord rec = log.Recent(1).front();
+    ASSERT_EQ(rec.cache_misses, 0u) << queries[q];
+    solo_hits[q] = rec.cache_hits;
+  }
+  ASSERT_GT(solo_hits[0], 0u);
+  ASSERT_GT(solo_hits[1], 0u);
+  ASSERT_NE(solo_hits[0], solo_hits[1]);
+
+  constexpr int kRounds = 100;
+  std::barrier start(2);
+  std::vector<std::thread> threads;
+  for (int q = 0; q < 2; ++q) {
+    threads.emplace_back([&, q] {
+      Evaluator ev(&db);
+      for (int round = 0; round < kRounds; ++round) {
+        start.arrive_and_wait();
+        EXPECT_TRUE(ev.Execute(queries[q]).ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const std::vector<obs::QueryLogRecord> records = log.Recent(2 * kRounds);
+  ASSERT_EQ(records.size(), 2u * kRounds);
+  for (const obs::QueryLogRecord& rec : records) {
+    const int q = rec.query_hash == obs::HashQueryText(queries[0]) ? 0 : 1;
+    EXPECT_EQ(rec.query_hash, obs::HashQueryText(queries[q]));
+    EXPECT_EQ(rec.cache_misses, 0u) << "record " << rec.seq;
+    EXPECT_EQ(rec.cache_hits, solo_hits[q]) << "record " << rec.seq;
+  }
 }
 
 TEST_F(QueryLogTest, SlowThresholdPromotesStageProfile) {
