@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 
@@ -145,6 +146,44 @@ void BM_PagedBatchCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_PagedBatchCommit)->Arg(1)->Arg(16)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
+
+/// `range` Puts of 300 B in one transaction on a 16-page pool, then its
+/// commit. Every frame the transaction dirties stays unlogged until the
+/// commit, so the pool overflows; an insertion that rescanned the whole
+/// frame table for a victim each time made this quadratic. The
+/// ImportDatabase of a large dump (lyric_serverd --store --load) is one
+/// such transaction. Reported per Put: us_per_put.
+void BM_PagedLargeTransaction(benchmark::State& state) {
+  const int puts = static_cast<int>(state.range(0));
+  const std::string path = BenchStorePath();
+  const std::string value(300, 'v');
+  std::chrono::duration<double, std::micro> timed{0};
+  for (auto _ : state) {
+    state.PauseTiming();
+    RemoveStoreFiles(path);
+    storage::StoreOptions opts;
+    opts.path = path;
+    opts.pool_pages = 16;
+    auto store = storage::PagedStore::Open(opts).value();
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < puts; ++i) {
+      auto st = store->Put("k" + std::to_string(1000000 + i), value);
+      if (!st.ok()) state.SkipWithError(st.message().c_str());
+    }
+    auto st = store->Commit();
+    if (!st.ok()) state.SkipWithError(st.message().c_str());
+    timed += std::chrono::steady_clock::now() - start;
+    state.PauseTiming();
+    (void)store->Close();
+    state.ResumeTiming();
+  }
+  state.counters["us_per_put"] =
+      timed.count() / (static_cast<double>(state.iterations()) * puts);
+  RemoveStoreFiles(path);
+}
+BENCHMARK(BM_PagedLargeTransaction)->Arg(20000)->Arg(80000)
+    ->Unit(benchmark::kMillisecond);
 
 /// Full-store in-order scan over `range` records.
 void BM_PagedScan(benchmark::State& state) {

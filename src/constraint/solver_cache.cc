@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/query_context.h"
 #include "util/fault.h"
-#include "util/string_util.h"
 
 namespace lyric {
 
@@ -21,11 +20,6 @@ bool CacheFault() {
 
 size_t HashCombine(size_t seed, size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
-}
-
-size_t EnvCapacity() {
-  return static_cast<size_t>(
-      EnvUint64("LYRIC_CACHE_CAPACITY").value_or(4096));
 }
 
 }  // namespace
@@ -49,7 +43,7 @@ std::string SolverCache::Stats::ToString() const {
 }
 
 SolverCache& SolverCache::Global() {
-  static SolverCache* cache = new SolverCache(EnvCapacity());
+  static SolverCache* cache = new SolverCache(kDefaultCapacity);
   return *cache;
 }
 
@@ -95,6 +89,7 @@ size_t SolverCache::PerShardCapacity() const {
 void SolverCache::set_capacity(size_t capacity) {
   capacity_.store(capacity, std::memory_order_relaxed);
   size_t per = PerShardCapacity();
+  bool evicted = false;
   for (Shard& shard : shards_) {
     sync::MutexLock lock(shard.mu);
     while (shard.lru.size() > per) {
@@ -103,9 +98,11 @@ void SolverCache::set_capacity(size_t capacity) {
       EraseFromIndexLocked(shard, last);
       shard.lru.erase(last);
       evictions_.fetch_add(1, std::memory_order_relaxed);
+      evicted = true;
     }
   }
-  PublishGauges();
+  // The gauges mirror entries and bytes, which only an eviction changes.
+  if (evicted) PublishGauges();
 }
 
 void SolverCache::Clear() {

@@ -67,9 +67,9 @@ class SolverCache {
     std::string ToString() const;
   };
 
-  /// The process-wide cache consulted by Simplex/Canonical/Entailment.
-  /// Initial capacity comes from the LYRIC_CACHE_CAPACITY environment
-  /// variable (entries; 0 disables), defaulting to 4096.
+  static constexpr size_t kDefaultCapacity = 4096;
+  /// The process-wide cache consulted by Simplex/Canonical/Entailment,
+  /// bounded at kDefaultCapacity entries until set_capacity.
   static SolverCache& Global();
 
   /// A cache bounded at `capacity` entries (0 = disabled: lookups miss,

@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "util/deadline.h"
 #include "util/fault.h"
-#include "util/string_util.h"
 
 namespace lyric {
 namespace exec {
@@ -37,16 +36,6 @@ const char* LimitKindToString(LimitKind kind) {
       return "disjuncts";
   }
   return "unknown";
-}
-
-const GovernorLimits& GovernorLimits::FromEnv() {
-  static const GovernorLimits* limits = [] {
-    auto* env = new GovernorLimits();
-    env->deadline_ms = EnvUint64("LYRIC_DEADLINE_MS");
-    env->memory_budget = EnvUint64("LYRIC_MEMORY_BUDGET");
-    return env;
-  }();
-  return *limits;
 }
 
 std::string GovernorReport::ToString() const {

@@ -84,11 +84,6 @@ struct GovernorLimits {
     return deadline_ms.has_value() || memory_budget.has_value() ||
            max_pivots.has_value() || max_disjuncts.has_value();
   }
-
-  /// The process-default limits from the environment, read once:
-  /// LYRIC_DEADLINE_MS and LYRIC_MEMORY_BUDGET (bytes). Unset or
-  /// unparseable variables leave the field unlimited.
-  static const GovernorLimits& FromEnv();
 };
 
 /// Partial-progress diagnostics attached to a governed query's ResultSet

@@ -1,7 +1,6 @@
 #include "exec/scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -29,18 +28,6 @@ constexpr double kDefaultAvgDurationMs = 50.0;
 constexpr uint64_t kMaxRetryAfterMs = 60'000;
 
 }  // namespace
-
-const SchedulerLimits& SchedulerLimits::FromEnv() {
-  static const SchedulerLimits* limits = [] {
-    auto* env = new SchedulerLimits();
-    env->max_concurrent = EnvUint64("LYRIC_MAX_CONCURRENT");
-    env->queue_capacity = EnvUint64("LYRIC_QUEUE_CAPACITY");
-    env->queue_timeout_ms = EnvUint64("LYRIC_QUEUE_TIMEOUT_MS");
-    env->max_total_memory = EnvUint64("LYRIC_MAX_TOTAL_MEMORY");
-    return env;
-  }();
-  return *limits;
-}
 
 std::string SchedulerStats::ToString() const {
   std::string out = "scheduler: active=";
@@ -84,8 +71,7 @@ void AdmissionTicket::Release() {
 }
 
 QueryScheduler& QueryScheduler::Global() {
-  static QueryScheduler* instance =
-      new QueryScheduler(SchedulerLimits::FromEnv());
+  static QueryScheduler* instance = new QueryScheduler();
   return *instance;
 }
 
@@ -343,16 +329,6 @@ std::optional<RetryPolicy> RetryPolicy::Parse(std::string_view spec) {
   if (fields.size() > 1 && fields[1] > 0) policy.base_backoff_ms = fields[1];
   if (fields.size() > 2) policy.seed = fields[2];
   return policy;
-}
-
-const RetryPolicy& RetryPolicy::FromEnv() {
-  static const RetryPolicy* policy = [] {
-    const char* text = std::getenv("LYRIC_RETRY");
-    std::optional<RetryPolicy> parsed;
-    if (text != nullptr) parsed = Parse(text);
-    return new RetryPolicy(parsed.value_or(RetryPolicy{}));
-  }();
-  return *policy;
 }
 
 bool RetryPolicy::ShouldRetry(const Status& failed, uint32_t attempt) const {

@@ -67,12 +67,6 @@ struct SchedulerLimits {
     return max_concurrent.has_value() || queue_capacity.has_value() ||
            queue_timeout_ms.has_value() || max_total_memory.has_value();
   }
-
-  /// The process-default limits from the environment, read once:
-  /// LYRIC_MAX_CONCURRENT, LYRIC_QUEUE_CAPACITY, LYRIC_QUEUE_TIMEOUT_MS,
-  /// LYRIC_MAX_TOTAL_MEMORY (bytes). Unset or unparseable variables leave
-  /// the field unlimited.
-  static const SchedulerLimits& FromEnv();
 };
 
 /// What an arriving query declares about itself; the scheduler orders the
@@ -147,7 +141,7 @@ class QueryScheduler {
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
 
-  /// The process-wide instance, initialized from SchedulerLimits::FromEnv.
+  /// The process-wide instance; unlimited until Configure.
   static QueryScheduler& Global();
 
   /// Replaces the limits; applies to future admissions (queries already
@@ -240,14 +234,10 @@ struct RetryPolicy {
   uint64_t max_backoff_ms = 1000;
   uint64_t seed = 0;
 
-  /// Parses "retries[:base_ms[:seed]]", each field a decimal accepted by
-  /// ParseUint64 and retries at most 2^32 - 1; nullopt when malformed. A
-  /// base of 0 keeps the default.
+  /// Parses "retries[:base_ms[:seed]]" (the LYRIC_RETRY grammar), each
+  /// field a decimal accepted by ParseUint64 and retries at most
+  /// 2^32 - 1; nullopt when malformed. A base of 0 keeps the default.
   static std::optional<RetryPolicy> Parse(std::string_view spec);
-
-  /// The process default from LYRIC_RETRY (see Parse), read once. Unset
-  /// or malformed leaves max_retries at 0 (retry disabled).
-  static const RetryPolicy& FromEnv();
 
   /// Whether `failed` should be retried after `attempt` completed retries.
   bool ShouldRetry(const Status& failed, uint32_t attempt) const;

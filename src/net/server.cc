@@ -403,10 +403,6 @@ QueryResponse Server::HandleQuery(const QueryRequest& request) {
   }
   if (request.max_rows != 0) opts.max_rows = request.max_rows;
   if (request.analyze_first) opts.analyze_first = true;
-  // The client owns retry: a shed must reach the wire as a typed
-  // kUnavailable with its retry-after hint, not be absorbed by a
-  // server-side loop that inherited LYRIC_RETRY from the environment.
-  if (!opts.retry.has_value()) opts.retry = exec::RetryPolicy{};
 
   // Exception firewall: the reader thread must never unwind into
   // std::terminate, whatever the evaluator throws.

@@ -87,10 +87,9 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Receive-side frame payload cap.
   uint32_t max_payload_bytes = kMaxPayloadBytes;
-  /// Base evaluation options; per-request fields overlay these. The
-  /// server never retries internally (retry is forced off unless set
-  /// here explicitly): sheds travel to the client, whose RetryPolicy
-  /// owns backoff.
+  /// Base evaluation options; per-request fields overlay these. Leave
+  /// `eval.retry` at its default, which never retries: sheds then travel
+  /// to the client, whose RetryPolicy owns backoff.
   EvalOptions eval;
   /// When set, the server is store-backed: schema mutations write
   /// through to this store (ApplyChanges appends the records the

@@ -7,10 +7,7 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <mutex>  // std::call_once/std::once_flag only (allowed by the gate)
 #include <thread>
-
-#include "util/string_util.h"
 
 namespace lyric {
 namespace obs {
@@ -359,10 +356,6 @@ bool ValidatePrometheusExposition(const std::string& text,
 
 Registry& Registry::Global() {
   static Registry* instance = new Registry();
-  // First use of the registry arms the optional LYRIC_METRICS_OUT
-  // background flusher (no-op when the variable is unset).
-  static std::once_flag arm_once;
-  std::call_once(arm_once, [] { ArmMetricsFlusherFromEnv(); });
   return *instance;
 }
 
@@ -421,7 +414,7 @@ MetricsSnapshot Registry::Snapshot() const {
 
 namespace {
 
-// LYRIC_METRICS_OUT state, set once at arm time.
+// The flusher's target, set once when it starts.
 std::string* g_metrics_out_path = nullptr;
 
 void FlushMetricsAtExit() {
@@ -455,32 +448,25 @@ bool WriteMetricsFile(const std::string& path) {
   return true;
 }
 
-void ArmMetricsFlusherFromEnv() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const char* env = std::getenv("LYRIC_METRICS_OUT");
-    if (env == nullptr || *env == '\0') return;
-    std::string path;
-    uint64_t interval_ms = SplitNumericSuffix(env, &path).value_or(0);
-    if (path.empty()) return;
-    if (interval_ms == 0) interval_ms = 5000;
-    // Past int64 the millisecond count would turn negative and the
-    // writer would spin instead of sleeping.
-    interval_ms = std::min<uint64_t>(
-        interval_ms, std::numeric_limits<int64_t>::max());
-    g_metrics_out_path = new std::string(path);
-    std::atexit(FlushMetricsAtExit);
-    // Detached writer: the registry singleton is leaked, so the thread
-    // can safely outlive main() right up to process teardown.
-    std::thread([interval_ms] {
-      const std::string target = *g_metrics_out_path;
-      for (;;) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(interval_ms));
-        WriteMetricsFile(target);
-      }
-    }).detach();
-  });
+void StartMetricsFlusher(const std::string& path, uint64_t interval_ms) {
+  static std::atomic<bool> started{false};
+  if (path.empty() || started.exchange(true)) return;
+  if (interval_ms == 0) interval_ms = 5000;
+  // Past int64 the millisecond count would turn negative and the writer
+  // would spin instead of sleeping.
+  interval_ms =
+      std::min<uint64_t>(interval_ms, std::numeric_limits<int64_t>::max());
+  g_metrics_out_path = new std::string(path);
+  std::atexit(FlushMetricsAtExit);
+  // Detached writer: the registry singleton is leaked, so the thread can
+  // safely outlive main() right up to process teardown.
+  std::thread([interval_ms] {
+    const std::string target = *g_metrics_out_path;
+    for (;;) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+      WriteMetricsFile(target);
+    }
+  }).detach();
 }
 
 }  // namespace obs

@@ -235,7 +235,7 @@ class Registry {
   MetricsSnapshot Snapshot() const LYRIC_EXCLUDES(mu_);
 
   /// Snapshot().ToPrometheus() / Snapshot().ToJson() — the two wire
-  /// formats (shell `.metrics`, the LYRIC_METRICS_OUT flusher, and
+  /// formats (shell `.metrics`, the metrics flusher, and
   /// tools/lyric_stats all speak these).
   std::string ExportPrometheus() const { return Snapshot().ToPrometheus(); }
   std::string ExportJson() const { return Snapshot().ToJson(); }
@@ -269,12 +269,12 @@ std::string JsonEscape(const std::string& s);
 bool ValidatePrometheusExposition(const std::string& text,
                                   std::string* error);
 
-/// Arms the LYRIC_METRICS_OUT=path[:interval_ms] background flusher if
-/// the variable is set and the flusher is not already running (a ".prom"
-/// path gets Prometheus text, anything else JSON; default interval
-/// 5000 ms; a final flush runs at process exit). Called lazily from
-/// Registry::Global(); safe to call repeatedly from any thread.
-void ArmMetricsFlusherFromEnv();
+/// Starts the background flusher that writes the registry to `path`
+/// every `interval_ms` (0 = 5000 ms) and once more at process exit; a
+/// ".prom" path gets Prometheus text, anything else JSON. No-op for an
+/// empty path or once a flusher runs. Config::Apply starts it from
+/// LYRIC_METRICS_OUT=path[:interval_ms].
+void StartMetricsFlusher(const std::string& path, uint64_t interval_ms);
 
 /// Writes the current metrics to `path` in the format implied by its
 /// extension (atomic: temp file + rename). Returns false on I/O failure.

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "obs/metrics.h"
-#include "util/string_util.h"
 
 namespace lyric {
 namespace obs {
@@ -59,11 +57,6 @@ uint64_t HashQueryText(const std::string& text) {
   return h;
 }
 
-uint64_t SlowQueryThresholdMs() {
-  static const uint64_t threshold = EnvUint64("LYRIC_SLOW_MS").value_or(0);
-  return threshold;
-}
-
 std::string QueryLogRecord::ToJson() const {
   std::string out = "{";
   bool first = true;
@@ -95,18 +88,6 @@ std::string QueryLogRecord::ToJson() const {
 QueryLog& QueryLog::Global() {
   static QueryLog* instance = new QueryLog();
   return *instance;
-}
-
-QueryLog::QueryLog() {
-  const char* env = std::getenv("LYRIC_QUERY_LOG");
-  if (env != nullptr && *env != '\0') {
-    sink_max_bytes_ = SplitNumericSuffix(env, &sink_path_).value_or(0);
-    if (sink_max_bytes_ == 0) sink_max_bytes_ = kDefaultSinkMaxBytes;
-    // Resume the running byte count if the sink already exists so
-    // rotation thresholds hold across restarts.
-    std::ifstream in(sink_path_, std::ios::ate | std::ios::binary);
-    if (in) sink_bytes_ = static_cast<uint64_t>(in.tellg());
-  }
 }
 
 void QueryLog::Append(QueryLogRecord record) {

@@ -9,17 +9,18 @@
 // record layer deliberately depends only on std + obs so every layer
 // above it can log without cycles.
 //
-// Environment:
-//   LYRIC_QUERY_LOG=path[:max_bytes]  append records as JSONL; when the
+// Settings (Config::Apply sets them from LYRIC_QUERY_LOG, LYRIC_SLOW_MS):
+//   ConfigureSink(path, max_bytes)  append records as JSONL; when the
 //       file exceeds max_bytes (default 16 MiB) it is rotated once to
 //       `path.1` and restarted.
-//   LYRIC_SLOW_MS=N  queries slower than N milliseconds are marked slow
+//   set_slow_ms(N)  queries slower than N milliseconds are marked slow
 //       and carry their full per-stage profile in the record (the
-//       evaluator collects a trace for them even when tracing is off).
+//       evaluator collects a trace for every query while N > 0).
 
 #ifndef LYRIC_OBS_QUERY_LOG_H_
 #define LYRIC_OBS_QUERY_LOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -48,7 +49,7 @@ struct QueryLogRecord {
   uint64_t cache_hits = 0;       // solver-cache deltas over this query
   uint64_t cache_misses = 0;
   bool truncated = false;  // row cap hit
-  bool slow = false;       // duration exceeded the LYRIC_SLOW_MS threshold
+  bool slow = false;       // duration exceeded the slow-query threshold
   std::string stages;      // per-stage profile (slow queries only)
 
   /// The record as one JSON object (no trailing newline).
@@ -59,8 +60,7 @@ struct QueryLogRecord {
 /// JSONL sink. Thread-safe.
 class QueryLog {
  public:
-  /// The global log. First use reads LYRIC_QUERY_LOG to configure the
-  /// sink.
+  /// The global log: no sink, slow-query threshold 0 until configured.
   static QueryLog& Global();
 
   /// Stamps seq/unix_ms, appends to the ring (evicting the oldest record
@@ -73,10 +73,17 @@ class QueryLog {
   /// Records accepted since process start (ring evictions included).
   uint64_t total_appended() const LYRIC_EXCLUDES(mu_);
 
-  /// Points the JSONL sink at `path` (empty disables). Replaces any
-  /// sink configured from the environment.
+  /// Points the JSONL sink at `path` (empty disables), rotating past
+  /// `max_bytes` (0 = 16 MiB).
   void ConfigureSink(const std::string& path, uint64_t max_bytes)
       LYRIC_EXCLUDES(mu_);
+
+  /// The slow-query threshold in ms (0, the default, is off); the
+  /// evaluator reads it once per query.
+  void set_slow_ms(uint64_t ms) {
+    slow_ms_.store(ms, std::memory_order_relaxed);
+  }
+  uint64_t slow_ms() const { return slow_ms_.load(std::memory_order_relaxed); }
 
   /// Shrinks/grows the ring (testing; default capacity 256).
   void SetCapacityForTesting(size_t capacity) LYRIC_EXCLUDES(mu_);
@@ -84,7 +91,7 @@ class QueryLog {
   void ClearForTesting() LYRIC_EXCLUDES(mu_);
 
  private:
-  QueryLog();
+  QueryLog() = default;
 
   void AppendToSinkLocked(const std::string& line) LYRIC_REQUIRES(mu_);
 
@@ -99,11 +106,8 @@ class QueryLog {
   std::string sink_path_ LYRIC_GUARDED_BY(mu_);
   uint64_t sink_max_bytes_ LYRIC_GUARDED_BY(mu_) = 0;
   uint64_t sink_bytes_ LYRIC_GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> slow_ms_{0};
 };
-
-/// The slow-query threshold in milliseconds from LYRIC_SLOW_MS, or 0 when
-/// unset/invalid (slow-query promotion off). Read once per process.
-uint64_t SlowQueryThresholdMs();
 
 /// FNV-1a over the query text — the stable query_hash the log records.
 uint64_t HashQueryText(const std::string& text);

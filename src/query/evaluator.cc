@@ -105,9 +105,7 @@ Result<ResultSet> Evaluator::Execute(const std::string& query_text) {
 }
 
 Evaluation Evaluator::Evaluate(const std::string& query_text) {
-  const uint64_t slow_ms = options_.slow_ms.has_value()
-                               ? *options_.slow_ms
-                               : obs::SlowQueryThresholdMs();
+  const uint64_t slow_ms = obs::QueryLog::Global().slow_ms();
   static obs::Gauge& active_gauge =
       obs::Registry::Global().GetGauge("evaluator.active_queries");
   active_gauge.Add(1);
@@ -129,9 +127,6 @@ Evaluation Evaluator::Evaluate(const std::string& query_text) {
   }
   // The context covers the parse and every admission attempt; transient
   // failures (shed admissions) are retried under the configured policy.
-  const exec::RetryPolicy& policy = options_.retry.has_value()
-                                        ? *options_.retry
-                                        : exec::RetryPolicy::FromEnv();
   AdmissionInfo admission;
   std::optional<ast::Query> query;
   ViewRows view_rows;
@@ -144,7 +139,7 @@ Evaluation Evaluator::Evaluate(const std::string& query_text) {
       query.emplace(std::move(*parsed));
     }
     return exec::RunWithRetry(
-        policy,
+        options_.retry,
         [&] { return ExecuteImpl(*query, &context, &admission, &view_rows); },
         &admission.retries);
   }();

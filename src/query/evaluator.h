@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "constraint/canonical.h"
-#include "exec/governor.h"
 #include "exec/scheduler.h"
 #include "object/database.h"
 #include "obs/query_context.h"
@@ -60,29 +59,21 @@ struct EvalOptions {
   /// Record a per-query obs::QueryProfile (stage span tree + counter
   /// deltas) and attach it to the ResultSet. Off by default: with no
   /// collector in the query's context every obs::Span is a thread-local
-  /// load and a null test or two.
+  /// load and a null test or two. (The query log's slow-query threshold,
+  /// QueryLog::set_slow_ms, collects a trace for the log alone.)
   bool collect_trace = false;
-  /// Slow-query threshold in milliseconds: a query slower than this is
-  /// marked slow in the per-query log and its full per-stage profile is
-  /// promoted into the log record (a trace is collected for every query
-  /// while the threshold is armed, even with collect_trace off — the
-  /// profile still only attaches to the ResultSet under collect_trace).
-  /// Unset defaults to LYRIC_SLOW_MS; 0 disables promotion.
-  std::optional<uint64_t> slow_ms;
   /// -- Resource governor (docs/ROBUSTNESS.md) -------------------------
   /// Per-query limits, enforced cooperatively by the constraint kernels.
   /// A trip never fails the query: Execute returns an OK Result whose
   /// ResultSet carries the partial rows, the typed trip Status
   /// (kDeadlineExceeded / kResourceExhausted via governor_status()) and a
-  /// GovernorReport of the progress made. All four default from the
-  /// environment (LYRIC_DEADLINE_MS, LYRIC_MEMORY_BUDGET); unset means
-  /// unlimited, and with no limit set the governor costs nothing.
+  /// GovernorReport of the progress made. Unset means unlimited, and
+  /// with no limit set the governor costs nothing. (Config::Eval fills
+  /// the first two from LYRIC_DEADLINE_MS and LYRIC_MEMORY_BUDGET.)
   /// Wall-clock deadline for the whole query, in milliseconds.
-  std::optional<uint64_t> deadline_ms =
-      exec::GovernorLimits::FromEnv().deadline_ms;
+  std::optional<uint64_t> deadline_ms;
   /// Budget in bytes for kernel-accounted transient allocations.
-  std::optional<uint64_t> memory_budget =
-      exec::GovernorLimits::FromEnv().memory_budget;
+  std::optional<uint64_t> memory_budget;
   /// Cap on total simplex pivots across the query.
   std::optional<uint64_t> max_pivots;
   /// Cap on total DNF disjuncts materialized across the query.
@@ -91,17 +82,15 @@ struct EvalOptions {
   /// Every Execute passes through a QueryScheduler before evaluating:
   /// with no limits configured admission is free; with a cap the query
   /// may queue or be shed with a typed kUnavailable + retry-after. The
-  /// scheduler's limits are its own (QueryScheduler::Configure, or
-  /// LYRIC_MAX_CONCURRENT / LYRIC_QUEUE_CAPACITY / LYRIC_QUEUE_TIMEOUT_MS
-  /// for the global one); a query only declares its deadline and budget.
-  /// Admission goes through this scheduler when set (lyric_serverd's
-  /// flag-configured instance, tests), QueryScheduler::Global() otherwise.
+  /// scheduler's limits are its own (QueryScheduler::Configure); a query
+  /// only declares its deadline and budget. Admission goes through this
+  /// scheduler when set (tests, lyric_loadgen's flag-configured
+  /// instance), QueryScheduler::Global() otherwise.
   exec::QueryScheduler* scheduler = nullptr;
   /// Retry policy for transient (kUnavailable) Execute failures —
-  /// admission sheds and injected transport faults. Unset defaults to
-  /// RetryPolicy::FromEnv() (LYRIC_RETRY=retries[:base_ms[:seed]]; retry
-  /// disabled when the variable is unset or malformed).
-  std::optional<exec::RetryPolicy> retry;
+  /// admission sheds and injected transport faults. The default never
+  /// retries (Config::Eval fills it from LYRIC_RETRY).
+  exec::RetryPolicy retry;
 };
 
 /// A view's rows in scan order, each with the binding that produced it.

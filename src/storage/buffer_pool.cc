@@ -184,6 +184,7 @@ Status BufferPool::FlushDirty() {
   }
   sync::MutexLock lock(mu_);
   for (Frame* frame : dirty) frame->dirty = false;
+  stuck_ = false;
   int64_t remaining = 0;
   for (auto& [id, frame] : frames_) remaining += frame->dirty ? 1 : 0;
   dirty_gauge.Set(remaining);
@@ -201,7 +202,9 @@ bool BufferPool::HasUnlogged() {
 void BufferPool::Unpin(PageId id) {
   sync::MutexLock lock(mu_);
   auto it = frames_.find(id);
-  if (it != frames_.end() && it->second->pins > 0) --it->second->pins;
+  if (it == frames_.end() || it->second->pins == 0) return;
+  // A writable frame without pins is a victim the last scan lacked.
+  if (--it->second->pins == 0 && WritableLocked(*it->second)) stuck_ = false;
 }
 
 Status BufferPool::EvictToLocked(size_t limit) {
@@ -209,6 +212,8 @@ Status BufferPool::EvictToLocked(size_t limit) {
       obs::Registry::Global().GetCounter("storage.pool.evictions");
   static obs::Gauge& pages =
       obs::Registry::Global().GetGauge("storage.pool.pages");
+  if (stuck_ && durable_lsn_->load() == stuck_at_lsn_) return Status::OK();
+  stuck_ = false;
   while (frames_.size() > limit) {
     Frame* victim = nullptr;
     for (auto& [id, frame] : frames_) {
@@ -221,6 +226,7 @@ Status BufferPool::EvictToLocked(size_t limit) {
       // Everything pinned or not yet durable: let the pool grow past
       // capacity instead of failing the fetch; a hit after the commit is
       // durable, or a checkpoint, drains it.
+      stuck_ = true;
       stuck_at_lsn_ = durable_lsn_->load();
       return Status::OK();
     }

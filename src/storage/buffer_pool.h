@@ -152,11 +152,12 @@ class BufferPool {
   mutable sync::Mutex mu_{sync::LockRank::kBufferPool, "buffer_pool"};
   std::map<PageId, std::unique_ptr<Frame>> frames_ LYRIC_GUARDED_BY(mu_);
   uint64_t use_tick_ LYRIC_GUARDED_BY(mu_) = 0;
-  /// The durable LSN when an eviction last found no frame it could evict.
-  /// Unlogged and not-yet-durable frames become writable only as the
-  /// durable LSN moves, so a hit over capacity retries eviction only
-  /// once it has: a long unlogged transaction does not rescan the frame
-  /// table on every hit.
+  /// Set when an eviction scan found no victim, at durable LSN
+  /// stuck_at_lsn_. Until a frame is unpinned while writable, flushed,
+  /// or the LSN moves, EvictToLocked returns at once (a hit waits for
+  /// the LSN alone): a long unlogged transaction does not rescan the
+  /// frame table on every fetch.
+  bool stuck_ LYRIC_GUARDED_BY(mu_) = false;
   uint64_t stuck_at_lsn_ LYRIC_GUARDED_BY(mu_) = 0;
 };
 

@@ -8,12 +8,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <limits>
-#include <optional>
 
 #include "obs/metrics.h"
 #include "util/fault.h"
-#include "util/string_util.h"
 #include "util/sync.h"
 
 namespace lyric {
@@ -31,53 +28,20 @@ Status InjectedFault(const char* op) {
   return Status::Unavailable(std::string("injected fault: storage ") + op);
 }
 
-// A storage test hook's byte budget from the environment: the value
-// ParseUint64 accepts, or -1 (unarmed) when the variable is unset,
-// malformed or above INT64_MAX.
-int64_t EnvBudget(const char* name) {
-  const std::optional<uint64_t> budget = EnvUint64(name);
-  if (!budget.has_value() ||
-      *budget > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-    return -1;
-  }
-  return static_cast<int64_t>(*budget);
-}
-
-// LYRIC_STORAGE_CRASH_AT=<n>: _exit(137) once n bytes of crash-accounted
-// (WAL) appends have been written; the byte prefix below n IS written
-// first, so the on-disk state is exactly a kill -9 at WAL offset n.
-// Negative when unarmed. Parsed once; the counter is process-wide.
+// ArmCrashBudget(n) (LYRIC_STORAGE_CRASH_AT=<n>): _exit(137) once n bytes
+// of crash-accounted (WAL) appends have been written; the byte prefix
+// below n IS written first, so the on-disk state is exactly a kill -9 at
+// WAL offset n. Negative when unarmed. The counter is process-wide.
 std::atomic<int64_t> g_crash_budget{-1};
-std::atomic<bool> g_crash_armed_checked{false};
 
-int64_t CrashBudget() {
-  if (!g_crash_armed_checked.load(std::memory_order_acquire)) {
-    g_crash_budget.store(EnvBudget("LYRIC_STORAGE_CRASH_AT"),
-                         std::memory_order_relaxed);
-    g_crash_armed_checked.store(true, std::memory_order_release);
-  }
-  return g_crash_budget.load(std::memory_order_relaxed);
-}
-
-// LYRIC_STORAGE_FULL_AT=<n>: the write that would push total written
-// bytes past n fails whole with kResourceExhausted, and so does every
-// write after it — sticky, like a genuinely full filesystem. The armed
-// flag is separate from the budget because the budget keeps burning
-// below zero once "full"; a negative budget with the flag up still
-// means ENOSPC. Parsed once; the counter is process-wide.
+// ArmDiskFull(n) (LYRIC_STORAGE_FULL_AT=<n>): the write that would push
+// total written bytes past n fails whole with kResourceExhausted, and so
+// does every write after it — sticky, like a genuinely full filesystem.
+// The armed flag is separate from the budget because the budget keeps
+// burning below zero once "full"; a negative budget with the flag up
+// still means ENOSPC. The counter is process-wide.
 std::atomic<int64_t> g_full_budget{-1};
 std::atomic<bool> g_full_armed{false};
-std::atomic<bool> g_full_armed_checked{false};
-
-bool DiskFullArmed() {
-  if (!g_full_armed_checked.load(std::memory_order_acquire)) {
-    const int64_t budget = EnvBudget("LYRIC_STORAGE_FULL_AT");
-    g_full_budget.store(budget, std::memory_order_relaxed);
-    g_full_armed.store(budget >= 0, std::memory_order_relaxed);
-    g_full_armed_checked.store(true, std::memory_order_release);
-  }
-  return g_full_armed.load(std::memory_order_relaxed);
-}
 
 // HoldSyncsForTesting: while `armed`, File::Sync parks in ParkIfHeld
 // until ReleaseSyncsForTesting bumps the generation. The flag outside the
@@ -145,22 +109,21 @@ void ReleaseSyncsForTesting(const Status& outcome) {
   hold.changed.NotifyAll();
 }
 
-int64_t CrashBudgetRemainingForTesting() { return CrashBudget(); }
+int64_t CrashBudgetRemainingForTesting() {
+  return g_crash_budget.load(std::memory_order_relaxed);
+}
 
-void ArmCrashBudgetForTesting(int64_t budget) {
+void ArmCrashBudget(int64_t budget) {
   g_crash_budget.store(budget, std::memory_order_relaxed);
-  g_crash_armed_checked.store(true, std::memory_order_release);
 }
 
 int64_t DiskFullBudgetRemainingForTesting() {
-  DiskFullArmed();  // force the env parse
   return g_full_budget.load(std::memory_order_relaxed);
 }
 
-void ArmDiskFullForTesting(int64_t budget) {
+void ArmDiskFull(int64_t budget) {
   g_full_budget.store(budget, std::memory_order_relaxed);
   g_full_armed.store(budget >= 0, std::memory_order_relaxed);
-  g_full_armed_checked.store(true, std::memory_order_release);
 }
 
 File::~File() {
@@ -243,7 +206,7 @@ Status File::WriteAt(uint64_t offset, const void* buf, size_t len) {
   if (fault::Enabled() && fault::Inject(fault::kSiteStorage)) {
     return InjectedFault("write");
   }
-  if (DiskFullArmed()) {
+  if (g_full_armed.load(std::memory_order_relaxed)) {
     // The crossing write fails whole — a full disk must never leave a
     // torn record behind — and the budget stays burned, so every write
     // after it keeps failing until space is "freed" (test re-arms).
@@ -277,8 +240,7 @@ Status File::Append(const void* buf, size_t len, bool crash_accounted) {
   size_t effective = len;
   bool crash_after = false;
   if (crash_accounted) {
-    int64_t budget = CrashBudget();
-    if (budget >= 0) {
+    if (g_crash_budget.load(std::memory_order_relaxed) >= 0) {
       // Burn the budget; when this append crosses it, write only the
       // prefix and die — the torn record the recovery scan must skip.
       int64_t before = g_crash_budget.fetch_sub(static_cast<int64_t>(len),

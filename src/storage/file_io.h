@@ -94,26 +94,25 @@ Status AtomicWriteFile(const std::string& path, const std::string& contents);
 /// is durable.
 Status SyncDirectoryOf(const std::string& path);
 
-/// The LYRIC_STORAGE_CRASH_AT byte budget remaining, or a negative value
-/// when no crash point is armed. Exposed for tests.
+/// The crash budget remaining, or a negative value when no crash point
+/// is armed. Exposed for tests.
 int64_t CrashBudgetRemainingForTesting();
 
-/// Arms (or, with a negative value, disarms) the crash budget directly,
-/// bypassing the once-per-process LYRIC_STORAGE_CRASH_AT parse. The
-/// crash-matrix test forks workers after the parent has already touched
-/// storage I/O; the fork inherits the parsed-and-disarmed state, so the
-/// child re-arms through this hook. Tests only.
-void ArmCrashBudgetForTesting(int64_t budget);
+/// Arms (or, with a negative value, disarms) the crash point: the
+/// process dies once `budget` more bytes of WAL appends are written.
+/// Config::Apply arms it from LYRIC_STORAGE_CRASH_AT; the crash-matrix
+/// test re-arms it in each forked worker.
+void ArmCrashBudget(int64_t budget);
 
-/// The LYRIC_STORAGE_FULL_AT byte budget remaining, or a negative value
-/// when no disk-full point is armed. Exposed for tests.
+/// The injected-ENOSPC budget remaining, or a negative value when no
+/// disk-full point is armed. Exposed for tests.
 int64_t DiskFullBudgetRemainingForTesting();
 
-/// Arms (or, with a negative value, disarms) the injected-ENOSPC budget
-/// directly, bypassing the once-per-process LYRIC_STORAGE_FULL_AT parse.
+/// Arms (or, with a negative value, disarms) the injected-ENOSPC budget.
 /// Once the budget is crossed, writes fail sticky with typed
-/// kResourceExhausted until re-armed/disarmed. Tests only.
-void ArmDiskFullForTesting(int64_t budget);
+/// kResourceExhausted until re-armed/disarmed. Config::Apply arms it from
+/// LYRIC_STORAGE_FULL_AT.
+void ArmDiskFull(int64_t budget);
 
 /// Parks every File::Sync at its start until ReleaseSyncsForTesting, so
 /// a test can hold a commit between its WAL append and its fsync. Tests

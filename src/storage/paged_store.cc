@@ -32,18 +32,6 @@ std::string AttributeKey(const Oid& oid, const std::string& attr) {
   return "A\x1f" + oid.ToString() + "\x1f" + attr;
 }
 
-/// The oid text of an "INSTANCEOF <oid> => <class>;\n" record: class
-/// names never contain " => ", so the last one ends the oid.
-std::string_view FactSubject(std::string_view line) {
-  constexpr std::string_view kHead = "INSTANCEOF ";
-  const size_t arrow = line.rfind(" => ");
-  if (line.substr(0, kHead.size()) != kHead || arrow == std::string_view::npos ||
-      arrow < kHead.size()) {
-    return {};
-  }
-  return line.substr(kHead.size(), arrow - kHead.size());
-}
-
 /// Renders `db` as the full record map the store should hold, for
 /// ImportDatabase. Instance-of facts are numbered in (oid, class) order,
 /// which is each oid's insertion order.
@@ -56,7 +44,7 @@ Status BuildRecords(const Database& db,
     (*out)[SeqKey('C', seq++)] = std::move(text);
   }
   for (const auto& [oid, rec] : db.objects()) {
-    (*out)[ObjectKey(oid)] = rec.class_name;
+    (*out)[ObjectKey(oid)] = Serializer::ClassNameText(rec.class_name);
     for (const auto& [attr, value] : rec.attrs) {
       LYRIC_ASSIGN_OR_RETURN(std::string vt, Serializer::ValueText(db, value));
       (*out)[AttributeKey(oid, attr)] = std::move(vt);
@@ -415,7 +403,8 @@ Status PagedStore::ApplyChangeLocked(const Database& db,
     }
     case Change::Kind::kObject:
       if (!live) return Status::OK();
-      return PutLocked(ObjectKey(change.oid), obj->second.class_name);
+      return PutLocked(ObjectKey(change.oid),
+                       Serializer::ClassNameText(obj->second.class_name));
     case Change::Kind::kAttribute: {
       if (!live) return Status::OK();
       auto attr = obj->second.attrs.find(change.name);
@@ -456,18 +445,19 @@ Status PagedStore::DeleteObjectRecordsLocked(const Database& db,
         doomed.emplace_back(key);
         return true;
       }));
-  // Fact keys say nothing about their oid, so scan the 'I' range. No
-  // served query deletes objects; this is the API's path. The probe's
-  // class is arbitrary: only the subject is compared.
+  // Fact keys say nothing about their oid, so scan the 'I' range for
+  // the lines that start "INSTANCEOF <oid> => " (a quoted class name may
+  // itself hold " => "). No served query deletes objects; this is the
+  // API's path. The probe's class, "CST", is written raw.
   LYRIC_ASSIGN_OR_RETURN(std::string probe,
                          Serializer::InstanceOfLine(db, oid, kCstClass));
-  const std::string subject(FactSubject(probe));
+  const std::string head = probe.substr(0, probe.rfind(" => ") + 4);
   const std::string fact_prefix = "I\x1f";
   LYRIC_RETURN_NOT_OK(tree_->Scan(
       meta_.btree_root, fact_prefix,
       [&](std::string_view key, std::string_view value) -> Result<bool> {
         if (key.substr(0, fact_prefix.size()) != fact_prefix) return false;
-        if (FactSubject(value) == subject) doomed.emplace_back(key);
+        if (value.substr(0, head.size()) == head) doomed.emplace_back(key);
         return true;
       }));
   for (const std::string& key : doomed) {

@@ -1,5 +1,7 @@
 #include "storage/serializer.h"
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <sstream>
 
@@ -88,6 +90,8 @@ class Loader {
   }
 
   Result<std::string> ParseClassName() {
+    // A name that is not a word was quoted by Serializer::ClassNameText.
+    if (At(TokenKind::kString)) return tokens_[pos_++].text;
     LYRIC_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
     if (name == "CST" && At(TokenKind::kLParen) &&
         tokens_[pos_ + 1].kind == TokenKind::kNumber) {
@@ -116,7 +120,7 @@ class Loader {
 
   Status ParseClass() {
     ClassDef def;
-    LYRIC_ASSIGN_OR_RETURN(def.name, ExpectIdent());
+    LYRIC_ASSIGN_OR_RETURN(def.name, ParseClassName());
     if (At(TokenKind::kLParen)) {
       LYRIC_ASSIGN_OR_RETURN(def.interface_vars, ParseVarList());
     }
@@ -138,7 +142,7 @@ class Loader {
       // ':' is not a token either; the dump uses '=>' for the signature
       // arrow, mirroring the paper.
       LYRIC_RETURN_NOT_OK(Expect(TokenKind::kArrow));
-      LYRIC_ASSIGN_OR_RETURN(std::string target, ExpectIdent());
+      LYRIC_ASSIGN_OR_RETURN(std::string target, ParseClassName());
       if (target == "CST") {
         attr.target_class = kCstClass;
         LYRIC_ASSIGN_OR_RETURN(attr.variables, ParseVarList());
@@ -273,14 +277,28 @@ class Loader {
 
 }  // namespace
 
+std::string Serializer::ClassNameText(const std::string& name) {
+  // A word the lexer reads as one token: [A-Za-z_@][A-Za-z0-9_@#]*.
+  const auto in_word = [](unsigned char c) {
+    return std::isalnum(c) || c == '_' || c == '@' || c == '#';
+  };
+  const bool word = !name.empty() && name[0] != '#' &&
+                    !std::isdigit(static_cast<unsigned char>(name[0])) &&
+                    std::all_of(name.begin(), name.end(), in_word);
+  if (word || ParseCstClassName(name).has_value()) return name;
+  std::string out = "'";
+  for (char c : name) out += c == '\'' ? "''" : std::string(1, c);
+  return out + "'";
+}
+
 Result<std::string> Serializer::ClassText(const ClassDef& def) {
   std::ostringstream out;
-  out << "CLASS " << def.name;
+  out << "CLASS " << ClassNameText(def.name);
   if (!def.interface_vars.empty()) {
     out << " (" << Join(def.interface_vars, ", ") << ")";
   }
-  if (!def.parents.empty()) {
-    out << " ISA " << Join(def.parents, ", ");
+  for (size_t i = 0; i < def.parents.size(); ++i) {
+    out << (i == 0 ? " ISA " : ", ") << ClassNameText(def.parents[i]);
   }
   out << " [\n";
   for (const AttributeDef& attr : def.attributes) {
@@ -288,7 +306,7 @@ Result<std::string> Serializer::ClassText(const ClassDef& def) {
     if (attr.IsCst()) {
       out << "CST (" << Join(attr.variables, ", ") << ")";
     } else {
-      out << attr.target_class;
+      out << ClassNameText(attr.target_class);
       if (!attr.variables.empty()) {
         out << " (" << Join(attr.variables, ", ") << ")";
       }
@@ -326,9 +344,11 @@ Result<std::string> Serializer::InstanceOfLine(const Database& db,
   if (oid.IsCst()) {
     LYRIC_ASSIGN_OR_RETURN(CstObject obj, db.GetCst(oid));
     LYRIC_ASSIGN_OR_RETURN(std::string canonical, obj.CanonicalString());
-    return "INSTANCEOF CST " + canonical + " => " + class_name + ";\n";
+    return "INSTANCEOF CST " + canonical + " => " +
+           ClassNameText(class_name) + ";\n";
   }
-  return "INSTANCEOF " + OidText(oid) + " => " + class_name + ";\n";
+  return "INSTANCEOF " + OidText(oid) + " => " + ClassNameText(class_name) +
+         ";\n";
 }
 
 Result<std::string> Serializer::DumpDatabase(const Database& db) {
@@ -342,7 +362,8 @@ Result<std::string> Serializer::DumpDatabase(const Database& db) {
   }
   // Objects.
   for (const auto& [oid, rec] : db.objects()) {
-    out << "OBJECT " << OidText(oid) << " => " << rec.class_name << " [\n";
+    out << "OBJECT " << OidText(oid) << " => "
+        << ClassNameText(rec.class_name) << " [\n";
     for (const auto& [attr, value] : rec.attrs) {
       LYRIC_ASSIGN_OR_RETURN(std::string vt, ValueText(db, value));
       out << "  " << attr << " = " << vt << ";\n";

@@ -57,6 +57,11 @@ class Serializer {
   // helpers are the single source of truth for that grammar;
   // DumpDatabase composes the same pieces.
 
+  /// A class name as every class-name position writes it: an identifier
+  /// or CST(n) raw, anything else (a higher-order view named by a CST,
+  /// number or functional oid) as a quoted string, which those positions
+  /// also read.
+  static std::string ClassNameText(const std::string& name);
   /// The "CLASS name ... [ ... ]\n" block for one class definition.
   static Result<std::string> ClassText(const ClassDef& def);
   /// An attribute value in the dump's value grammar (oids bare, CST

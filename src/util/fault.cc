@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <mutex>  // std::call_once/std::once_flag only (allowed by the gate)
 #include <vector>
 
 #include "obs/metrics.h"
@@ -32,7 +31,6 @@ struct Config {
   // Inject decides under mu, so a concurrent reconfiguration may free
   // the old sites without pulling one out from under a decision.
   std::vector<std::unique_ptr<Site>> sites LYRIC_GUARDED_BY(mu);
-  std::once_flag env_once;
 };
 
 Config& GlobalConfig() {
@@ -41,10 +39,6 @@ Config& GlobalConfig() {
 }
 
 std::atomic<bool> g_enabled{false};
-// Set once the configuration (env or test) has been applied; Enabled()
-// keys its lazy init off this so the common `Enabled() && Inject(...)`
-// call shape arms LYRIC_FAULT on first use instead of never.
-std::atomic<bool> g_configured{false};
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -96,33 +90,9 @@ bool ParseSpec(const std::string& spec,
   return true;
 }
 
-void LoadEnvLocked(Config& config) LYRIC_REQUIRES(config.mu) {
-  const char* env = std::getenv("LYRIC_FAULT");
-  if (env == nullptr || *env == '\0') return;
-  std::vector<std::unique_ptr<Site>> sites;
-  if (!ParseSpec(env, &sites)) return;  // Malformed spec: stay disabled.
-  config.sites = std::move(sites);
-  g_enabled.store(!config.sites.empty(), std::memory_order_relaxed);
-}
-
 }  // namespace
 
-bool Enabled() {
-  // Arm lazily from the environment on first use (sites call
-  // `Enabled() && Inject(...)`, so this is the entry point that must
-  // see LYRIC_FAULT). After the one-time init this is two relaxed loads.
-  if (!g_configured.load(std::memory_order_acquire)) InitFromEnv();
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void InitFromEnv() {
-  Config& config = GlobalConfig();
-  std::call_once(config.env_once, [&config] {
-    sync::MutexLock lock(config.mu);
-    LoadEnvLocked(config);
-  });
-  g_configured.store(true, std::memory_order_release);
-}
+bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 bool Inject(const char* site) {
   if (!Enabled()) return false;
@@ -156,17 +126,19 @@ bool Inject(const char* site) {
   return true;
 }
 
-bool ConfigureForTesting(const std::string& spec) {
-  Config& config = GlobalConfig();
-  // Ensure the env hook can no longer overwrite a test configuration.
-  std::call_once(config.env_once, [] {});
+bool Configure(const std::string& spec) {
   std::vector<std::unique_ptr<Site>> sites;
-  if (!spec.empty() && !ParseSpec(spec, &sites)) return false;
+  if (!ParseSpec(spec, &sites)) return false;
+  Config& config = GlobalConfig();
   sync::MutexLock lock(config.mu);
   config.sites = std::move(sites);
   g_enabled.store(!config.sites.empty(), std::memory_order_relaxed);
-  g_configured.store(true, std::memory_order_release);
   return true;
+}
+
+bool ValidSpec(const std::string& spec) {
+  std::vector<std::unique_ptr<Site>> sites;
+  return ParseSpec(spec, &sites);
 }
 
 }  // namespace fault

@@ -5,9 +5,9 @@
 //   if (fault::Inject(fault::kSite_SolverCache)) return std::nullopt;
 //
 // In normal operation every call is a single relaxed atomic load (the
-// injector is disabled) — the sites cost nothing on hot paths. Tests and
-// the fault-injection ctest gate enable sites via the LYRIC_FAULT
-// environment variable or ConfigureForTesting:
+// injector is disabled) — the sites cost nothing on hot paths. Tests arm
+// sites with Configure, and a binary's main (so each ctest fault gate)
+// from the LYRIC_FAULT environment variable through Config::Apply:
 //
 //   LYRIC_FAULT=<site>:<prob>[:<seed>][,<site>:<prob>[:<seed>]...]
 //   LYRIC_FAULT=solver_cache:0.25:42,serializer:1.0
@@ -64,15 +64,13 @@ bool Enabled();
 /// when the injector is disabled or the site is not configured.
 bool Inject(const char* site);
 
-/// Replaces the configuration with `spec` (same grammar as LYRIC_FAULT;
-/// empty disables everything). Resets per-site call counters. Tests only.
-/// Returns false (leaving the previous config) when `spec` is malformed.
-bool ConfigureForTesting(const std::string& spec);
+/// Replaces the configuration with `spec` (the LYRIC_FAULT grammar;
+/// empty disables everything). Resets per-site call counters. Returns
+/// false (leaving the previous config) when `spec` is malformed.
+bool Configure(const std::string& spec);
 
-/// Loads the configuration from the LYRIC_FAULT environment variable.
-/// Called lazily by the first Enabled()/Inject(); exposed for tools that
-/// want the parse error reported eagerly.
-void InitFromEnv();
+/// True when `spec` is empty or well formed, i.e. Configure would take it.
+bool ValidSpec(const std::string& spec);
 
 }  // namespace fault
 }  // namespace lyric

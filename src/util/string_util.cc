@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdlib>
 #include <system_error>
 
 namespace lyric {
@@ -35,12 +34,6 @@ std::optional<uint64_t> ParseUint64(std::string_view text) {
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
-}
-
-std::optional<uint64_t> EnvUint64(const char* name) {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return std::nullopt;
-  return ParseUint64(text);
 }
 
 std::optional<uint64_t> SplitNumericSuffix(std::string_view spec,

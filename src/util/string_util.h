@@ -25,10 +25,6 @@ std::string ToLower(const std::string& s);
 /// else (no sign, no spaces), within range. nullopt otherwise.
 std::optional<uint64_t> ParseUint64(std::string_view text);
 
-/// The environment variable `name` parsed by ParseUint64; nullopt when
-/// it is unset or malformed.
-std::optional<uint64_t> EnvUint64(const char* name);
-
 /// Splits a "path[:N]" spec. When the text after the last ':' is one or
 /// more decimal digits, *path gets the text before that ':' and the
 /// result is N parsed by ParseUint64 (nullopt when out of range).

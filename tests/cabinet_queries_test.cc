@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config/config.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
 
@@ -66,7 +67,7 @@ class CabinetQueriesTest : public ::testing::Test {
   }
 
   ResultSet Run(const std::string& text) {
-    Evaluator ev(&db_);
+    Evaluator ev(&db_, options_);
     auto r = ev.Execute(text);
     EXPECT_TRUE(r.ok()) << text << "\n -> " << r.status();
     return r.ok() ? *r : ResultSet();
@@ -75,6 +76,9 @@ class CabinetQueriesTest : public ::testing::Test {
   Database db_;
   office::OfficeIds ids_;
   Oid cab_, top_, bottom_;
+  // The environment's per-query defaults: the ctest gates that rerun
+  // this suite arm LYRIC_RETRY along with their faults.
+  const EvalOptions options_ = Config::FromEnv().Eval();
 };
 
 TEST_F(CabinetQueriesTest, SetValuedPathEnumerates) {
@@ -106,7 +110,7 @@ TEST_F(CabinetQueriesTest, FormulaOverChosenRange) {
 
 TEST_F(CabinetQueriesTest, SetValuedPredicateWithoutSelectorRejected) {
   // Using the set-valued path directly as a CST predicate is ambiguous.
-  Evaluator ev(&db_);
+  Evaluator ev(&db_, options_);
   auto r = ev.Execute(
       "SELECT F FROM File_Cabinet F "
       "WHERE SAT(F.drawer_center(a, b) and a = 0)");

@@ -20,41 +20,41 @@ namespace {
 class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
+    ASSERT_TRUE(fault::Configure(""));
     SolverCache::Global().Clear();
   }
-  void TearDown() override { ASSERT_TRUE(fault::ConfigureForTesting("")); }
+  void TearDown() override { ASSERT_TRUE(fault::Configure("")); }
 };
 
 // -- Spec parsing ----------------------------------------------------------
 
 TEST_F(FaultTest, AcceptsWellFormedSpecs) {
-  EXPECT_TRUE(fault::ConfigureForTesting("solver_cache:0.5"));
-  EXPECT_TRUE(fault::ConfigureForTesting("serializer:1.0:42"));
+  EXPECT_TRUE(fault::Configure("solver_cache:0.5"));
+  EXPECT_TRUE(fault::Configure("serializer:1.0:42"));
   EXPECT_TRUE(
-      fault::ConfigureForTesting("solver_cache:0.25:1,scheduler:0.75:2"));
-  EXPECT_TRUE(fault::ConfigureForTesting("alloc:0"));
-  EXPECT_TRUE(fault::ConfigureForTesting(""));  // Disables everything.
+      fault::Configure("solver_cache:0.25:1,scheduler:0.75:2"));
+  EXPECT_TRUE(fault::Configure("alloc:0"));
+  EXPECT_TRUE(fault::Configure(""));  // Disables everything.
   EXPECT_FALSE(fault::Enabled());
 }
 
 TEST_F(FaultTest, RejectsMalformedSpecsAndStaysOnPreviousConfig) {
-  ASSERT_TRUE(fault::ConfigureForTesting("solver_cache:1.0"));
-  EXPECT_FALSE(fault::ConfigureForTesting("nocolon"));
-  EXPECT_FALSE(fault::ConfigureForTesting(":0.5"));
-  EXPECT_FALSE(fault::ConfigureForTesting("site:1.5"));       // prob > 1
-  EXPECT_FALSE(fault::ConfigureForTesting("site:-0.1"));      // prob < 0
-  EXPECT_FALSE(fault::ConfigureForTesting("site:abc"));       // not a number
-  EXPECT_FALSE(fault::ConfigureForTesting("site:nan"));       // not in [0, 1]
-  EXPECT_FALSE(fault::ConfigureForTesting("site:0.5:-1"));    // signed seed
-  EXPECT_FALSE(fault::ConfigureForTesting("site:0.5:seed"));  // bad seed
+  ASSERT_TRUE(fault::Configure("solver_cache:1.0"));
+  EXPECT_FALSE(fault::Configure("nocolon"));
+  EXPECT_FALSE(fault::Configure(":0.5"));
+  EXPECT_FALSE(fault::Configure("site:1.5"));       // prob > 1
+  EXPECT_FALSE(fault::Configure("site:-0.1"));      // prob < 0
+  EXPECT_FALSE(fault::Configure("site:abc"));       // not a number
+  EXPECT_FALSE(fault::Configure("site:nan"));       // not in [0, 1]
+  EXPECT_FALSE(fault::Configure("site:0.5:-1"));    // signed seed
+  EXPECT_FALSE(fault::Configure("site:0.5:seed"));  // bad seed
   // The last good configuration survives a rejected spec.
   EXPECT_TRUE(fault::Enabled());
   EXPECT_TRUE(fault::Inject(fault::kSiteSolverCache));
 }
 
 TEST_F(FaultTest, ProbabilityEndpointsAreExact) {
-  ASSERT_TRUE(fault::ConfigureForTesting("always:1.0,never:0"));
+  ASSERT_TRUE(fault::Configure("always:1.0,never:0"));
   for (int i = 0; i < 64; ++i) {
     EXPECT_TRUE(fault::Inject("always"));
     EXPECT_FALSE(fault::Inject("never"));
@@ -65,7 +65,7 @@ TEST_F(FaultTest, ProbabilityEndpointsAreExact) {
 
 TEST_F(FaultTest, DecisionsAreDeterministicInSeedAndIndex) {
   auto draw_pattern = [](const std::string& spec) {
-    EXPECT_TRUE(fault::ConfigureForTesting(spec));
+    EXPECT_TRUE(fault::Configure(spec));
     std::vector<bool> pattern;
     pattern.reserve(256);
     for (int i = 0; i < 256; ++i) pattern.push_back(fault::Inject("s"));
@@ -85,7 +85,7 @@ TEST_F(FaultTest, DecisionsAreDeterministicInSeedAndIndex) {
 }
 
 TEST_F(FaultTest, InjectionsAreCountedInTheMetricsRegistry) {
-  ASSERT_TRUE(fault::ConfigureForTesting("counted:1.0"));
+  ASSERT_TRUE(fault::Configure("counted:1.0"));
   obs::Counter& counter =
       obs::Registry::Global().GetCounter("fault.injected.counted");
   uint64_t before = counter.value();
@@ -111,13 +111,13 @@ TEST_F(FaultTest, SolverCacheFaultsAreTransparentToResults) {
 
   // With every lookup missing and every store dropped, the engine
   // recomputes everything — byte-identical answer, no crash.
-  ASSERT_TRUE(fault::ConfigureForTesting("solver_cache:1.0"));
+  ASSERT_TRUE(fault::Configure("solver_cache:1.0"));
   auto faulted = ev.Execute(kQuery);
   ASSERT_TRUE(faulted.ok()) << faulted.status();
   EXPECT_EQ(faulted->ToString(), clean->ToString());
 
   // Partial failure (half the operations) is equally transparent.
-  ASSERT_TRUE(fault::ConfigureForTesting("solver_cache:0.5:11"));
+  ASSERT_TRUE(fault::Configure("solver_cache:0.5:11"));
   auto half = ev.Execute(kQuery);
   ASSERT_TRUE(half.ok()) << half.status();
   EXPECT_EQ(half->ToString(), clean->ToString());
@@ -128,7 +128,7 @@ TEST_F(FaultTest, SerializerFaultsFailWithCleanStatusAndNoMutation) {
   ASSERT_TRUE(office::BuildOfficeDatabase(&db).ok());
   std::string dump = Serializer::DumpDatabase(db).value();
 
-  ASSERT_TRUE(fault::ConfigureForTesting("serializer:1.0"));
+  ASSERT_TRUE(fault::Configure("serializer:1.0"));
   Database target;
   Status load = Serializer::LoadDatabase(dump, &target);
   EXPECT_FALSE(load.ok());
@@ -145,7 +145,7 @@ TEST_F(FaultTest, SerializerFaultsFailWithCleanStatusAndNoMutation) {
 
   // Disarmed, the same payload loads fine — the failure was injected,
   // not a corruption left behind.
-  ASSERT_TRUE(fault::ConfigureForTesting(""));
+  ASSERT_TRUE(fault::Configure(""));
   EXPECT_TRUE(Serializer::LoadDatabase(dump, &target).ok());
   EXPECT_EQ(target.ObjectCount(), db.ObjectCount());
 }
@@ -161,12 +161,12 @@ TEST_F(FaultTest, TraceFaultDropsSpansNeverResults) {
 
   // Every span construction fails: the trace is silently thinner (spans
   // drop, children re-parent) and the answer is untouched.
-  ASSERT_TRUE(fault::ConfigureForTesting("trace:1.0"));
+  ASSERT_TRUE(fault::Configure("trace:1.0"));
   auto untraced = ev.Execute(kQuery);
   ASSERT_TRUE(untraced.ok()) << untraced.status();
   EXPECT_EQ(untraced->ToString(), clean->ToString());
 
-  ASSERT_TRUE(fault::ConfigureForTesting("trace:0.5:7"));
+  ASSERT_TRUE(fault::Configure("trace:0.5:7"));
   auto partial = ev.Execute(kQuery);
   ASSERT_TRUE(partial.ok()) << partial.status();
   EXPECT_EQ(partial->ToString(), clean->ToString());
@@ -181,7 +181,7 @@ TEST_F(FaultTest, SchedulerFaultShedsWithTypedStatusAndRetryRecovers) {
 
   // A forced queue-full shed surfaces as the transient typed status with
   // a retry-after hint — never a crash, never a partial result.
-  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:1.0"));
+  ASSERT_TRUE(fault::Configure("scheduler:1.0"));
   auto shed = ev.Execute(kQuery);
   ASSERT_FALSE(shed.ok());
   EXPECT_TRUE(shed.status().IsUnavailable()) << shed.status();
@@ -189,7 +189,7 @@ TEST_F(FaultTest, SchedulerFaultShedsWithTypedStatusAndRetryRecovers) {
 
   // With a retry policy the evaluator absorbs probabilistic sheds and the
   // caller sees only the byte-identical success.
-  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:0.5:3"));
+  ASSERT_TRUE(fault::Configure("scheduler:0.5:3"));
   EvalOptions retrying;
   exec::RetryPolicy policy;
   policy.max_retries = 32;

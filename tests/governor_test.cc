@@ -43,13 +43,13 @@ constexpr const char* kFigure2Query =
 class GovernorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
+    ASSERT_TRUE(fault::Configure(""));
     SolverCache::Global().Clear();
     auto ids = office::BuildOfficeDatabase(&db_);
     ASSERT_TRUE(ids.ok()) << ids.status();
   }
 
-  void TearDown() override { ASSERT_TRUE(fault::ConfigureForTesting("")); }
+  void TearDown() override { ASSERT_TRUE(fault::Configure("")); }
 
   // Runs `text` with the given options; the query-level Result must be OK
   // (a governor trip is reported on the ResultSet, not as an error).
@@ -323,7 +323,7 @@ TEST_F(GovernorTest, InjectedAllocFaultTripsMemoryBudget) {
   // The alloc fault site lets the fault gate exercise the budget-trip
   // path without a genuinely huge query: with a budget configured and
   // the site armed, the first accounted allocation trips.
-  ASSERT_TRUE(fault::ConfigureForTesting("alloc:1.0:7"));
+  ASSERT_TRUE(fault::Configure("alloc:1.0:7"));
   EvalOptions opts;
   opts.memory_budget = 1ull << 40;  // Generous; only the fault trips it.
   ResultSet r = Run(

@@ -395,6 +395,64 @@ TEST(PagedStoreTest, PoolReturnsToCapacityOnceItsFramesAreDurable) {
   ASSERT_TRUE(store->Close().ok());
 }
 
+// Reopens the store at `path` and dumps what it hydrates.
+std::string RehydratedDump(const std::string& path) {
+  auto store = MustOpen(path);
+  Database db;
+  Status st = store->ExportToDatabase(&db);
+  EXPECT_TRUE(st.ok()) << st;
+  EXPECT_TRUE(store->Close().ok());
+  Result<std::string> dump = Serializer::DumpDatabase(db);
+  EXPECT_TRUE(dump.ok()) << dump.status();
+  return dump.ok() ? *dump : std::string();
+}
+
+// §4.1's higher-order pattern: a view named by a FROM variable bound to a
+// CST value makes a class whose name is not an identifier. Every
+// class-name position quotes it, so the dump reloads, and a store that
+// took the view by write-through or by import rehydrates it, each to the
+// same bytes.
+TEST(PagedStoreTest, HigherOrderViewNamesRoundTripThroughDumpAndStore) {
+  Database db;
+  ASSERT_TRUE(office::BuildOfficeDatabase(&db).ok());
+  const std::string through = FreshPath("ps_higher_order_through.lyricpg");
+  auto store = MustOpen(through);
+  ASSERT_TRUE(store->ImportDatabase(db).ok());
+  Evaluator ev(&db);
+  for (const char* view :
+       {"CREATE VIEW Spots AS SUBCLASS OF Region SELECT L "
+        "FROM Object_in_Room O WHERE O.location[L]",
+        "CREATE VIEW X AS SUBCLASS OF Object_in_Room SELECT Y "
+        "FROM Object_in_Room Y, Spots X WHERE Y.location[U] and U |= X"}) {
+    ASSERT_TRUE(ev.Execute(view).ok()) << view;
+    Result<uint64_t> lsn = store->ApplyChanges(db, db.TakeChanges());
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    ASSERT_TRUE(store->WaitDurable(*lsn).ok());
+  }
+  ASSERT_TRUE(store->Close().ok());
+  Result<std::string> dump = Serializer::DumpDatabase(db);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  const std::string quoted = "'((@0, @1) | @0 = 6 and @1 = 4)'";
+  EXPECT_NE(dump->find("CLASS " + quoted + " ISA Object_in_Room [\n"),
+            std::string::npos)
+      << *dump;
+  EXPECT_NE(dump->find("INSTANCEOF my_desk => " + quoted + ";\n"),
+            std::string::npos)
+      << *dump;
+
+  Database loaded;
+  Status st = Serializer::LoadDatabase(*dump, &loaded);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(Serializer::DumpDatabase(loaded).value(), *dump);
+  EXPECT_EQ(RehydratedDump(through), *dump);
+
+  const std::string imported = FreshPath("ps_higher_order_import.lyricpg");
+  auto fresh = MustOpen(imported);
+  ASSERT_TRUE(fresh->ImportDatabase(db).ok());
+  ASSERT_TRUE(fresh->Close().ok());
+  EXPECT_EQ(RehydratedDump(imported), *dump);
+}
+
 TEST(PagedStoreTest, CheckpointSyncsTheLogBeforeItFlushes) {
   std::string path = FreshPath("ps_ckpt_order.lyricpg");
   auto store = MustOpen(path);
@@ -462,14 +520,14 @@ TEST(PagedStoreTest, FailedFsyncPoisonsAndEveryWaiterGetsTheError) {
   const uint64_t lsn = AppendClass(store.get(), &db, "Doomed");
   ASSERT_GT(lsn, store->durable_lsn());
 
-  ASSERT_TRUE(fault::ConfigureForTesting("storage:1"));
+  ASSERT_TRUE(fault::Configure("storage:1"));
   std::vector<Status> waited(3);
   std::vector<std::thread> waiters;
   for (Status& out : waited) {
     waiters.emplace_back([&store, &out, lsn] { out = store->WaitDurable(lsn); });
   }
   for (std::thread& t : waiters) t.join();
-  ASSERT_TRUE(fault::ConfigureForTesting(""));
+  ASSERT_TRUE(fault::Configure(""));
 
   for (const Status& st : waited) {
     EXPECT_TRUE(st.IsUnavailable()) << st;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config/config.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
 
@@ -18,7 +19,7 @@ class PaperExamplesTest : public ::testing::Test {
   }
 
   ResultSet Run(const std::string& text) {
-    Evaluator ev(&db_);
+    Evaluator ev(&db_, options_);
     auto r = ev.Execute(text);
     EXPECT_TRUE(r.ok()) << text << "\n -> " << r.status();
     return r.ok() ? *r : ResultSet();
@@ -44,6 +45,9 @@ class PaperExamplesTest : public ::testing::Test {
 
   Database db_;
   office::OfficeIds ids_;
+  // The environment's per-query defaults: the ctest gates that rerun
+  // this suite arm LYRIC_RETRY along with their faults.
+  const EvalOptions options_ = Config::FromEnv().Eval();
 };
 
 // §4.1 query 1: "retrieve all extent attributes of drawers in desks".
@@ -198,7 +202,7 @@ TEST_F(PaperExamplesTest, Q5TouchingWallRejected) {
 // satisfiability of the two room-coordinate extents) fires.
 TEST_F(PaperExamplesTest, OverlapViewFromSectionTwo) {
   ASSERT_TRUE(office::AddScaledDesks(&db_, 1, 99).ok());
-  Evaluator ev(&db_);
+  Evaluator ev(&db_, options_);
   // Overlap of room objects: conjoin each object's extent translated to
   // its own location; shared names are renamed apart per object.
   auto r = ev.Execute(

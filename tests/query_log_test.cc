@@ -49,8 +49,9 @@ class QueryLogTest : public ::testing::Test {
     obs::QueryLog::Global().ClearForTesting();
   }
   void TearDown() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
+    ASSERT_TRUE(fault::Configure(""));
     obs::QueryLog::Global().ConfigureSink("", 0);
+    obs::QueryLog::Global().set_slow_ms(0);
     obs::QueryLog::Global().ClearForTesting();
   }
 };
@@ -212,7 +213,7 @@ TEST_F(QueryLogTest, AdmissionFactsAgreeBetweenResultAndRecord) {
 
   // Seeded sheds absorbed by the retry loop: the result and its record
   // carry the same retry count, and the mode of the attempt that ran.
-  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:0.5:3"));
+  ASSERT_TRUE(fault::Configure("scheduler:0.5:3"));
   Evaluator ev(&db, opts);
   uint32_t total_retries = 0;
   for (int i = 0; i < 8; ++i) {
@@ -228,7 +229,7 @@ TEST_F(QueryLogTest, AdmissionFactsAgreeBetweenResultAndRecord) {
   EXPECT_GT(total_retries, 0u) << "the seeded fault never shed";
 
   // Every attempt shed: the record says "shed" after max_retries retries.
-  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:1.0"));
+  ASSERT_TRUE(fault::Configure("scheduler:1.0"));
   policy.max_retries = 3;
   opts.retry = policy;
   Evaluator shed_ev(&db, opts);
@@ -302,9 +303,8 @@ TEST_F(QueryLogTest, SlowThresholdPromotesStageProfile) {
 
   // Threshold 0 disables promotion entirely.
   {
-    EvalOptions opts;
-    opts.slow_ms = 0;
-    Evaluator ev(&db, opts);
+    log.set_slow_ms(0);
+    Evaluator ev(&db);
     ASSERT_TRUE(ev.Execute(std::string("SELECT X FROM Desk X")).ok());
     obs::QueryLogRecord rec = log.Recent(1).front();
     EXPECT_FALSE(rec.slow);
@@ -315,9 +315,8 @@ TEST_F(QueryLogTest, SlowThresholdPromotesStageProfile) {
   // deterministic.
   {
     ASSERT_TRUE(office::AddScaledDesks(&db, 40, /*seed=*/7).ok());
-    EvalOptions opts;
-    opts.slow_ms = 1;
-    Evaluator ev(&db, opts);
+    log.set_slow_ms(1);
+    Evaluator ev(&db);
     ASSERT_TRUE(
         ev.Execute(std::string("SELECT A, B FROM Object_in_Room A, "
                                "Object_in_Room B WHERE A.location[B]"))

@@ -232,13 +232,13 @@ TEST(SchedulerTest, MemoryGateQueuesUntilLedgerDrains) {
 }
 
 TEST(SchedulerTest, FaultSiteForcesShed) {
-  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:1.0"));
+  ASSERT_TRUE(fault::Configure("scheduler:1.0"));
   QueryScheduler sched;  // No limits: would otherwise always admit.
   auto t = sched.Admit(Req());
   ASSERT_FALSE(t.ok());
   EXPECT_TRUE(t.status().IsUnavailable()) << t.status();
   EXPECT_NE(t.status().message().find("injected fault"), std::string::npos);
-  ASSERT_TRUE(fault::ConfigureForTesting(""));
+  ASSERT_TRUE(fault::Configure(""));
   EXPECT_TRUE(sched.Admit(Req()).ok());
 }
 

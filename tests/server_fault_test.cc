@@ -34,11 +34,11 @@ uint64_t InjectedCount() {
 
 class ServerFaultTest : public ::testing::Test {
  protected:
-  void TearDown() override { fault::ConfigureForTesting(""); }
+  void TearDown() override { fault::Configure(""); }
 };
 
 TEST_F(ServerFaultTest, FaultsAreTypedUnavailable) {
-  ASSERT_TRUE(fault::ConfigureForTesting("net:1.0:5"));
+  ASSERT_TRUE(fault::Configure("net:1.0:5"));
   const uint64_t before = InjectedCount();
   Result<net::Socket> sock = net::Socket::Connect("127.0.0.1", 1);
   ASSERT_FALSE(sock.ok());
@@ -72,7 +72,7 @@ TEST_F(ServerFaultTest, ServerKeepsServingThroughFaults) {
 
   // Arm the site AFTER the server is up so Bind/Listen stay clean; from
   // here every read/write/accept/connect can fail with probability 0.2.
-  ASSERT_TRUE(fault::ConfigureForTesting("net:0.2:9"));
+  ASSERT_TRUE(fault::Configure("net:0.2:9"));
   const uint64_t before = InjectedCount();
 
   net::ClientOptions copts;
@@ -100,7 +100,7 @@ TEST_F(ServerFaultTest, ServerKeepsServingThroughFaults) {
       << "no transport error ever observed at p=0.2; injection is broken";
 
   // Disarm and verify the server is fully healthy, with nothing leaked.
-  fault::ConfigureForTesting("");
+  fault::Configure("");
   client.Close();
   {
     net::ClientOptions clean_opts;
@@ -143,7 +143,7 @@ TEST_F(ServerFaultTest, StopUnderFaultsLeaksNothing) {
     (void)client->Execute("SELECT O FROM Object_in_Room O");
     clients.push_back(std::move(client));
   }
-  ASSERT_TRUE(fault::ConfigureForTesting("net:0.5:11"));
+  ASSERT_TRUE(fault::Configure("net:0.5:11"));
   server.Stop();
   EXPECT_EQ(server.active_sessions(), 0u);
   EXPECT_FALSE(server.running());

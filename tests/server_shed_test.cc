@@ -116,7 +116,7 @@ TEST(ServerShed, RetryPolicyConsumesHintsAndSucceeds) {
   ASSERT_TRUE(server.Start().ok());
 
   // Force sheds on ~60% of admissions, deterministically seeded.
-  ASSERT_TRUE(fault::ConfigureForTesting("scheduler:0.6:21"));
+  ASSERT_TRUE(fault::Configure("scheduler:0.6:21"));
 
   net::ClientOptions copts;
   copts.port = server.port();
@@ -130,7 +130,7 @@ TEST(ServerShed, RetryPolicyConsumesHintsAndSucceeds) {
     ASSERT_TRUE(resp.ok()) << resp.status();
     if (resp->status.ok()) ++succeeded;
   }
-  fault::ConfigureForTesting("");
+  fault::Configure("");
 
   EXPECT_EQ(succeeded, 12) << "retries failed to absorb forced sheds";
   EXPECT_GT(client.stats().shed_responses, 0u)

@@ -67,8 +67,9 @@ const char kViewReadQuery[] = "SELECT V FROM Near_Wall V";
 // The ENOSPC fault gate (fault_gate_server_enospc in tests/CMakeLists.txt):
 // ctest runs this whole binary with LYRIC_STORAGE_FULL_AT in the
 // environment. This test is defined BEFORE every other test here so the
-// once-per-process env parse — the path an operator would actually hit —
-// arms the budget, not ArmDiskFullForTesting; it skips in normal runs.
+// budget it burns is the one the test main armed from the environment —
+// the path an operator would actually hit — not one a test re-armed with
+// ArmDiskFull; it skips in normal runs.
 // The fixture tests below disarm in SetUp, so the burned budget cannot
 // bleed into them.
 TEST(ServerStoreGate, EnvArmedFullDiskDegradesToReadOnlyTyped) {
@@ -115,19 +116,19 @@ TEST(ServerStoreGate, EnvArmedFullDiskDegradesToReadOnlyTyped) {
   EXPECT_TRUE(read->status.ok()) << read->status;
 
   server.Stop();
-  storage::ArmDiskFullForTesting(-1);
+  storage::ArmDiskFull(-1);
   (void)store->Close();
 }
 
 class ServerStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
-    storage::ArmDiskFullForTesting(-1);
+    ASSERT_TRUE(fault::Configure(""));
+    storage::ArmDiskFull(-1);
   }
   void TearDown() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
-    storage::ArmDiskFullForTesting(-1);
+    ASSERT_TRUE(fault::Configure(""));
+    storage::ArmDiskFull(-1);
   }
 };
 
@@ -206,7 +207,7 @@ TEST_F(ServerStoreTest, FailedWriteThroughDegradesToReadOnly) {
   // The disk fills up under the server. The CREATE evaluates fine in
   // memory, but the write-through commit fails — the client must get
   // the typed storage error, NOT an acknowledgement.
-  storage::ArmDiskFullForTesting(0);
+  storage::ArmDiskFull(0);
   Result<net::QueryResponse> created = client.Execute(kViewQuery);
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_TRUE(created->status.IsResourceExhausted()) << created->status;
@@ -245,7 +246,7 @@ TEST_F(ServerStoreTest, FailedWriteThroughDegradesToReadOnly) {
       << info.detail;
 
   server.Stop();
-  storage::ArmDiskFullForTesting(-1);
+  storage::ArmDiskFull(-1);
   (void)store->Close();
 
   // The acknowledged prefix — the seed, NOT the failed CREATE — is what
@@ -269,10 +270,10 @@ TEST_F(ServerStoreTest, BootOnPoisonedStoreStartsReadOnly) {
   ASSERT_TRUE(store->ImportDatabase(db).ok());
 
   // Poison the store before the server boots (failed commit).
-  storage::ArmDiskFullForTesting(0);
+  storage::ArmDiskFull(0);
   ASSERT_TRUE(store->Put("x", "y").ok());
   ASSERT_FALSE(store->Commit().ok());
-  storage::ArmDiskFullForTesting(-1);
+  storage::ArmDiskFull(-1);
   ASSERT_FALSE(store->poison_status().ok());
 
   net::ServerOptions sopts;
@@ -602,11 +603,11 @@ TEST_F(ServerStoreTest, EnospcSurfacesThroughServerTyped) {
   ASSERT_TRUE(server.Start().ok());
   net::Client client(PlainClient(server.port()));
 
-  storage::ArmDiskFullForTesting(64);  // a commit needs far more
+  storage::ArmDiskFull(64);  // a commit needs far more
   Result<net::QueryResponse> created = client.Execute(kViewQuery);
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_TRUE(created->status.IsResourceExhausted()) << created->status;
-  storage::ArmDiskFullForTesting(-1);
+  storage::ArmDiskFull(-1);
 
   EXPECT_TRUE(server.read_only());
   server.Stop();

@@ -28,17 +28,17 @@ std::string FreshPath(const std::string& name) {
 class StorageFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
-    ArmDiskFullForTesting(-1);
+    ASSERT_TRUE(fault::Configure(""));
+    ArmDiskFull(-1);
   }
   void TearDown() override {
-    ASSERT_TRUE(fault::ConfigureForTesting(""));
-    ArmDiskFullForTesting(-1);
+    ASSERT_TRUE(fault::Configure(""));
+    ArmDiskFull(-1);
   }
 };
 
 TEST_F(StorageFaultTest, InjectedIoFailuresAreTypedUnavailable) {
-  ASSERT_TRUE(fault::ConfigureForTesting("storage:1.0:7"));
+  ASSERT_TRUE(fault::Configure("storage:1.0:7"));
   File f = File::OpenReadWrite(FreshPath("sf_io.bin")).value();
   char buf[16] = {};
   Status w = f.WriteAt(0, buf, sizeof buf);
@@ -59,7 +59,7 @@ TEST_F(StorageFaultTest, FailedCommitPoisonsButReopenRecovers) {
     ASSERT_TRUE(store->Put("lost", "after-fault").ok());
 
     // Every I/O now fails: the commit must return a typed error...
-    ASSERT_TRUE(fault::ConfigureForTesting("storage:1.0:21"));
+    ASSERT_TRUE(fault::Configure("storage:1.0:21"));
     Status c = store->Commit();
     ASSERT_FALSE(c.ok());
     EXPECT_TRUE(c.IsUnavailable()) << c;
@@ -69,7 +69,7 @@ TEST_F(StorageFaultTest, FailedCommitPoisonsButReopenRecovers) {
     Status p = store->Put("more", "x");
     EXPECT_FALSE(p.ok());
     EXPECT_TRUE(store->Get("committed").status().IsUnavailable());
-    fault::ConfigureForTesting("");
+    fault::Configure("");
     // Close is best-effort on a poisoned store; ignore its status.
     (void)store->Close();
   }
@@ -96,17 +96,17 @@ TEST_F(StorageFaultTest, ProbabilisticFaultsNeverCorrupt) {
   int reopens = 0;
 
   auto store = PagedStore::Open({.path = path}).value();
-  ASSERT_TRUE(fault::ConfigureForTesting("storage:0.2:1234"));
+  ASSERT_TRUE(fault::Configure("storage:0.2:1234"));
 
   auto reopen = [&] {
-    fault::ConfigureForTesting("");
+    fault::Configure("");
     (void)store->Close();
     pending.clear();
     auto reopened = PagedStore::Open({.path = path});
     ASSERT_TRUE(reopened.ok()) << reopened.status();
     store = std::move(*reopened);
     ++reopens;
-    ASSERT_TRUE(fault::ConfigureForTesting(
+    ASSERT_TRUE(fault::Configure(
         "storage:0.2:" + std::to_string(1234 + reopens)));
   };
 
@@ -130,7 +130,7 @@ TEST_F(StorageFaultTest, ProbabilisticFaultsNeverCorrupt) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
-  fault::ConfigureForTesting("");
+  fault::Configure("");
   (void)store->Close();
 
   auto final_store = PagedStore::Open({.path = path}).value();
@@ -156,7 +156,7 @@ TEST_F(StorageFaultTest, DiskFullFailsWholeAndSticks) {
   // that would fit the original budget — keeps failing, like a
   // genuinely full filesystem.
   File f = File::OpenReadWrite(FreshPath("sf_enospc_raw.bin")).value();
-  ArmDiskFullForTesting(8);
+  ArmDiskFull(8);
   char buf[16] = {};
   Status w1 = f.WriteAt(0, buf, sizeof buf);
   EXPECT_TRUE(w1.IsResourceExhausted()) << w1;
@@ -165,7 +165,7 @@ TEST_F(StorageFaultTest, DiskFullFailsWholeAndSticks) {
   Status w2 = f.WriteAt(0, buf, 1);
   EXPECT_TRUE(w2.IsResourceExhausted()) << "ENOSPC was not sticky: " << w2;
   // "Freeing space" (disarming) makes writes work again.
-  ArmDiskFullForTesting(-1);
+  ArmDiskFull(-1);
   EXPECT_TRUE(f.WriteAt(0, buf, sizeof buf).ok());
 }
 
@@ -180,7 +180,7 @@ TEST_F(StorageFaultTest, DiskFullCommitPoisonsButReopenRecovers) {
     // The disk fills up: the commit must surface the typed
     // kResourceExhausted (operators alert on it differently than on
     // kUnavailable)...
-    ArmDiskFullForTesting(0);
+    ArmDiskFull(0);
     Status c = store->Commit();
     ASSERT_FALSE(c.ok());
     EXPECT_TRUE(c.IsResourceExhausted()) << c;
@@ -188,7 +188,7 @@ TEST_F(StorageFaultTest, DiskFullCommitPoisonsButReopenRecovers) {
     // ...and poison fail-stop like any failed commit.
     EXPECT_FALSE(store->Put("more", "x").ok());
     EXPECT_TRUE(store->poison_status().IsResourceExhausted());
-    ArmDiskFullForTesting(-1);
+    ArmDiskFull(-1);
     (void)store->Close();
   }
   // Space freed, reopen: exactly the durable prefix is back.

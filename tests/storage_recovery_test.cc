@@ -115,7 +115,7 @@ Status RunKvWorkload(const std::string& path,
 int RunCrashChild(const std::string& path, int64_t offset) {
   ::pid_t pid = ::fork();
   if (pid == 0) {
-    ArmCrashBudgetForTesting(offset);
+    ArmCrashBudget(offset);
     Status st = RunKvWorkload(path, nullptr, nullptr);
     ::_exit(st.ok() ? 0 : 3);
   }
@@ -232,7 +232,7 @@ TEST(StorageRecoveryTest, ImportCrashMatrixAnswersPaperSuiteByteIdentically) {
         FreshPath("rec_imp_" + std::to_string(point++) + ".lyricpg");
     ::pid_t pid = ::fork();
     if (pid == 0) {
-      ArmCrashBudgetForTesting(n);
+      ArmCrashBudget(n);
       Database child_db;
       if (!office::BuildOfficeDatabase(&child_db).ok()) ::_exit(3);
       auto store_or = PagedStore::Open({.path = path});

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -26,16 +25,6 @@ TEST(ParseUint64Test, RejectsEverythingElse) {
                           "99999999999999999999999"}) {
     EXPECT_FALSE(ParseUint64(bad).has_value()) << "'" << bad << "'";
   }
-}
-
-TEST(ParseUint64Test, EnvUint64ReadsTheVariable) {
-  ::setenv("LYRIC_STRING_UTIL_TEST", "42", 1);
-  EXPECT_EQ(EnvUint64("LYRIC_STRING_UTIL_TEST"), 42u);
-  // A negative value reads as unset, not as 2^64 - 1.
-  ::setenv("LYRIC_STRING_UTIL_TEST", "-1", 1);
-  EXPECT_FALSE(EnvUint64("LYRIC_STRING_UTIL_TEST").has_value());
-  ::unsetenv("LYRIC_STRING_UTIL_TEST");
-  EXPECT_FALSE(EnvUint64("LYRIC_STRING_UTIL_TEST").has_value());
 }
 
 TEST(SplitNumericSuffixTest, SplitsPathAndDigitSuffix) {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "config/config.h"
 #include "exec/scheduler.h"
 #include "office/office_db.h"
 #include "query/analyzer.h"
@@ -146,6 +147,8 @@ void PrintCodes() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Config config = Config::FromEnv();
+  config.Apply();
   Options opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -187,7 +190,7 @@ int main(int argc, char** argv) {
     // Batch runs retry transient (kUnavailable) load failures under the
     // env-configured policy; each attempt parses into a fresh scratch
     // database so a retry starts clean.
-    auto st = exec::RunWithRetry(exec::RetryPolicy::FromEnv(), [&] {
+    auto st = exec::RunWithRetry(config.retry, [&] {
       Database scratch;
       Status attempt = Serializer::LoadFromFile(opts.db_path, &scratch);
       if (attempt.ok()) db = std::move(scratch);

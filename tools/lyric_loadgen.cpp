@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "config/config.h"
 #include "exec/scheduler.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -203,6 +204,8 @@ uint64_t Percentile(std::vector<uint64_t>& sorted, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const lyric::Config config = lyric::Config::FromEnv();
+  config.Apply();
   Options opt;
   if (!ParseArgs(argc, argv, &opt)) {
     PrintUsage();
@@ -228,7 +231,7 @@ int main(int argc, char** argv) {
   // read-only and CST interning is content-addressed (order-independent).
   std::vector<std::string> expected(kSuiteSize);
   for (size_t i = 0; i < kSuiteSize; ++i) {
-    Evaluator ev(&db);
+    Evaluator ev(&db, config.Eval());
     expected[i] =
         lyric::net::ResponseFromResult(ev.Execute(kSuite[i])).Fingerprint();
   }
@@ -260,6 +263,8 @@ int main(int argc, char** argv) {
     target_port = static_cast<uint16_t>(*port);
   } else {
     lyric::net::ServerOptions server_options;
+    server_options.eval.deadline_ms = config.deadline_ms;
+    server_options.eval.memory_budget = config.memory_budget;
     server_options.eval.scheduler = &scheduler;
     server = std::make_unique<lyric::net::Server>(&db, server_options);
     Status st = server->Start();

@@ -39,9 +39,10 @@
 // Numeric flags take decimal digits only, within each flag's range; any
 // bad flag prints the usage and exits 2.
 //
-// The admission flags configure a scheduler owned by this process; with
-// none given the evaluator falls back to the process-wide scheduler and
-// its LYRIC_MAX_CONCURRENT / LYRIC_QUEUE_* environment limits.
+// Admission limits start from the environment (docs/CONFIG.md); the four
+// admission flags override them field by field, and the result
+// configures the process's one scheduler. LYRIC_RETRY does not reach the
+// server's evaluator: the client owns retry.
 //
 // Protocol, frame layout, and error mapping: docs/SERVER.md. Talk to it
 // with net::Client or tools/lyric_loadgen.
@@ -61,7 +62,7 @@
 #include <optional>
 #include <string>
 
-#include "exec/scheduler.h"
+#include "config/config.h"
 #include "net/server.h"
 #include "office/office_db.h"
 #include "storage/file_io.h"
@@ -86,10 +87,8 @@ struct Options {
   int scale = 0;
   uint64_t max_rows = 0;
   uint64_t drain_deadline_ms = 5000;
-  std::optional<uint64_t> max_concurrent;
-  std::optional<uint64_t> queue_capacity;
-  std::optional<uint64_t> queue_timeout_ms;
-  std::optional<uint64_t> max_memory;
+  // The environment's settings, which the admission flags override.
+  lyric::Config config = lyric::Config::FromEnv();
 };
 
 void PrintUsage() {
@@ -155,16 +154,16 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
     } else if (arg == "--max-concurrent") {
       // A cap of 0 would admit nothing.
       if (!number("--max-concurrent", 1, kNoMax)) return false;
-      opt->max_concurrent = n;
+      opt->config.scheduler.max_concurrent = n;
     } else if (arg == "--queue-capacity") {
       if (!number("--queue-capacity", 0, kNoMax)) return false;
-      opt->queue_capacity = n;
+      opt->config.scheduler.queue_capacity = n;
     } else if (arg == "--queue-timeout-ms") {
       if (!number("--queue-timeout-ms", 0, kNoMax)) return false;
-      opt->queue_timeout_ms = n;
+      opt->config.scheduler.queue_timeout_ms = n;
     } else if (arg == "--max-memory") {
       if (!number("--max-memory", 0, kNoMax)) return false;
-      opt->max_memory = n;
+      opt->config.scheduler.max_total_memory = n;
     } else if (arg == "--help" || arg == "-h") {
       return false;
     } else {
@@ -261,6 +260,7 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
+  opt.config.Apply();
   if (!InstallSignalHandlers()) return 2;
 
   // -- hydrate -------------------------------------------------------------
@@ -324,20 +324,14 @@ int main(int argc, char** argv) {
   }
 
   // -- serve ---------------------------------------------------------------
-  lyric::exec::SchedulerLimits limits;
-  limits.max_concurrent = opt.max_concurrent;
-  limits.queue_capacity = opt.queue_capacity;
-  limits.queue_timeout_ms = opt.queue_timeout_ms;
-  limits.max_total_memory = opt.max_memory;
-  lyric::exec::QueryScheduler scheduler(limits);
-
   lyric::net::ServerOptions sopts;
   sopts.host = opt.host;
   sopts.port = opt.port;
+  sopts.eval.deadline_ms = opt.config.deadline_ms;
+  sopts.eval.memory_budget = opt.config.memory_budget;
   // 0 means "keep the evaluator default" — EvalOptions itself treats 0
   // literally (max_rows = 0 rejects every row).
   if (opt.max_rows > 0) sopts.eval.max_rows = opt.max_rows;
-  if (limits.Any()) sopts.eval.scheduler = &scheduler;
   sopts.store = store.get();
 
   lyric::net::Server server(&db, sopts);
@@ -347,7 +341,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "lyric_serverd: listening on " << opt.host << ":"
-            << server.port() << (limits.Any() ? " (admission limits on)" : "")
+            << server.port()
+            << (opt.config.scheduler.Any() ? " (admission limits on)" : "")
             << (store ? " [store-backed]" : "") << std::endl;
 
   if (!opt.port_file.empty()) {

@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "config/config.h"
 #include "constraint/solver_cache.h"
 #include "exec/scheduler.h"
 #include "obs/metrics.h"
@@ -169,14 +170,12 @@ std::string LimitToString(const std::optional<uint64_t>& v,
 // `.admit` actually apply to the next statement, plus the
 // process-wide scheduler ledger — so `.stats` shows effective limits, not
 // just counters.
-void PrintEffectiveLimits(const std::optional<uint64_t>& deadline_ms,
-                          const std::optional<uint64_t>& budget) {
+void PrintEffectiveLimits(const EvalOptions& session) {
   exec::QueryScheduler& sched = exec::QueryScheduler::Global();
   exec::SchedulerLimits sl = sched.limits();
-  const exec::RetryPolicy& rp = exec::RetryPolicy::FromEnv();
   std::cout << "effective limits:\n"
-            << "  deadline = " << LimitToString(deadline_ms, "ms")
-            << " | budget = " << LimitToString(budget, "B")
+            << "  deadline = " << LimitToString(session.deadline_ms, "ms")
+            << " | budget = " << LimitToString(session.memory_budget, "B")
             << " | cache = " << SolverCache::Global().capacity()
             << " entries\n"
             << "  admit: max_concurrent = "
@@ -184,14 +183,16 @@ void PrintEffectiveLimits(const std::optional<uint64_t>& deadline_ms,
             << " | queue = " << LimitToString(sl.queue_capacity, "")
             << " | timeout = " << LimitToString(sl.queue_timeout_ms, "ms")
             << " | ledger = " << LimitToString(sl.max_total_memory, "B")
-            << "\n  retry: max = " << rp.max_retries
-            << " | base = " << rp.base_backoff_ms << "ms\n  "
+            << "\n  retry: max = " << session.retry.max_retries
+            << " | base = " << session.retry.base_backoff_ms << "ms\n  "
             << sched.stats().ToString() << "\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Config config = Config::FromEnv();
+  config.Apply();
   Database db;
   if (auto st = RegisterBuiltinCstMethods(&db); !st.ok()) {
     std::cerr << st << "\n";
@@ -213,10 +214,10 @@ int main(int argc, char** argv) {
   std::string line;
   std::string pending;
   std::string trace_path;  // non-empty: write a Chrome trace per query
-  // Per-query governor limits; the defaults pick up LYRIC_DEADLINE_MS /
-  // LYRIC_MEMORY_BUDGET through EvalOptions.
-  std::optional<uint64_t> deadline_ms = EvalOptions{}.deadline_ms;
-  std::optional<uint64_t> budget = EvalOptions{}.memory_budget;
+  // Every statement runs under these options: the environment's
+  // deadline, budget and retry policy, as `.deadline`/`.budget` change
+  // them.
+  EvalOptions session = config.Eval();
   // Attached crash-safe paged store (.open / .checkpoint / .close).
   std::unique_ptr<storage::PagedStore> pstore;
   while (true) {
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
                      "  anything else: a LyriC query ending in ';'\n";
       } else if (cmd == ".stats") {
         std::cout << obs::Registry::Global().Snapshot().ToString();
-        PrintEffectiveLimits(deadline_ms, budget);
+        PrintEffectiveLimits(session);
       } else if (cmd == ".metrics") {
         std::istringstream as(arg);
         std::string fmt, path;
@@ -322,13 +323,13 @@ int main(int argc, char** argv) {
           }
         }
       } else if (cmd == ".deadline") {
-        SetLimit(".deadline", arg, "ms", &deadline_ms);
+        SetLimit(".deadline", arg, "ms", &session.deadline_ms);
       } else if (cmd == ".budget") {
-        SetLimit(".budget", arg, "B", &budget);
+        SetLimit(".budget", arg, "B", &session.memory_budget);
       } else if (cmd == ".admit") {
         exec::QueryScheduler& sched = exec::QueryScheduler::Global();
         if (arg.empty()) {
-          PrintEffectiveLimits(deadline_ms, budget);
+          PrintEffectiveLimits(session);
         } else if (arg == "off") {
           sched.Configure(exec::SchedulerLimits{});
           std::cout << "admission control off\n";
@@ -376,10 +377,8 @@ int main(int argc, char** argv) {
           }
         }
       } else if (cmd == ".profile") {
-        EvalOptions opts;
+        EvalOptions opts = session;
         opts.collect_trace = true;
-        opts.deadline_ms = deadline_ms;
-        opts.memory_budget = budget;
         Evaluator ev(&db, opts);
         auto r = ev.Execute(arg);
         if (!r.ok()) {
@@ -460,7 +459,7 @@ int main(int argc, char** argv) {
         // parses into its own scratch database (all-or-nothing), so a
         // retry always starts clean.
         Database fresh;
-        auto st = exec::RunWithRetry(exec::RetryPolicy::FromEnv(), [&] {
+        auto st = exec::RunWithRetry(session.retry, [&] {
           Database scratch;
           Status attempt = Serializer::LoadFromFile(arg, &scratch);
           if (attempt.ok()) fresh = std::move(scratch);
@@ -475,8 +474,7 @@ int main(int argc, char** argv) {
         }
       } else if (cmd == ".save") {
         auto st = exec::RunWithRetry(
-            exec::RetryPolicy::FromEnv(),
-            [&] { return Serializer::SaveToFile(db, arg); });
+            session.retry, [&] { return Serializer::SaveToFile(db, arg); });
         std::cout << (st.ok() ? "saved" : st.ToString()) << "\n";
       } else if (cmd == ".open") {
         if (arg.empty()) {
@@ -548,10 +546,8 @@ int main(int argc, char** argv) {
     // Accumulate query text until a ';'.
     pending += line + "\n";
     if (line.find(';') == std::string::npos) continue;
-    EvalOptions opts;
+    EvalOptions opts = session;
     opts.collect_trace = !trace_path.empty();
-    opts.deadline_ms = deadline_ms;
-    opts.memory_budget = budget;
     Evaluator ev(&db, opts);
     auto r = ev.Execute(pending);
     pending.clear();

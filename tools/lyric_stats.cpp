@@ -283,6 +283,8 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // No Config::FromEnv().Apply() here: a LYRIC_METRICS_OUT flusher would
+  // overwrite, at exit, the snapshot this tool was asked to read.
   if (argc == 2 && argv[1][0] != '-') return PrintSnapshot(argv[1]);
   if (argc == 4 && std::string(argv[1]) == "--diff") {
     return DiffSnapshots(argv[2], argv[3]);
