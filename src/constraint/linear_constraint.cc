@@ -39,7 +39,7 @@ void LinearConstraint::Normalize() {
     BigInt g = BigInt::Gcd(den_lcm, lhs_.constant().den());
     den_lcm = den_lcm / g * lhs_.constant().den();
   }
-  lhs_ = lhs_.Scale(Rational(den_lcm, BigInt(1)));
+  if (den_lcm != BigInt(1)) lhs_ = lhs_.Scale(Rational(den_lcm, BigInt(1)));
   BigInt num_gcd(0);
   for (const auto& [var, coeff] : lhs_.terms()) {
     (void)var;
@@ -101,6 +101,8 @@ Result<bool> LinearConstraint::Eval(const Assignment& assignment) const {
 
 LinearConstraint LinearConstraint::Substitute(
     VarId var, const LinearExpr& replacement) const {
+  // An atom that does not mention `var` is already normalized.
+  if (lhs_.Coeff(var).IsZero()) return *this;
   return LinearConstraint(lhs_.Substitute(var, replacement), op_);
 }
 

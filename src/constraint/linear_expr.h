@@ -1,5 +1,9 @@
 // Sparse linear expressions over exact rationals:
 //   c0 + c1*x1 + ... + cm*xm.
+//
+// The terms live in one vector sorted by variable id, so copying an
+// expression is one allocation, iteration is a linear scan, and sums,
+// comparisons and renames that keep the order are single merges or passes.
 
 #ifndef LYRIC_CONSTRAINT_LINEAR_EXPR_H_
 #define LYRIC_CONSTRAINT_LINEAR_EXPR_H_
@@ -7,6 +11,8 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "arith/rational.h"
 #include "constraint/variable.h"
@@ -22,6 +28,9 @@ using Assignment = std::map<VarId, Rational>;
 /// semantic equality.
 class LinearExpr {
  public:
+  /// The terms: (variable, non-zero coefficient), by increasing variable id.
+  using Terms = std::vector<std::pair<VarId, Rational>>;
+
   /// Constructs the zero expression.
   LinearExpr() = default;
   /// Constructs a constant expression.
@@ -37,8 +46,8 @@ class LinearExpr {
   const Rational& constant() const { return constant_; }
   /// Coefficient of `var` (zero if absent).
   const Rational& Coeff(VarId var) const;
-  /// The terms, keyed by variable id in increasing order.
-  const std::map<VarId, Rational>& terms() const { return terms_; }
+  /// The terms, by variable id in increasing order.
+  const Terms& terms() const { return terms_; }
 
   bool IsConstant() const { return terms_.empty(); }
 
@@ -72,8 +81,8 @@ class LinearExpr {
   LinearExpr Substitute(VarId var, const LinearExpr& replacement) const;
 
   /// Renames variables according to `renaming` (ids absent from the map are
-  /// kept). The renaming must be injective on this expression's variables;
-  /// collisions merge coefficients, which is what joint renaming wants.
+  /// kept). Collisions merge coefficients, which is what joint renaming
+  /// wants. The terms are re-sorted only when the renaming reorders them.
   LinearExpr Rename(const std::map<VarId, VarId>& renaming) const;
 
   /// Evaluates under `assignment`; every free variable must be assigned.
@@ -86,7 +95,7 @@ class LinearExpr {
 
  private:
   Rational constant_;
-  std::map<VarId, Rational> terms_;
+  Terms terms_;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const LinearExpr& e) {

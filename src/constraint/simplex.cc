@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "constraint/canonical.h"
 #include "constraint/solver_cache.h"
 #include "exec/governor.h"
 #include "obs/metrics.h"
@@ -463,7 +464,19 @@ Result<bool> Simplex::IsSatisfiable(const Conjunction& c) {
   SolverCache& cache = SolverCache::Global();
   if (std::optional<bool> cached = cache.LookupSat(c)) return *cached;
   bool sat = [&] {
-    SplitAtoms atoms = Split(c);
+    // Presolve: once the equalities are solved, each one is the only atom
+    // that mentions its pivot variable, so it holds for some value of that
+    // variable whatever the others are. The atoms left are then
+    // satisfiable exactly when `c` is, and often decide it with no LP.
+    Conjunction solved = Canonical::SolveEqualities(c);
+    if (solved.HasConstantFalse()) return false;
+    SplitAtoms atoms = Split(solved);
+    std::erase_if(atoms.closed, [](const LinearConstraint& atom) {
+      return atom.IsEquality();
+    });
+    if (atoms.closed.empty() && atoms.strict.empty() && atoms.diseq.empty()) {
+      return true;
+    }
     ClosedLpResult base = SatNoDiseq(atoms);
     if (base.status != LpStatus::kOptimal) return false;
     // A nonempty convex set lies inside a finite union of hyperplanes iff

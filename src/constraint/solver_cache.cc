@@ -49,26 +49,26 @@ SolverCache& SolverCache::Global() {
 
 SolverCache::SolverCache(size_t capacity) : capacity_(capacity) {}
 
-bool SolverCache::Key::operator==(const Key& o) const {
-  if (kind != o.kind) return false;
-  if (kind == Kind::kCanonical && level != o.level) return false;
-  if (!(lhs == o.lhs)) return false;
-  if (kind == Kind::kEntails && !(rhs == o.rhs)) return false;
-  return true;
-}
-
-size_t SolverCache::Key::Hash() const {
+size_t SolverCache::Probe::Hash() const {
   size_t h = static_cast<size_t>(kind) * 0x2545f4914f6cdd1dull;
   if (kind == Kind::kCanonical) {
     h = HashCombine(h, static_cast<size_t>(level));
   }
   h = HashCombine(h, lhs.Hash());
-  if (kind == Kind::kEntails) h = HashCombine(h, rhs.Hash());
+  if (kind == Kind::kEntails) h = HashCombine(h, rhs->Hash());
   return h;
 }
 
-size_t SolverCache::BucketHash(const Key& key) const {
-  size_t h = key.Hash();
+bool SolverCache::Entry::Answers(const Probe& p) const {
+  if (kind != p.kind) return false;
+  if (kind == Kind::kCanonical && level != p.level) return false;
+  if (!(lhs == p.lhs)) return false;
+  if (kind == Kind::kEntails && !(rhs == *p.rhs)) return false;
+  return true;
+}
+
+size_t SolverCache::BucketHash(const Probe& probe) const {
+  size_t h = probe.Hash();
   if (hash_override_) h = hash_override_(h);
   return h;
 }
@@ -120,8 +120,8 @@ size_t SolverCache::ApproxEntryBytes(const Entry& entry) {
   // Per-atom footprint is dominated by the LinearExpr term vector and two
   // arbitrary-precision rationals; 64 bytes is a workable flat estimate.
   constexpr size_t kPerAtom = 64;
-  size_t atoms = entry.key.lhs.size() + entry.canonical.size();
-  for (const Conjunction& d : entry.key.rhs.disjuncts()) atoms += d.size();
+  size_t atoms = entry.lhs.size() + entry.canonical.size();
+  for (const Conjunction& d : entry.rhs.disjuncts()) atoms += d.size();
   return sizeof(Entry) + atoms * kPerAtom;
 }
 
@@ -195,14 +195,14 @@ void SolverCache::EraseFromIndexLocked(Shard& shard,
   if (chain.empty()) shard.index.erase(bucket);
 }
 
-SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Key& key,
+SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Probe& probe,
                                             size_t hash) {
   auto bucket = shard.index.find(hash);
   if (bucket == shard.index.end()) return nullptr;
   for (auto it : bucket->second) {
     // Structural equality guards against hash collisions: an equal hash
     // with a different formula must never serve a cached verdict.
-    if (it->key == key) {
+    if (it->Answers(probe)) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it);
       return &*it;
     }
@@ -210,26 +210,37 @@ SolverCache::Entry* SolverCache::FindLocked(Shard& shard, const Key& key,
   return nullptr;
 }
 
-void SolverCache::StoreEntry(Entry entry) {
-  if (!enabled()) return;
-  Shard& shard = ShardFor(entry.hash);
+void SolverCache::StoreEntry(const Probe& probe, bool verdict,
+                             const Conjunction& canonical) {
+  if (!enabled() || CacheFault()) return;
+  size_t hash = BucketHash(probe);
+  Shard& shard = ShardFor(hash);
   size_t per = PerShardCapacity();
   {
     sync::MutexLock lock(shard.mu);
-    if (Entry* existing = FindLocked(shard, entry.key, entry.hash)) {
+    if (Entry* existing = FindLocked(shard, probe, hash)) {
       AccountErase(*existing);
+      existing->verdict = verdict;
+      existing->canonical = canonical;
       entries_.fetch_add(1, std::memory_order_relaxed);
-      approx_bytes_.fetch_add(ApproxEntryBytes(entry),
+      approx_bytes_.fetch_add(ApproxEntryBytes(*existing),
                               std::memory_order_relaxed);
-      *existing = std::move(entry);
       PublishGauges();
       return;
     }
+    Entry entry;
+    entry.kind = probe.kind;
+    entry.level = probe.level;
+    entry.lhs = probe.lhs;
+    if (probe.rhs != nullptr) entry.rhs = *probe.rhs;
+    entry.hash = hash;
+    entry.verdict = verdict;
+    entry.canonical = canonical;
     entries_.fetch_add(1, std::memory_order_relaxed);
     approx_bytes_.fetch_add(ApproxEntryBytes(entry),
                             std::memory_order_relaxed);
     shard.lru.push_front(std::move(entry));
-    shard.index[shard.lru.front().hash].push_back(shard.lru.begin());
+    shard.index[hash].push_back(shard.lru.begin());
     while (shard.lru.size() > per) {
       auto last = std::prev(shard.lru.end());
       AccountErase(*last);
@@ -244,11 +255,11 @@ void SolverCache::StoreEntry(Entry entry) {
 
 std::optional<bool> SolverCache::LookupSat(const Conjunction& c) {
   if (!enabled() || CacheFault()) return std::nullopt;
-  Key key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()};
-  size_t hash = BucketHash(key);
+  Probe probe{Kind::kSat, CanonicalLevel::kSyntactic, c, nullptr};
+  size_t hash = BucketHash(probe);
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
+  Entry* e = FindLocked(shard, probe, hash);
   if (e != nullptr) {
     CountHit();
     LYRIC_OBS_COUNT("solver_cache.sat_hits");
@@ -259,22 +270,18 @@ std::optional<bool> SolverCache::LookupSat(const Conjunction& c) {
 }
 
 void SolverCache::StoreSat(const Conjunction& c, bool sat) {
-  if (!enabled() || CacheFault()) return;
-  Entry entry;
-  entry.key = Key{Kind::kSat, CanonicalLevel::kSyntactic, c, Dnf()};
-  entry.hash = BucketHash(entry.key);
-  entry.verdict = sat;
-  StoreEntry(std::move(entry));
+  StoreEntry(Probe{Kind::kSat, CanonicalLevel::kSyntactic, c, nullptr}, sat,
+             Conjunction());
 }
 
 std::optional<Conjunction> SolverCache::LookupCanonical(
     const Conjunction& c, CanonicalLevel level) {
   if (!enabled() || CacheFault()) return std::nullopt;
-  Key key{Kind::kCanonical, level, c, Dnf()};
-  size_t hash = BucketHash(key);
+  Probe probe{Kind::kCanonical, level, c, nullptr};
+  size_t hash = BucketHash(probe);
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
+  Entry* e = FindLocked(shard, probe, hash);
   if (e != nullptr) {
     CountHit();
     LYRIC_OBS_COUNT("solver_cache.canonical_hits");
@@ -286,22 +293,17 @@ std::optional<Conjunction> SolverCache::LookupCanonical(
 
 void SolverCache::StoreCanonical(const Conjunction& c, CanonicalLevel level,
                                  const Conjunction& result) {
-  if (!enabled() || CacheFault()) return;
-  Entry entry;
-  entry.key = Key{Kind::kCanonical, level, c, Dnf()};
-  entry.hash = BucketHash(entry.key);
-  entry.canonical = result;
-  StoreEntry(std::move(entry));
+  StoreEntry(Probe{Kind::kCanonical, level, c, nullptr}, false, result);
 }
 
 std::optional<bool> SolverCache::LookupEntails(const Conjunction& lhs,
                                                const Dnf& rhs) {
   if (!enabled() || CacheFault()) return std::nullopt;
-  Key key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, rhs};
-  size_t hash = BucketHash(key);
+  Probe probe{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, &rhs};
+  size_t hash = BucketHash(probe);
   Shard& shard = ShardFor(hash);
   sync::MutexLock lock(shard.mu);
-  Entry* e = FindLocked(shard, key, hash);
+  Entry* e = FindLocked(shard, probe, hash);
   if (e != nullptr) {
     CountHit();
     LYRIC_OBS_COUNT("solver_cache.entailment_hits");
@@ -313,12 +315,8 @@ std::optional<bool> SolverCache::LookupEntails(const Conjunction& lhs,
 
 void SolverCache::StoreEntails(const Conjunction& lhs, const Dnf& rhs,
                                bool holds) {
-  if (!enabled() || CacheFault()) return;
-  Entry entry;
-  entry.key = Key{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, rhs};
-  entry.hash = BucketHash(entry.key);
-  entry.verdict = holds;
-  StoreEntry(std::move(entry));
+  StoreEntry(Probe{Kind::kEntails, CanonicalLevel::kSyntactic, lhs, &rhs},
+             holds, Conjunction());
 }
 
 }  // namespace lyric

@@ -14,7 +14,9 @@
 //
 // Keys are the structural hash of the constraint objects; a hash hit
 // always falls back to full structural equality before a cached value is
-// returned, so hash collisions can never change an answer. Entries are
+// returned, so hash collisions can never change an answer. A lookup hashes
+// and compares the caller's constraints in place, and only a store copies
+// them into an entry; both go through one hash and one equality. Entries are
 // interned VarId-based, which is exact: two structurally equal
 // conjunctions denote the same point set, so every cached verdict is
 // deterministic and thread-agnostic.
@@ -116,21 +118,27 @@ class SolverCache {
  private:
   enum class Kind : uint8_t { kSat, kCanonical, kEntails };
 
-  struct Key {
+  /// The question a lookup or a store asks, over the caller's constraints.
+  struct Probe {
     Kind kind;
     CanonicalLevel level;  // Meaningful for kCanonical only.
-    Conjunction lhs;
-    Dnf rhs;  // Meaningful for kEntails only.
+    const Conjunction& lhs;
+    const Dnf* rhs;  // Set for kEntails only.
 
-    bool operator==(const Key& o) const;
     size_t Hash() const;
   };
 
   struct Entry {
-    Key key;
+    Kind kind;
+    CanonicalLevel level;
+    Conjunction lhs;
+    Dnf rhs;
     size_t hash = 0;  // Possibly overridden; the bucket key.
     bool verdict = false;              // kSat / kEntails.
     Conjunction canonical;             // kCanonical.
+
+    /// Structural equality with the question `p` asks.
+    bool Answers(const Probe& p) const;
   };
 
   struct Shard {
@@ -145,16 +153,19 @@ class SolverCache {
 
   static constexpr size_t kShards = 16;
 
-  size_t BucketHash(const Key& key) const;
+  size_t BucketHash(const Probe& probe) const;
   Shard& ShardFor(size_t hash);
   size_t PerShardCapacity() const;
 
-  /// Returns the entry for `key` in its shard (moving it to the LRU front)
-  /// or nullptr.
-  Entry* FindLocked(Shard& shard, const Key& key, size_t hash)
+  /// Returns the entry answering `probe` in its shard (moving it to the
+  /// LRU front) or nullptr.
+  Entry* FindLocked(Shard& shard, const Probe& probe, size_t hash)
       LYRIC_REQUIRES(shard.mu);
-  /// Inserts (or overwrites) `entry`, evicting LRU entries past capacity.
-  void StoreEntry(Entry entry);
+  /// Stores the answer to `probe` (`verdict` for kSat/kEntails, `canonical`
+  /// for kCanonical), copying its constraints into a new entry unless one
+  /// already answers it; evicts LRU entries past capacity.
+  void StoreEntry(const Probe& probe, bool verdict,
+                  const Conjunction& canonical);
   void EraseFromIndexLocked(Shard& shard, std::list<Entry>::iterator it)
       LYRIC_REQUIRES(shard.mu);
 

@@ -2,10 +2,10 @@
 //
 // Constraint variables ("x", "y", "w1", ...) appear in CST attributes, in
 // class interfaces, and in query formulas. They are interned into small
-// integer ids so that linear expressions can use cheap sparse maps, and so
-// that variable identity is exact string identity (the paper's implicit
-// schema-derived equalities rely on this: two attributes sharing the
-// variable name `w` share the variable).
+// integer ids so that linear expressions can keep their terms in one
+// vector sorted by id, and so that variable identity is exact string
+// identity (the paper's implicit schema-derived equalities rely on this:
+// two attributes sharing the variable name `w` share the variable).
 
 #ifndef LYRIC_CONSTRAINT_VARIABLE_H_
 #define LYRIC_CONSTRAINT_VARIABLE_H_

@@ -24,12 +24,14 @@ std::string SeqKey(char prefix, uint64_t seq) {
   return buf;
 }
 
+/// Object and attribute keys name the oid in the dump grammar, since
+/// ExportToDatabase copies that text into the dump it loads.
 std::string ObjectKey(const Oid& oid) {
-  return std::string("O\x1f") + oid.ToString();
+  return std::string("O\x1f") + Serializer::OidText(oid);
 }
 
 std::string AttributeKey(const Oid& oid, const std::string& attr) {
-  return "A\x1f" + oid.ToString() + "\x1f" + attr;
+  return "A\x1f" + Serializer::OidText(oid) + "\x1f" + attr;
 }
 
 /// Renders `db` as the full record map the store should hold, for

@@ -20,9 +20,13 @@ namespace {
 // Dumping
 // ---------------------------------------------------------------------------
 
-// Oid rendering: symbols bare, funcs f(...), strings quoted, rationals as
-// num or num/den — all of which the loader's value grammar reads back.
-std::string OidText(const Oid& oid) { return oid.ToString(); }
+// `text` as a string literal the lexer reads back: quoted, with each
+// quote doubled.
+std::string QuotedLiteral(const std::string& text) {
+  std::string out = "'";
+  for (char c : text) out += c == '\'' ? "''" : std::string(1, c);
+  return out + "'";
+}
 
 // ---------------------------------------------------------------------------
 // Loading
@@ -286,9 +290,24 @@ std::string Serializer::ClassNameText(const std::string& name) {
                     !std::isdigit(static_cast<unsigned char>(name[0])) &&
                     std::all_of(name.begin(), name.end(), in_word);
   if (word || ParseCstClassName(name).has_value()) return name;
-  std::string out = "'";
-  for (char c : name) out += c == '\'' ? "''" : std::string(1, c);
-  return out + "'";
+  return QuotedLiteral(name);
+}
+
+std::string Serializer::OidText(const Oid& oid) {
+  switch (oid.kind()) {
+    case OidKind::kString:
+      return QuotedLiteral(oid.AsString());
+    case OidKind::kFunc: {
+      std::string out = oid.AsString() + "(";
+      for (size_t i = 0; i < oid.FuncArgs().size(); ++i) {
+        if (i > 0) out += ", ";
+        out += OidText(oid.FuncArgs()[i]);
+      }
+      return out + ")";
+    }
+    default:
+      return oid.ToString();
+  }
 }
 
 Result<std::string> Serializer::ClassText(const ClassDef& def) {

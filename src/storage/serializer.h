@@ -62,6 +62,11 @@ class Serializer {
   /// number or functional oid) as a quoted string, which those positions
   /// also read.
   static std::string ClassNameText(const std::string& name);
+  /// An oid as the dump grammar writes it, and as the store's object and
+  /// attribute keys name it: symbols bare, funcs f(...), numbers as num or
+  /// num/den, strings as literals with each quote doubled (also inside a
+  /// func's arguments), which the loader reads back as the same oid.
+  static std::string OidText(const Oid& oid);
   /// The "CLASS name ... [ ... ]\n" block for one class definition.
   static Result<std::string> ClassText(const ClassDef& def);
   /// An attribute value in the dump's value grammar (oids bare, CST

@@ -101,10 +101,11 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
     });
   }
 
-  // 2) Trip churners: entailment forces simplex runs, and a one-pivot
-  //    budget trips the governor on the first one, mid-way through
-  //    cache lookups and stores the executors share. Trips surface as a
-  //    degraded result, not an error, and store nothing.
+  // 2) Trip churners: entailment into a box of inequalities forces
+  //    simplex runs, and a one-pivot budget trips the governor on the
+  //    first one, mid-way through cache lookups and stores the executors
+  //    share. Trips surface as a degraded result, not an error, and store
+  //    nothing.
   constexpr int kChurners = 2;
   for (int id = 0; id < kChurners; ++id) {
     workers.emplace_back([&] {
@@ -113,8 +114,8 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
       Evaluator ev(&db_, opts);
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = ev.Execute(
-            "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-            "C(p, q) |= p = -2");
+            "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and "
+            "E(w, z) |= w <= 4");
         if (!r.ok() || !r->governor_status().ok()) tripped.fetch_add(1);
       }
     });

@@ -40,6 +40,12 @@ constexpr const char* kFigure2Query =
     "  DSK.translation[D] and DSK.drawer_center[DC] and "
     "  DSK.drawer.translation[DD] and DSK.drawer.extent[DE]";
 
+// An entailment over the standard desk's extent, a box of inequalities,
+// so answering it takes simplex pivots and tableaux (one row: the box
+// lies within w <= 4).
+constexpr const char* kExtentEntailment =
+    "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and E(w, z) |= w <= 4";
+
 class GovernorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -286,11 +292,10 @@ TEST_F(GovernorTest, UnlimitedBlowupQueryStillCompletes) {
 TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
   EvalOptions opts;
   opts.max_pivots = 1;
-  // Entailment forces simplex runs; one pivot cannot finish them.
-  ResultSet r = Run(
-      "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-      "C(p, q) |= p = -2",
-      opts);
+  // Entailment into a box of inequalities forces simplex runs; one pivot
+  // cannot finish them. (An entailment over equalities, such as the drawer
+  // center's `p = -2`, is decided by substitution with no pivot at all.)
+  ResultSet r = Run(kExtentEntailment, opts);
   EXPECT_TRUE(r.governor_status().IsResourceExhausted())
       << r.governor_status();
   EXPECT_EQ(r.governor_report().tripped, LimitKind::kPivots);
@@ -298,10 +303,7 @@ TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
 
   // The cache must not have memoized any verdict from the aborted solve:
   // the unlimited rerun still answers correctly.
-  ResultSet full = Run(
-      "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-      "C(p, q) |= p = -2",
-      EvalOptions{});
+  ResultSet full = Run(kExtentEntailment, EvalOptions{});
   EXPECT_TRUE(full.governor_status().ok());
   EXPECT_EQ(full.size(), 1u);
 }
@@ -326,10 +328,7 @@ TEST_F(GovernorTest, InjectedAllocFaultTripsMemoryBudget) {
   ASSERT_TRUE(fault::Configure("alloc:1.0:7"));
   EvalOptions opts;
   opts.memory_budget = 1ull << 40;  // Generous; only the fault trips it.
-  ResultSet r = Run(
-      "SELECT DSK FROM Desk DSK WHERE DSK.drawer_center[C] and "
-      "C(p, q) |= p = -2",
-      opts);
+  ResultSet r = Run(kExtentEntailment, opts);
   EXPECT_TRUE(r.governor_status().IsResourceExhausted())
       << r.governor_status();
   EXPECT_EQ(r.governor_report().tripped, LimitKind::kMemory);

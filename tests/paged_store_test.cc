@@ -453,6 +453,31 @@ TEST(PagedStoreTest, HigherOrderViewNamesRoundTripThroughDumpAndStore) {
   EXPECT_EQ(RehydratedDump(imported), *dump);
 }
 
+// A string oid holding a quote names its object and attribute records
+// the way the dump writes it, quote doubled, so the dump that
+// ExportToDatabase assembles from the keys reloads to the same bytes.
+TEST(PagedStoreTest, StringOidsHoldingAQuoteRoundTripThroughTheStore) {
+  Database db;
+  ASSERT_TRUE(office::BuildOfficeDatabase(&db).ok());
+  ClassDef notes;
+  notes.name = "Notes";
+  notes.attributes = {{"text", false, kStringClass, {}}};
+  ASSERT_TRUE(db.AddClass(notes).ok());
+  const Oid note = Oid::Func("note", {Oid::Str("it's"), Oid::Int(1)});
+  ASSERT_TRUE(db.Insert(note, "Notes").ok());
+  ASSERT_TRUE(
+      db.SetAttribute(note, "text", Value::Scalar(Oid::Str("it's"))).ok());
+  Result<std::string> dump = Serializer::DumpDatabase(db);
+  ASSERT_TRUE(dump.ok()) << dump.status();
+  EXPECT_NE(dump->find("  text = 'it''s';\n"), std::string::npos) << *dump;
+
+  const std::string path = FreshPath("ps_quoted_string_oid.lyricpg");
+  auto store = MustOpen(path);
+  ASSERT_TRUE(store->ImportDatabase(db).ok());
+  ASSERT_TRUE(store->Close().ok());
+  EXPECT_EQ(RehydratedDump(path), *dump);
+}
+
 TEST(PagedStoreTest, CheckpointSyncsTheLogBeforeItFlushes) {
   std::string path = FreshPath("ps_ckpt_order.lyricpg");
   auto store = MustOpen(path);

@@ -171,6 +171,31 @@ TEST_F(SerializerTest, KeywordNamedAttributesRoundTrip) {
             Value::Scalar(Oid::Str("side")));
 }
 
+TEST_F(SerializerTest, StringOidsHoldingAQuoteRoundTrip) {
+  // The lexer reads '' inside a literal as one quote, so a string oid that
+  // holds one is written with it doubled: as a value and as an argument of
+  // an OID-function oid.
+  ClassDef notes;
+  notes.name = "Notes";
+  notes.attributes = {{"text", false, kStringClass, {}}};
+  ASSERT_TRUE(db_.AddClass(notes).ok());
+  const Oid note = Oid::Func("note", {Oid::Str("it's"), Oid::Int(1)});
+  ASSERT_TRUE(db_.Insert(note, "Notes").ok());
+  ASSERT_TRUE(
+      db_.SetAttribute(note, "text", Value::Scalar(Oid::Str("it's"))).ok());
+  const std::string text = Serializer::DumpDatabase(db_).value();
+  EXPECT_NE(text.find("OBJECT note('it''s', 1) => Notes [\n"
+                      "  text = 'it''s';\n"),
+            std::string::npos)
+      << text;
+  Database loaded;
+  Status st = Serializer::LoadDatabase(text, &loaded);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(loaded.GetAttribute(note, "text").value(),
+            Value::Scalar(Oid::Str("it's")));
+  EXPECT_EQ(Serializer::DumpDatabase(loaded).value(), text);
+}
+
 TEST_F(SerializerTest, LoadRequiresEmptyDatabase) {
   std::string text = Serializer::DumpDatabase(db_).value();
   EXPECT_TRUE(Serializer::LoadDatabase(text, &db_).IsInvalidArgument());

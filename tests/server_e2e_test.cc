@@ -254,9 +254,12 @@ TEST(ServerE2E, PartialTrailerTravels) {
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 
+  // The entailment is over each catalog extent, a box of inequalities,
+  // so every row costs pivots; a location is a point, which substitution
+  // decides with none.
   const std::string query =
-      "SELECT O FROM Object_in_Room O "
-      "WHERE O.location[L] and L(x, y) |= x <= 12";
+      "SELECT O FROM Object_in_Room O WHERE O.catalog_object[C] and "
+      "C.extent[E] and E(w, z) |= w <= 12";
   EvalOptions direct;
   direct.max_pivots = 20;
   net::QueryResponse want = DirectEval(&db, query, direct);

@@ -6,6 +6,7 @@
 
 #include "constraint/fourier_motzkin.h"
 #include "constraint/solver_cache.h"
+#include "obs/metrics.h"
 
 namespace lyric {
 namespace {
@@ -264,17 +265,24 @@ TEST_P(SimplexRandomized, OptimumDominatesInteriorPoint) {
   EXPECT_TRUE(c.Eval(sol.point).value());
 }
 
+// Turns the global SolverCache off for one test and restores its capacity
+// afterwards, so that every verdict is computed rather than recalled.
+struct CacheOff {
+  size_t saved = SolverCache::Global().capacity();
+  CacheOff() { SolverCache::Global().set_capacity(0); }
+  ~CacheOff() { SolverCache::Global().set_capacity(saved); }
+};
+
 // Independent kernel oracle: on seeded conjunctions of =, <= and < atoms
 // over at most four variables, simplex satisfiability must agree with full
 // Fourier-Motzkin elimination, i.e. ProjectOnto(c, {}) is not False.
-// ProjectOnto calls no simplex, and the SolverCache is disabled so that
-// every verdict is computed rather than recalled.
+// ProjectOnto calls no simplex, and the SolverCache is disabled. Three
+// draws: equalities rare, equalities as common as inequalities, and
+// triangular equalities that pin every variable to one point. Every
+// satisfiable verdict is also backed by FindPoint, whose LP runs on the
+// atoms as given rather than on the presolved ones.
 TEST_P(SimplexRandomized, SatisfiabilityMatchesFourierMotzkin) {
-  struct CacheOff {
-    size_t saved = SolverCache::Global().capacity();
-    CacheOff() { SolverCache::Global().set_capacity(0); }
-    ~CacheOff() { SolverCache::Global().set_capacity(saved); }
-  } cache_off;
+  CacheOff cache_off;
   std::mt19937_64 rng(GetParam() + 100);
   VarId vars[4] = {Variable::Intern("ox"), Variable::Intern("oy"),
                    Variable::Intern("oz"), Variable::Intern("ow")};
@@ -282,18 +290,7 @@ TEST_P(SimplexRandomized, SatisfiabilityMatchesFourierMotzkin) {
     return Rational(static_cast<int64_t>(rng() % (2 * span + 1)) - span);
   };
   const RelOp kOps[3] = {RelOp::kEq, RelOp::kLe, RelOp::kLt};
-  int verdicts[2] = {0, 0};
-  for (int trial = 0; trial < 40; ++trial) {
-    const size_t num_vars = 1 + rng() % 4;
-    const size_t num_atoms = 2 + rng() % 6;
-    Conjunction c;
-    for (size_t i = 0; i < num_atoms; ++i) {
-      LinearExpr e = LinearExpr::Constant(small(4));
-      for (size_t k = 0; k < num_vars; ++k) e.AddTerm(vars[k], small(3));
-      // Equalities are rarer so that most systems keep some freedom.
-      RelOp op = kOps[rng() % 5 == 0 ? 0 : 1 + rng() % 2];
-      c.Add(LinearConstraint(e, op));
-    }
+  auto check = [&](const Conjunction& c, int* verdicts) {
     bool by_simplex = Simplex::IsSatisfiable(c).value();
     Result<Conjunction> projected = FourierMotzkin::ProjectOnto(c, VarSet{});
     ASSERT_TRUE(projected.ok()) << projected.status();
@@ -301,10 +298,80 @@ TEST_P(SimplexRandomized, SatisfiabilityMatchesFourierMotzkin) {
     bool by_fm = *projected != Conjunction::False();
     EXPECT_EQ(by_simplex, by_fm) << c.ToString();
     ++verdicts[by_simplex ? 1 : 0];
+    if (!by_simplex) return;
+    Result<std::optional<Assignment>> point = Simplex::FindPoint(c);
+    ASSERT_TRUE(point.ok()) << point.status();
+    ASSERT_TRUE(point->has_value()) << c.ToString();
+    Result<bool> holds = c.Eval(**point);
+    ASSERT_TRUE(holds.ok()) << holds.status() << " in " << c.ToString();
+    EXPECT_TRUE(*holds) << c.ToString();
+  };
+  // Draw 0 keeps equalities rare so that most systems keep some freedom;
+  // draw 1 makes half the atoms equalities.
+  for (int draw = 0; draw < 2; ++draw) {
+    int verdicts[2] = {0, 0};
+    for (int trial = 0; trial < 40; ++trial) {
+      const size_t num_vars = 1 + rng() % 4;
+      const size_t num_atoms = 2 + rng() % 6;
+      Conjunction c;
+      for (size_t i = 0; i < num_atoms; ++i) {
+        LinearExpr e = LinearExpr::Constant(small(4));
+        for (size_t k = 0; k < num_vars; ++k) e.AddTerm(vars[k], small(3));
+        const bool eq = draw == 0 ? rng() % 5 == 0 : rng() % 2 == 0;
+        RelOp op = kOps[eq ? 0 : 1 + rng() % 2];
+        c.Add(LinearConstraint(e, op));
+      }
+      ASSERT_NO_FATAL_FAILURE(check(c, verdicts));
+    }
+    // Each draw must exercise both verdicts.
+    EXPECT_GT(verdicts[0], 0) << "draw " << draw;
+    EXPECT_GT(verdicts[1], 0) << "draw " << draw;
   }
-  // The draw must exercise both verdicts.
-  EXPECT_GT(verdicts[0], 0);
-  EXPECT_GT(verdicts[1], 0);
+  // Draw 2: v_k + (a combination of v_0..v_{k-1}) = constant for every
+  // variable, so the equalities alone leave one point, which the random
+  // inequalities then keep or cut.
+  int verdicts[2] = {0, 0};
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t num_vars = 1 + rng() % 4;
+    Conjunction c;
+    for (size_t k = 0; k < num_vars; ++k) {
+      LinearExpr e = LinearExpr::Term(Rational(1) + small(1).Abs(), vars[k]) +
+                     LinearExpr::Constant(small(4));
+      for (size_t j = 0; j < k; ++j) e.AddTerm(vars[j], small(2));
+      c.Add(LinearConstraint(e, RelOp::kEq));
+    }
+    const size_t num_ineqs = rng() % 3;
+    for (size_t i = 0; i < num_ineqs; ++i) {
+      LinearExpr e = LinearExpr::Constant(small(4));
+      for (size_t k = 0; k < num_vars; ++k) e.AddTerm(vars[k], small(3));
+      c.Add(LinearConstraint(e, kOps[1 + rng() % 2]));
+    }
+    ASSERT_NO_FATAL_FAILURE(check(c, verdicts));
+  }
+  EXPECT_GT(verdicts[0], 0) << "pinned draw";
+  EXPECT_GT(verdicts[1], 0) << "pinned draw";
+}
+
+// A room location is a point, and a Q3-shaped join tests it against a
+// window: solving the equalities decides both verdicts with no LP.
+TEST_F(SimplexTest, EqualitiesDecideAPointInABoxWithNoLp) {
+  CacheOff cache_off;
+  const obs::Counter& lp_solves =
+      obs::Registry::Global().GetCounter("simplex.lp_solves");
+  auto point_in_box = [&](int64_t x, int64_t y) {
+    Conjunction c;
+    c.Add(LinearConstraint::Eq(X(), C(x)));
+    c.Add(LinearConstraint::Eq(Y(), C(y)));
+    c.Add(LinearConstraint::Ge(X(), C(2)));
+    c.Add(LinearConstraint::Le(X(), C(10)));
+    c.Add(LinearConstraint::Ge(Y(), C(1)));
+    c.Add(LinearConstraint::Le(Y(), C(5)));
+    return c;
+  };
+  const uint64_t before = lp_solves.value();
+  EXPECT_TRUE(Simplex::IsSatisfiable(point_in_box(6, 4)).value());
+  EXPECT_FALSE(Simplex::IsSatisfiable(point_in_box(12, 4)).value());
+  EXPECT_EQ(lp_solves.value(), before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomized,
