@@ -111,8 +111,6 @@ void BM_ScaledEntailmentFilterGoverned(benchmark::State& state) {
     EvalOptions opts;
     opts.deadline_ms = 600'000;
     opts.memory_budget = 1ull << 40;
-    opts.max_pivots = 1ull << 40;
-    opts.max_disjuncts = 1ull << 40;
     Evaluator ev(&db, opts);
     auto r = ev.Execute(q);
     benchmark::DoNotOptimize(r);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "exec/governor.h"
 #include "util/string_util.h"
 
 namespace lyric {
@@ -105,6 +106,8 @@ Result<CstObject> CstObject::Conjoin(const CstObject& o) const {
     if (have.insert(v).second) out.interface_.push_back(v);
   }
   out.body_ = body_.And(o.body_);
+  // A governed product that tripped stopped short; report the trip.
+  LYRIC_RETURN_NOT_OK(exec::CheckCancellation("cst_object.conjoin"));
   out.family_ = FamilyJoin(family_, o.family_);
   // Conjunction of two disjunctive objects multiplies disjuncts but stays
   // disjunctive; of mixed existential forms joins at the top. Re-infer to
@@ -223,21 +226,7 @@ Result<bool> CstObject::EquivalentTo(const CstObject& o) const {
 }
 
 Result<LpSolution> CstObject::Maximize(const LinearExpr& objective) const {
-  // The supremum over a union is the max over disjuncts; a bound variable
-  // is just an extra dimension of the disjunct's polyhedron.
-  LpSolution best;
-  best.status = LpStatus::kInfeasible;
-  for (const ExistentialConjunction& ec : body_.disjuncts()) {
-    const ExistentialConjunction fresh = ec.FreshenBound();
-    LYRIC_ASSIGN_OR_RETURN(LpSolution sol,
-                           Simplex::Maximize(objective, fresh.body()));
-    if (sol.status == LpStatus::kInfeasible) continue;
-    if (sol.status == LpStatus::kUnbounded) return sol;
-    if (best.status != LpStatus::kOptimal || sol.value > best.value ||
-        (sol.value == best.value && sol.attained && !best.attained)) {
-      best = sol;
-    }
-  }
+  LYRIC_ASSIGN_OR_RETURN(LpSolution best, body_.Maximize(objective));
   if (best.status == LpStatus::kOptimal) {
     // Restrict the witness to interface variables.
     Assignment pt;
@@ -300,15 +289,14 @@ Result<CstObject> CstObject::Canonicalize(CanonicalLevel level) const {
 
 Result<std::string> CstObject::CanonicalString() const {
   LYRIC_ASSIGN_OR_RETURN(CstObject canon, Canonicalize(CanonicalLevel::kCheap));
-  // Positional interface renaming.
-  static std::vector<VarId>* positional = new std::vector<VarId>();
-  while (positional->size() < interface_.size()) {
-    positional->push_back(
-        Variable::Intern("@" + std::to_string(positional->size())));
+  // Positional interface renaming: dimension i becomes "@i". Every call
+  // interns "@0" to "@(n-1)" in order, so "@i" gets a larger id than
+  // "@(i-1)" whichever thread interns it first.
+  std::vector<VarId> target;
+  target.reserve(interface_.size());
+  for (size_t i = 0; i < interface_.size(); ++i) {
+    target.push_back(Variable::Intern("@" + std::to_string(i)));
   }
-  std::vector<VarId> target(positional->begin(),
-                            positional->begin() +
-                                static_cast<ptrdiff_t>(interface_.size()));
   LYRIC_ASSIGN_OR_RETURN(CstObject renamed, canon.RenameTo(target));
   // Render each disjunct with bound variables renamed by first occurrence.
   std::vector<std::string> parts;

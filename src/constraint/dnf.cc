@@ -21,11 +21,6 @@ bool Dnf::IsTrue() const {
 
 void Dnf::AddDisjunct(Conjunction c) {
   if (c.HasConstantFalse()) return;
-  // Every materialized disjunct passes through here, so this is the one
-  // choke point for the governor's max_disjuncts cap. Once tripped we
-  // stop growing the formula — the truncated Dnf never escapes because
-  // every Result-bearing consumer re-checks the token before returning.
-  if (exec::AccountDisjuncts(1, "dnf.add_disjunct")) return;
   disjuncts_.push_back(std::move(c));
 }
 
@@ -37,9 +32,21 @@ Dnf Dnf::Or(const Dnf& o) const {
 
 Dnf Dnf::And(const Dnf& o) const {
   Dnf out;
+  // A governed product charges its atoms before building them (each atom
+  // of one side is in as many results as the other side has disjuncts)
+  // and samples the deadline every 1,024 disjuncts. On a trip the
+  // truncated result never escapes: every Result-bearing consumer
+  // re-checks the token.
+  uint64_t atoms = 0;
+  for (const Conjunction& a : disjuncts_) atoms += a.size() * o.size();
+  for (const Conjunction& b : o.disjuncts_) atoms += b.size() * size();
+  if (exec::AccountKernelMemory(atoms * sizeof(LinearConstraint), "dnf.and")) {
+    return out;
+  }
+  size_t built = 0;
   for (const Conjunction& a : disjuncts_) {
-    if (exec::CancellationRequested()) break;  // Product blowup; stop early.
     for (const Conjunction& b : o.disjuncts_) {
+      if ((++built & 1023) == 0 && exec::CheckDeadline("dnf.and")) return out;
       out.AddDisjunct(a.Conjoin(b));
     }
   }
@@ -75,7 +82,6 @@ Dnf Dnf::Negate() const {
 Dnf Dnf::SplitDisequalities() const {
   Dnf out;
   for (const Conjunction& c : disjuncts_) {
-    if (exec::CancellationRequested()) break;  // 2^k split; stop early.
     // Peel disequalities one by one, doubling the local disjunct list.
     std::vector<Conjunction> pending{Conjunction()};
     for (const LinearConstraint& atom : c.atoms()) {
@@ -83,10 +89,13 @@ Dnf Dnf::SplitDisequalities() const {
         for (Conjunction& p : pending) p.Add(atom);
         continue;
       }
-      // The doubling happens here, before AddDisjunct sees the pieces, so
-      // charge it against the disjunct cap directly.
-      if (exec::AccountDisjuncts(pending.size(), "dnf.split_disequalities")) {
-        break;
+      // A 2^k blow-up: charge each doubled list's atoms before building
+      // it, and give up at once on a trip.
+      if (exec::AccountKernelMemory(2 * pending.size() *
+                                        (pending[0].size() + 1) *
+                                        sizeof(LinearConstraint),
+                                    "dnf.split_disequalities")) {
+        return out;
       }
       LinearConstraint lt(atom.lhs(), RelOp::kLt);
       LinearConstraint gt(-atom.lhs(), RelOp::kLt);
@@ -139,6 +148,9 @@ Result<Dnf> PerDisjunct(const Dnf& d, const VarSet& eliminated, Fn&& fn) {
       out.AddDisjunct(std::move(projected));
     }
   }
+  // A split that tripped the governor returned early, maybe with no piece
+  // for `fn` to check: report the trip rather than the truncated result.
+  LYRIC_RETURN_NOT_OK(exec::CheckCancellation("dnf.project"));
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include "constraint/entailment.h"
 #include "constraint/fourier_motzkin.h"
 #include "constraint/simplex.h"
+#include "exec/governor.h"
 
 namespace lyric {
 
@@ -181,8 +182,20 @@ DisjunctiveExistential DisjunctiveExistential::Or(
 DisjunctiveExistential DisjunctiveExistential::And(
     const DisjunctiveExistential& o) const {
   DisjunctiveExistential out;
+  // Charged and sampled like Dnf::And; a truncated result never escapes.
+  uint64_t atoms = 0;
+  for (const auto& a : disjuncts_) atoms += a.body().size() * o.size();
+  for (const auto& b : o.disjuncts_) atoms += b.body().size() * size();
+  if (exec::AccountKernelMemory(atoms * sizeof(LinearConstraint),
+                                "existential.and")) {
+    return out;
+  }
+  size_t built = 0;
   for (const ExistentialConjunction& a : disjuncts_) {
     for (const ExistentialConjunction& b : o.disjuncts_) {
+      if ((++built & 1023) == 0 && exec::CheckDeadline("existential.and")) {
+        return out;
+      }
       out.AddDisjunct(a.Conjoin(b));
     }
   }
@@ -247,6 +260,26 @@ Result<std::optional<Assignment>> DisjunctiveExistential::FindPoint() const {
     }
   }
   return std::optional<Assignment>();
+}
+
+Result<LpSolution> DisjunctiveExistential::Maximize(
+    const LinearExpr& objective) const {
+  // The supremum over a union is the max over disjuncts; a bound variable
+  // is just an extra dimension of the disjunct's polyhedron.
+  LpSolution best;
+  best.status = LpStatus::kInfeasible;
+  for (const ExistentialConjunction& ec : disjuncts_) {
+    const ExistentialConjunction fresh = ec.FreshenBound();
+    LYRIC_ASSIGN_OR_RETURN(LpSolution sol,
+                           Simplex::Maximize(objective, fresh.body()));
+    if (sol.status == LpStatus::kInfeasible) continue;
+    if (sol.status == LpStatus::kUnbounded) return sol;
+    if (best.status != LpStatus::kOptimal || sol.value > best.value ||
+        (sol.value == best.value && sol.attained && !best.attained)) {
+      best = std::move(sol);
+    }
+  }
+  return best;
 }
 
 Result<bool> DisjunctiveExistential::EvalFree(

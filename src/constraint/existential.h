@@ -18,6 +18,7 @@
 #include <ostream>
 
 #include "constraint/dnf.h"
+#include "constraint/simplex.h"
 
 namespace lyric {
 
@@ -128,6 +129,10 @@ class DisjunctiveExistential {
   Result<bool> Satisfiable() const;
   /// A witness over the free variables of some satisfiable disjunct.
   Result<std::optional<Assignment>> FindPoint() const;
+  /// The supremum of `objective`: the best disjunct's solution (an equal
+  /// value is better when attained), or the first unbounded one. The
+  /// witness may name freshened bound variables.
+  Result<LpSolution> Maximize(const LinearExpr& objective) const;
   Result<bool> EvalFree(const Assignment& assignment) const;
 
   /// Quantifier elimination into a plain DNF (exponential worst case).

@@ -62,11 +62,6 @@ class CoreLp {
     static obs::Histogram& solve_hist =
         obs::Registry::Global().GetHistogram("simplex.solve");
     obs::ScopedHistogramTimer scoped_timer(solve_hist);
-    // The tableau (rows + artificials) is the dominant transient
-    // allocation; charge it against the governor's memory budget.
-    exec::AccountKernelMemory(
-        rows_.size() * (num_cols_ + rows_.size()) * sizeof(Rational),
-        "simplex.tableau");
     // Normalize rhs >= 0.
     for (size_t i = 0; i < rows_.size(); ++i) {
       if (rhs_[i].IsNegative()) {
@@ -169,10 +164,8 @@ class CoreLp {
       // the wall clock sampled every 64. On a trip we bail with a dummy
       // status — the governed public entry points re-check the token
       // before publishing, so this value never escapes.
-      if (exec::AccountPivots(1, "simplex.run") ||
-          ((iterations & 63) == 0 &&
-           exec::CurrentToken() != nullptr &&
-           exec::CurrentToken()->CheckDeadline("simplex.run"))) {
+      if (exec::AccountPivots(1) ||
+          ((iterations & 63) == 0 && exec::CheckDeadline("simplex.run"))) {
         return LpStatus::kInfeasible;
       }
       iteration_counter->Increment();
@@ -285,18 +278,22 @@ SplitAtoms Split(const Conjunction& c) {
   return out;
 }
 
-// Maps each free variable to a pair of non-negative columns (v = y+ - y-),
-// plus an optional epsilon column at the end.
+// Maps each variable of the closed and strict atoms and the objective to a
+// pair of non-negative columns (v = y+ - y-), in VarId order, plus an
+// optional epsilon column at the end.
 class VarMap {
  public:
-  VarMap(const Conjunction& c, const LinearExpr& extra, bool with_epsilon) {
-    VarSet vars = c.FreeVars();
-    extra.CollectVars(&vars);
+  VarMap(const SplitAtoms& atoms, const LinearExpr& objective,
+         bool with_epsilon)
+      : with_epsilon_(with_epsilon) {
+    VarSet vars;
+    for (const LinearConstraint& a : atoms.closed) a.CollectVars(&vars);
+    for (const LinearConstraint& a : atoms.strict) a.CollectVars(&vars);
+    objective.CollectVars(&vars);
     for (VarId v : vars) {
       col_of_[v] = vars_.size() * 2;
       vars_.push_back(v);
     }
-    with_epsilon_ = with_epsilon;
   }
 
   size_t num_cols() const { return vars_.size() * 2 + (with_epsilon_ ? 1 : 0); }
@@ -332,7 +329,7 @@ class VarMap {
  private:
   std::vector<VarId> vars_;
   std::map<VarId, size_t> col_of_;
-  bool with_epsilon_ = false;
+  bool with_epsilon_;
 };
 
 struct ClosedLpResult {
@@ -346,15 +343,11 @@ struct ClosedLpResult {
 // `closed` atoms plus `strict` atoms relaxed as (expr + eps <= 0) when
 // `use_epsilon`, or as (expr <= 0) otherwise. When `use_epsilon`, the
 // objective must be empty and the LP maximizes eps subject to eps <= 1.
+// A governor trip returns kInfeasible unsolved; the entry points re-check.
 ClosedLpResult SolveClosed(const SplitAtoms& atoms,
                            const LinearExpr& objective, bool maximize,
                            bool use_epsilon) {
-  VarMap vm(Conjunction(), objective, use_epsilon);
-  // VarMap needs all constraint vars too; rebuild with a conjunction view.
-  std::vector<LinearConstraint> all = atoms.closed;
-  all.insert(all.end(), atoms.strict.begin(), atoms.strict.end());
-  Conjunction cview(all);
-  vm = VarMap(cview, objective, use_epsilon);
+  VarMap vm(atoms, objective, use_epsilon);
 
   // Count slack columns: one per inequality row (closed kLe + all strict
   // rows) plus one for the eps <= 1 bound row.
@@ -367,6 +360,15 @@ ClosedLpResult SolveClosed(const SplitAtoms& atoms,
 
   size_t struct_cols = vm.num_cols();
   size_t total = struct_cols + num_ineq;
+  // The tableau, with CoreLp::Maximize's artificial column per row, is the
+  // dominant transient allocation: charge it before building a row.
+  const size_t num_rows =
+      atoms.closed.size() + atoms.strict.size() + (use_epsilon ? 1 : 0);
+  if (exec::AccountKernelMemory(
+          num_rows * (total + num_rows) * sizeof(Rational),
+          "simplex.tableau")) {
+    return ClosedLpResult();
+  }
   CoreLp lp(total);
 
   size_t slack = struct_cols;

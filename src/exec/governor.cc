@@ -30,10 +30,6 @@ const char* LimitKindToString(LimitKind kind) {
       return "deadline";
     case LimitKind::kMemory:
       return "memory";
-    case LimitKind::kPivots:
-      return "pivots";
-    case LimitKind::kDisjuncts:
-      return "disjuncts";
   }
   return "unknown";
 }
@@ -58,9 +54,7 @@ std::string GovernorReport::ToString() const {
   out += std::to_string(pivots_used);
   out += " memory=";
   out += std::to_string(memory_used);
-  out += "B disjuncts=";
-  out += std::to_string(disjuncts_used);
-  out += ")";
+  out += "B)";
   return out;
 }
 
@@ -78,14 +72,6 @@ void CancellationToken::Trip(LimitKind kind, const char* site) {
   CountTrip(kind);
 }
 
-bool CancellationToken::AccountPivots(uint64_t n, const char* site) {
-  pivots_ += n;
-  if (limits_.max_pivots.has_value() && pivots_ > *limits_.max_pivots) {
-    Trip(LimitKind::kPivots, site);
-  }
-  return stopped();
-}
-
 bool CancellationToken::AccountMemory(uint64_t bytes, const char* site) {
   // The fault site lets the fault-injection gate exercise the
   // budget-trip path without constructing a genuinely huge query.
@@ -97,15 +83,6 @@ bool CancellationToken::AccountMemory(uint64_t bytes, const char* site) {
   memory_ += bytes;
   if (limits_.memory_budget.has_value() && memory_ > *limits_.memory_budget) {
     Trip(LimitKind::kMemory, site);
-  }
-  return stopped();
-}
-
-bool CancellationToken::AccountDisjuncts(uint64_t n, const char* site) {
-  disjuncts_ += n;
-  if (limits_.max_disjuncts.has_value() &&
-      disjuncts_ > *limits_.max_disjuncts) {
-    Trip(LimitKind::kDisjuncts, site);
   }
   return stopped();
 }
@@ -145,7 +122,6 @@ GovernorReport CancellationToken::Report() const {
   report.bindings_scanned = bindings_;
   report.pivots_used = pivots_;
   report.memory_used = memory_;
-  report.disjuncts_used = disjuncts_;
   report.elapsed_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start_)

@@ -10,17 +10,19 @@
 //
 // The model (docs/ROBUSTNESS.md):
 //
-//   * A CancellationToken carries the per-query limits — wall-clock
-//     deadline, kernel memory budget, simplex pivot cap, DNF disjunct cap
-//     — plus the usage counters and the sticky "tripped" record.
+//   * A CancellationToken carries the two per-query limits — wall-clock
+//     deadline and kernel memory budget — plus the usage counters and the
+//     sticky "tripped" record.
 //   * The evaluating thread owns the token: the evaluator creates it on
 //     its own stack and attaches it to the query's ambient QueryContext
 //     (obs/query_context.h), so the constraint kernels observe it without
 //     threading a parameter through every call signature. No other
 //     thread ever sees it, so its counters are plain fields.
-//   * Kernels check cooperatively: hot loops call the cheap counting
-//     hooks (AccountPivots / AccountKernelMemory / AccountDisjuncts),
-//     and every Result-bearing kernel entry point calls
+//   * Kernels check cooperatively: each blow-up (a simplex tableau, a
+//     Fourier-Motzkin step, a disjunction product or disequality split)
+//     charges AccountKernelMemory before allocating and gives up at once
+//     on a trip, hot loops sample CheckDeadline, and every Result-bearing
+//     kernel entry point calls
 //     CheckCancellation(site), which converts a trip into the typed
 //     Status (kDeadlineExceeded / kResourceExhausted). Once tripped the
 //     token stays tripped, so inner loops that cannot return a Status
@@ -30,10 +32,10 @@
 //     verdicts that were computed fully (every store site is behind a
 //     checkpoint), and the evaluator converts the trip Status into a
 //     partial ResultSet carrying a GovernorReport (bindings scanned,
-//     pivots used, which kernel site observed the trip). A trip stores
-//     nothing, so a repeated governed query spends its budget again;
-//     the verdicts it completed before tripping stay cached, and a
-//     repeat may get further and trip at a later site.
+//     pivots used, memory charged, which kernel site observed the trip).
+//     A trip stores nothing, so a repeated governed query spends its
+//     budget again; the verdicts it completed before tripping stay
+//     cached, and a repeat may get further and trip at a later site.
 //
 // With no limits configured no token is attached and every check is one
 // thread-local load, a null test and one pointer load —
@@ -59,8 +61,6 @@ enum class LimitKind : uint8_t {
   kNone = 0,
   kDeadline,
   kMemory,
-  kPivots,
-  kDisjuncts,
 };
 
 const char* LimitKindToString(LimitKind kind);
@@ -70,19 +70,14 @@ struct GovernorLimits {
   /// Wall-clock deadline in milliseconds from token creation. Values too
   /// large for the clock saturate to "never".
   std::optional<uint64_t> deadline_ms;
-  /// Budget, in bytes, for kernel-accounted allocations (simplex tableau
-  /// rows, Fourier-Motzkin atom generation, DNF disjunct bodies). This is
-  /// an accounting bound on the dominant transient structures, not an
-  /// RSS cap.
+  /// Budget, in bytes, for kernel-accounted allocations (simplex
+  /// tableaux, Fourier-Motzkin atom generation, the atoms of disjunction
+  /// products), charged before each is built. This is an accounting bound
+  /// on the dominant transient structures, not an RSS cap.
   std::optional<uint64_t> memory_budget;
-  /// Cap on total simplex pivot operations across the query.
-  std::optional<uint64_t> max_pivots;
-  /// Cap on total DNF disjuncts materialized across the query.
-  std::optional<uint64_t> max_disjuncts;
 
   bool Any() const {
-    return deadline_ms.has_value() || memory_budget.has_value() ||
-           max_pivots.has_value() || max_disjuncts.has_value();
+    return deadline_ms.has_value() || memory_budget.has_value();
   }
 };
 
@@ -96,11 +91,10 @@ struct GovernorReport {
   uint64_t bindings_scanned = 0;
   uint64_t pivots_used = 0;
   uint64_t memory_used = 0;
-  uint64_t disjuncts_used = 0;
   uint64_t elapsed_ms = 0;
 
   /// "governor: tripped deadline at simplex.is_satisfiable after 12ms
-  ///  (bindings=3 pivots=4821 memory=18KB disjuncts=2)".
+  ///  (bindings=3 pivots=4821 memory=18432B)".
   std::string ToString() const;
 };
 
@@ -118,14 +112,16 @@ class CancellationToken {
   /// Cheap sticky-trip probe for loops that cannot return a Status.
   bool stopped() const { return tripped_ != LimitKind::kNone; }
 
-  /// Records `n` simplex pivots; returns true when the token is (now)
-  /// tripped and the caller should unwind. `site`, like every site below,
-  /// is a string literal: the first trip keeps the pointer.
-  bool AccountPivots(uint64_t n, const char* site);
-  /// Records `bytes` of kernel allocation.
+  /// Records `n` simplex pivots for the report; returns true when the
+  /// token is tripped and the caller should unwind.
+  bool AccountPivots(uint64_t n) {
+    pivots_ += n;
+    return stopped();
+  }
+  /// Records `bytes` of kernel allocation; returns true when the token is
+  /// (now) tripped. `site`, like every site below, is a string literal:
+  /// the first trip keeps the pointer.
   bool AccountMemory(uint64_t bytes, const char* site);
-  /// Records `n` materialized DNF disjuncts.
-  bool AccountDisjuncts(uint64_t n, const char* site);
   /// Records one candidate binding scanned (evaluator progress).
   void AccountBinding() { ++bindings_; }
 
@@ -139,10 +135,10 @@ class CancellationToken {
   Status Check(const char* site);
 
   /// The typed Status for the current trip (OK when untripped):
-  /// kDeadlineExceeded for deadline trips, kResourceExhausted for
-  /// memory/pivot/disjunct trips. Messages are stable — they name the
-  /// limit and the first trip site, never data-dependent progress — so
-  /// repeat runs report byte-identical statuses.
+  /// kDeadlineExceeded for deadline trips, kResourceExhausted for memory
+  /// trips. Messages are stable — they name the limit and the first trip
+  /// site, never data-dependent progress — so repeat runs report
+  /// byte-identical statuses.
   Status ToStatus() const;
 
   LimitKind tripped_kind() const { return tripped_; }
@@ -159,7 +155,6 @@ class CancellationToken {
   std::chrono::steady_clock::time_point deadline_at_;  // Valid if deadline.
   uint64_t pivots_ = 0;
   uint64_t memory_ = 0;
-  uint64_t disjuncts_ = 0;
   uint64_t bindings_ = 0;
   LimitKind tripped_ = LimitKind::kNone;
   const char* trip_site_ = "";
@@ -190,19 +185,21 @@ inline bool CancellationRequested() {
   return token != nullptr && token->stopped();
 }
 
-/// Accounting hooks; no-ops when ungoverned. Each returns true when the
-/// caller should unwind (the token is tripped).
-inline bool AccountPivots(uint64_t n, const char* site) {
+/// Hooks for loops that cannot return a Status; no-ops when ungoverned.
+/// Each returns true when the caller should unwind (the token is tripped).
+inline bool AccountPivots(uint64_t n) {
   CancellationToken* token = CurrentToken();
-  return token != nullptr && token->AccountPivots(n, site);
+  return token != nullptr && token->AccountPivots(n);
 }
+/// Charges `bytes` before the caller allocates them.
 inline bool AccountKernelMemory(uint64_t bytes, const char* site) {
   CancellationToken* token = CurrentToken();
   return token != nullptr && token->AccountMemory(bytes, site);
 }
-inline bool AccountDisjuncts(uint64_t n, const char* site) {
+/// Samples the wall clock against the deadline; rate-limit it.
+inline bool CheckDeadline(const char* site) {
   CancellationToken* token = CurrentToken();
-  return token != nullptr && token->AccountDisjuncts(n, site);
+  return token != nullptr && token->CheckDeadline(site);
 }
 
 }  // namespace exec

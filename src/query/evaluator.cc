@@ -62,34 +62,6 @@ Result<bool> CompareSets(const std::set<Oid>& lhs, const std::string& op,
   return Status::Internal("bad comparison operator '" + op + "'");
 }
 
-// Maximization over a disjunctive existential body (the SELECT-clause
-// MAX/MIN operator of §4.2 works on existential conjunctive formulas; we
-// accept the disjunctive generalization, taking the best disjunct).
-Result<LpSolution> MaximizeDe(const DisjunctiveExistential& de,
-                              const LinearExpr& objective, bool maximize) {
-  LpSolution best;
-  best.status = LpStatus::kInfeasible;
-  LinearExpr dir = maximize ? objective : -objective;
-  for (const ExistentialConjunction& ec : de.disjuncts()) {
-    ExistentialConjunction fresh = ec.FreshenBound();
-    LYRIC_ASSIGN_OR_RETURN(LpSolution sol,
-                           Simplex::Maximize(dir, fresh.body()));
-    if (sol.status == LpStatus::kInfeasible) continue;
-    if (sol.status == LpStatus::kUnbounded) {
-      best = sol;
-      break;
-    }
-    if (best.status != LpStatus::kOptimal || sol.value > best.value ||
-        (sol.value == best.value && sol.attained && !best.attained)) {
-      best = sol;
-    }
-  }
-  if (best.status == LpStatus::kOptimal && !maximize) {
-    best.value = -best.value;
-  }
-  return best;
-}
-
 // Converts a governor trip into the partial-result contract: the typed
 // Status and the usage report ride on the (OK) ResultSet.
 ResultSet GovernedPartial(ResultSet out, exec::CancellationToken& token) {
@@ -397,7 +369,12 @@ Result<Oid> Evaluator::EvalOptimize(const ast::SelectItem& item,
                          fb.BuildArith(*item.objective, binding));
   bool maximize = item.opt == ast::SelectItem::OptKind::kMax ||
                   item.opt == ast::SelectItem::OptKind::kMaxPoint;
-  LYRIC_ASSIGN_OR_RETURN(LpSolution sol, MaximizeDe(de, objective, maximize));
+  // The SELECT-clause MAX/MIN operator of §4.2 works on existential
+  // conjunctive formulas; we accept the disjunctive generalization, taking
+  // the best disjunct. MIN maximizes the negated objective.
+  LYRIC_ASSIGN_OR_RETURN(LpSolution sol,
+                         de.Maximize(maximize ? objective : -objective));
+  if (sol.status == LpStatus::kOptimal && !maximize) sol.value = -sol.value;
   if (sol.status == LpStatus::kInfeasible) {
     return Status::NotFound("MAX/MIN SUBJECT TO: constraints infeasible");
   }
@@ -631,8 +608,6 @@ Result<ResultSet> Evaluator::ExecuteImpl(const ast::Query& query,
   exec::GovernorLimits limits;
   limits.deadline_ms = options_.deadline_ms;
   limits.memory_budget = options_.memory_budget;
-  limits.max_pivots = options_.max_pivots;
-  limits.max_disjuncts = options_.max_disjuncts;
   std::optional<exec::CancellationToken> token;
   if (limits.Any()) token.emplace(limits);
   struct AttachedToken {

@@ -69,15 +69,12 @@ struct EvalOptions {
   /// (kDeadlineExceeded / kResourceExhausted via governor_status()) and a
   /// GovernorReport of the progress made. Unset means unlimited, and
   /// with no limit set the governor costs nothing. (Config::Eval fills
-  /// the first two from LYRIC_DEADLINE_MS and LYRIC_MEMORY_BUDGET.)
+  /// both from LYRIC_DEADLINE_MS and LYRIC_MEMORY_BUDGET.)
   /// Wall-clock deadline for the whole query, in milliseconds.
   std::optional<uint64_t> deadline_ms;
-  /// Budget in bytes for kernel-accounted transient allocations.
+  /// Budget in bytes for kernel-accounted transient allocations, charged
+  /// before each is built (exec::GovernorLimits::memory_budget).
   std::optional<uint64_t> memory_budget;
-  /// Cap on total simplex pivots across the query.
-  std::optional<uint64_t> max_pivots;
-  /// Cap on total DNF disjuncts materialized across the query.
-  std::optional<uint64_t> max_disjuncts;
   /// -- Admission control (docs/ROBUSTNESS.md) -------------------------
   /// Every Execute passes through a QueryScheduler before evaluating:
   /// with no limits configured admission is free; with a cap the query

@@ -231,7 +231,8 @@ Result<DisjunctiveExistential> FormulaBuilder::BuildNode(
     }
     case Kind::kAnd: {
       // Each step copies the running conjunction, so a long chain costs
-      // time quadratic in its length: a deadline must stop it midway.
+      // time quadratic in its length: a deadline must stop it midway. A
+      // step's product charges its atoms and samples the deadline itself.
       DisjunctiveExistential out = DisjunctiveExistential::True();
       for (const auto& child : formula.children) {
         LYRIC_RETURN_NOT_OK(exec::CheckCancellation("formula_builder.and"));
@@ -322,9 +323,10 @@ Result<DisjunctiveExistential> FormulaBuilder::Build(
   LYRIC_ASSIGN_OR_RETURN(DisjunctiveExistential out,
                          BuildNode(formula, binding, &ids));
   out = ApplyIdentityEqualities(std::move(out), ids);
-  // Building a formula DNF-expands ANDs of ORs (the non-Result Dnf::And
-  // product); a governed build that tripped max_disjuncts truncated that
-  // expansion, so surface the trip before the formula escapes.
+  // Building a formula multiplies out ANDs of ORs (the non-Result
+  // DisjunctiveExistential::And product). A governed product that tripped
+  // its memory charge or deadline sample stopped short, so surface the
+  // trip before the truncated formula escapes.
   LYRIC_RETURN_NOT_OK(exec::CheckCancellation("formula_builder.build"));
   return out;
 }

@@ -102,20 +102,26 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
   }
 
   // 2) Trip churners: entailment into a box of inequalities forces
-  //    simplex runs, and a one-pivot budget trips the governor on the
-  //    first one, mid-way through cache lookups and stores the executors
-  //    share. Trips surface as a degraded result, not an error, and store
-  //    nothing.
+  //    simplex runs, and a one-byte memory budget trips the governor at
+  //    the first tableau, mid-way through cache lookups and stores the
+  //    executors share. Trips surface as a degraded result, not an error,
+  //    and store nothing.
   constexpr int kChurners = 2;
   for (int id = 0; id < kChurners; ++id) {
     workers.emplace_back([&] {
       EvalOptions opts;
-      opts.max_pivots = 1;
+      opts.memory_budget = 1;
       Evaluator ev(&db_, opts);
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = ev.Execute(
             "SELECT DSK FROM Desk DSK WHERE DSK.extent[E] and "
             "E(w, z) |= w <= 4");
+        if (r.ok() && !r->governor_status().ok() &&
+            r->governor_report().site != "simplex.tableau") {
+          // The solver is the only place this query spends memory.
+          wrong_answers.fetch_add(1);
+          return;
+        }
         if (!r.ok() || !r->governor_status().ok()) tripped.fetch_add(1);
       }
     });
@@ -164,7 +170,7 @@ TEST_F(ConcurrencyStressTest, ExecuteExportLogAndChurnInParallel) {
       << "a governed query returned a wrong answer (or an export/read "
          "invariant broke) under contention";
   EXPECT_GT(governed_ok.load(), 0u);
-  EXPECT_GT(tripped.load(), 0u) << "the one-pivot budget never tripped — "
+  EXPECT_GT(tripped.load(), 0u) << "the one-byte budget never tripped — "
                                    "the trip churners did not run";
 
   // The storm really flowed through the log and the registry.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "office/office_db.h"
 
 namespace lyric {
@@ -48,6 +52,50 @@ TEST_F(DatabaseTest, CstInterningSharesOids) {
   // Distinct constraints get distinct oids.
   Value e = db_.GetAttribute(ids_.standard_desk, "extent").value();
   EXPECT_NE(a.scalar(), e.scalar());
+}
+
+TEST_F(DatabaseTest, ConcurrentCstInterningAgreesOnOids) {
+  // InternCst renders an object's canonical string outside the store's
+  // lock, and that string names dimension i "@i". Threads interning boxes
+  // of dimensions no earlier call has seen intern those names at the same
+  // time, and must still agree on every oid with each other and with a
+  // later serial intern.
+  constexpr size_t kMinDim = 3;
+  constexpr size_t kMaxDim = 39;
+  auto box = [](size_t dim) {
+    std::vector<VarId> vars;
+    Conjunction c;
+    for (size_t i = 0; i < dim; ++i) {
+      VarId v = Variable::Intern("box" + std::to_string(i));
+      vars.push_back(v);
+      c.Add(LinearConstraint::Ge(LinearExpr::Var(v),
+                                 LinearExpr::Constant(Rational(0))));
+      c.Add(LinearConstraint::Le(
+          LinearExpr::Var(v),
+          LinearExpr::Constant(Rational(static_cast<int64_t>(i) + 1))));
+    }
+    return CstObject::FromConjunction(vars, c).value();
+  };
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Result<Oid>>> oids(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t dim = kMinDim; dim <= kMaxDim; ++dim) {
+        oids[t].push_back(db_.InternCst(box(dim)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t dim = kMinDim; dim <= kMaxDim; ++dim) {
+    Result<Oid> serial = db_.InternCst(box(dim));
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    for (int t = 0; t < kThreads; ++t) {
+      const Result<Oid>& got = oids[t][dim - kMinDim];
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, *serial) << "dimension " << dim << ", thread " << t;
+    }
+  }
 }
 
 TEST_F(DatabaseTest, InstanceOfLiterals) {

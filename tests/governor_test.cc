@@ -1,10 +1,10 @@
-// Resource-governed query execution: deadlines, budgets, pivot and
-// disjunct caps trip with typed statuses and partial-progress
-// diagnostics, and never leave the engine (Database, SolverCache) in a
-// state that corrupts later queries. Covers the PR-4 acceptance
-// criteria: a Figure-2 paper query under a tiny deadline returns
-// kDeadlineExceeded, and an adversarial DNF-blowup query trips
-// max_disjuncts with kResourceExhausted instead of exhausting memory.
+// Resource-governed query execution: deadlines and memory budgets trip
+// with typed statuses and partial-progress diagnostics, and never leave
+// the engine (Database, SolverCache) in a state that corrupts later
+// queries. A Figure-2 paper query under a tiny deadline returns
+// kDeadlineExceeded, and an adversarial DNF-blowup query trips the memory
+// budget with kResourceExhausted, charged before the product is built,
+// instead of exhausting memory.
 
 #include "exec/governor.h"
 
@@ -12,9 +12,11 @@
 
 #include <chrono>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "constraint/solver_cache.h"
+#include "obs/metrics.h"
 #include "obs/query_context.h"
 #include "office/office_db.h"
 #include "query/evaluator.h"
@@ -73,7 +75,7 @@ class GovernorTest : public ::testing::Test {
 
 TEST_F(GovernorTest, UntrippedTokenReportsOk) {
   GovernorLimits limits;
-  limits.max_pivots = 100;
+  limits.memory_budget = 100;
   CancellationToken token(limits);
   EXPECT_FALSE(token.stopped());
   EXPECT_TRUE(token.Check("test.site").ok());
@@ -81,40 +83,42 @@ TEST_F(GovernorTest, UntrippedTokenReportsOk) {
   EXPECT_EQ(token.tripped_kind(), LimitKind::kNone);
 }
 
-TEST_F(GovernorTest, PivotCapTripsStickyWithFirstSite) {
+TEST_F(GovernorTest, MemoryTripIsStickyWithFirstSite) {
   GovernorLimits limits;
-  limits.max_pivots = 10;
+  limits.memory_budget = 10;
   CancellationToken token(limits);
-  EXPECT_FALSE(token.AccountPivots(10, "site.a"));  // Exactly at the cap.
-  EXPECT_TRUE(token.AccountPivots(1, "site.b"));    // Over.
+  EXPECT_FALSE(token.AccountMemory(10, "site.a"));  // Exactly at the budget.
+  EXPECT_TRUE(token.AccountMemory(1, "site.b"));    // Over.
   EXPECT_TRUE(token.stopped());
-  EXPECT_EQ(token.tripped_kind(), LimitKind::kPivots);
+  EXPECT_EQ(token.tripped_kind(), LimitKind::kMemory);
   Status s = token.ToStatus();
   EXPECT_TRUE(s.IsResourceExhausted());
   EXPECT_NE(s.message().find("site.b"), std::string::npos);
   // Later trips at other sites do not overwrite the first record.
-  token.AccountPivots(5, "site.c");
+  token.AccountMemory(5, "site.c");
   EXPECT_NE(token.ToStatus().message().find("site.b"), std::string::npos);
+  // Pivots are still counted for the report, and see the trip.
+  EXPECT_TRUE(token.AccountPivots(4));
   GovernorReport report = token.Report();
-  EXPECT_EQ(report.tripped, LimitKind::kPivots);
+  EXPECT_EQ(report.tripped, LimitKind::kMemory);
   EXPECT_EQ(report.site, "site.b");
-  EXPECT_EQ(report.pivots_used, 16u);
+  EXPECT_EQ(report.memory_used, 16u);
+  EXPECT_EQ(report.pivots_used, 4u);
 }
 
-TEST_F(GovernorTest, MemoryAndDisjunctCapsTripAsResourceExhausted) {
+TEST_F(GovernorTest, MemoryBudgetTripsAsResourceExhausted) {
   GovernorLimits limits;
   limits.memory_budget = 64;
-  limits.max_disjuncts = 4;
   CancellationToken token(limits);
   EXPECT_TRUE(token.AccountMemory(65, "mem.site"));
   EXPECT_EQ(token.tripped_kind(), LimitKind::kMemory);
   EXPECT_TRUE(token.ToStatus().IsResourceExhausted());
 
+  // Pivots are counted, never capped: no number of them trips a token.
   CancellationToken token2(limits);
-  EXPECT_FALSE(token2.AccountDisjuncts(4, "dnf.site"));
-  EXPECT_TRUE(token2.AccountDisjuncts(1, "dnf.site"));
-  EXPECT_EQ(token2.tripped_kind(), LimitKind::kDisjuncts);
-  EXPECT_TRUE(token2.ToStatus().IsResourceExhausted());
+  EXPECT_FALSE(token2.AccountPivots(uint64_t{1} << 40));
+  EXPECT_EQ(token2.tripped_kind(), LimitKind::kNone);
+  EXPECT_TRUE(token2.ToStatus().ok());
 }
 
 TEST_F(GovernorTest, ZeroDeadlineTripsImmediately) {
@@ -155,7 +159,7 @@ TEST_F(GovernorTest, HugeDeadlinesSaturateInsteadOfTripping) {
 TEST_F(GovernorTest, ScopesNestAndRestore) {
   EXPECT_EQ(exec::CurrentToken(), nullptr);
   GovernorLimits limits;
-  limits.max_pivots = 1;
+  limits.memory_budget = 1;
   CancellationToken outer(limits);
   CancellationToken inner(limits);
   obs::QueryContext outer_context;
@@ -169,37 +173,37 @@ TEST_F(GovernorTest, ScopesNestAndRestore) {
       obs::QueryContextScope inner_scope(&inner_context);
       EXPECT_EQ(exec::CurrentToken(), &inner);
       // The kernel hooks charge the innermost query's token.
-      EXPECT_TRUE(exec::AccountPivots(2, "inner.site"));
+      EXPECT_TRUE(exec::AccountKernelMemory(2, "inner.site"));
     }
     EXPECT_EQ(exec::CurrentToken(), &outer);
     EXPECT_FALSE(exec::CancellationRequested());
   }
   EXPECT_EQ(exec::CurrentToken(), nullptr);
-  EXPECT_EQ(inner.tripped_kind(), LimitKind::kPivots);
+  EXPECT_EQ(inner.tripped_kind(), LimitKind::kMemory);
   EXPECT_EQ(outer.tripped_kind(), LimitKind::kNone);
 }
 
 TEST_F(GovernorTest, FreeHooksAreNoOpsWhenUngoverned) {
   ASSERT_EQ(exec::CurrentToken(), nullptr);
-  EXPECT_FALSE(exec::AccountPivots(1'000'000, "x"));
+  EXPECT_FALSE(exec::AccountPivots(1'000'000));
   EXPECT_FALSE(exec::AccountKernelMemory(1'000'000'000, "x"));
-  EXPECT_FALSE(exec::AccountDisjuncts(1'000'000, "x"));
+  EXPECT_FALSE(exec::CheckDeadline("x"));
   EXPECT_FALSE(exec::CancellationRequested());
   EXPECT_TRUE(exec::CheckCancellation("x").ok());
 }
 
 TEST_F(GovernorTest, ReportToStringNamesEveryCounter) {
   GovernorLimits limits;
-  limits.max_pivots = 1;
+  limits.memory_budget = 1;
   CancellationToken token(limits);
-  token.AccountPivots(2, "simplex.run");
+  token.AccountPivots(2);
+  token.AccountMemory(2, "simplex.tableau");
   std::string text = token.Report().ToString();
-  EXPECT_NE(text.find("tripped pivots"), std::string::npos);
-  EXPECT_NE(text.find("simplex.run"), std::string::npos);
+  EXPECT_NE(text.find("tripped memory"), std::string::npos);
+  EXPECT_NE(text.find("simplex.tableau"), std::string::npos);
   EXPECT_NE(text.find("pivots=2"), std::string::npos);
   EXPECT_NE(text.find("bindings="), std::string::npos);
-  EXPECT_NE(text.find("memory="), std::string::npos);
-  EXPECT_NE(text.find("disjuncts="), std::string::npos);
+  EXPECT_NE(text.find("memory=2B"), std::string::npos);
 }
 
 // -- End-to-end: Figure-2 paper query under a deadline ---------------------
@@ -248,10 +252,11 @@ TEST_F(GovernorTest, DeadlineStopsALongAndChainMidBuild) {
   EXPECT_LT(elapsed, std::chrono::seconds(2));
 }
 
-// -- End-to-end: adversarial DNF blowup under max_disjuncts ----------------
+// -- End-to-end: adversarial DNF blowup under a memory budget --------------
 
-// ANDs of ORs: the CST-expression body multiplies out through Dnf::And
-// into 3^6 = 729 disjuncts before simplification can trim anything.
+// ANDs of ORs: the CST-expression body multiplies out through
+// DisjunctiveExistential::And into 3^6 = 729 disjuncts of 6 atoms each
+// before simplification can trim anything.
 constexpr const char* kBlowupQuery =
     "SELECT DSK, ((u, v) | "
     "  (u = 1 or u = 2 or v = 1) and (u = 3 or u = 4 or v = 2) and "
@@ -259,16 +264,31 @@ constexpr const char* kBlowupQuery =
     "  (u = 9 or u = 10 or v = 5) and (u = 11 or u = 12 or v = 6)) "
     "FROM Desk DSK";
 
-TEST_F(GovernorTest, DnfBlowupTripsMaxDisjuncts) {
+// `f_first and ... and f_last` with fi = (u = 2i-1 or u = 2i or v = i):
+// the product of n such factors has 3^n disjuncts, each of n atoms.
+std::string ProductQuery(int first, int last) {
+  std::string chain;
+  for (int i = first; i <= last; ++i) {
+    if (i > first) chain += " and ";
+    chain += "(u = " + std::to_string(2 * i - 1) + " or u = " +
+             std::to_string(2 * i) + " or v = " + std::to_string(i) + ")";
+  }
+  return chain;
+}
+
+TEST_F(GovernorTest, DnfBlowupTripsMemoryBudget) {
+  // The fold's k-th product charges its 3^k disjuncts of k atoms each;
+  // 64 KiB covers the first four products but not the fifth.
   EvalOptions opts;
-  opts.max_disjuncts = 32;
+  opts.memory_budget = 64 << 10;
   Evaluator ev(&db_, opts);
   auto r = ev.Execute(kBlowupQuery);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->governor_status().IsResourceExhausted())
       << r->governor_status();
-  EXPECT_EQ(r->governor_report().tripped, LimitKind::kDisjuncts);
-  EXPECT_GE(r->governor_report().disjuncts_used, 32u);
+  EXPECT_EQ(r->governor_report().tripped, LimitKind::kMemory);
+  EXPECT_EQ(r->governor_report().site, "existential.and");
+  EXPECT_GT(r->governor_report().memory_used, *opts.memory_budget);
 
   // The same evaluator instance then answers an in-budget query
   // correctly — per-query token state does not leak across Execute calls.
@@ -287,19 +307,83 @@ TEST_F(GovernorTest, UnlimitedBlowupQueryStillCompletes) {
   EXPECT_EQ(r.size(), 1u);
 }
 
-// -- End-to-end: pivot cap and memory budget -------------------------------
-
-TEST_F(GovernorTest, PivotCapTripsEntailmentQuery) {
+TEST_F(GovernorTest, ElevenFactorProductTripsMemoryBudgetBeforeBuilding) {
+  // Ungoverned, the 11 factors multiply out to 3^11 = 177,147 disjuncts
+  // (and no row: no disjunct is satisfiable). A 1 MB budget stops the
+  // fold at the first product step whose atoms would exceed it, before
+  // that step allocates them.
   EvalOptions opts;
-  opts.max_pivots = 1;
-  // Entailment into a box of inequalities forces simplex runs; one pivot
-  // cannot finish them. (An entailment over equalities, such as the drawer
-  // center's `p = -2`, is decided by substitution with no pivot at all.)
+  opts.memory_budget = 1'000'000;
+  ResultSet r = Run(
+      "SELECT DSK FROM Desk DSK WHERE SAT(" + ProductQuery(1, 11) + ")", opts);
+  EXPECT_TRUE(r.governor_status().IsResourceExhausted())
+      << r.governor_status();
+  EXPECT_EQ(r.governor_report().tripped, LimitKind::kMemory);
+  EXPECT_EQ(r.governor_report().site, "existential.and");
+  EXPECT_EQ(r.size(), 0u);
+  EXPECT_NE(r.ToString().find("PARTIAL"), std::string::npos);
+}
+
+TEST_F(GovernorTest, DeadlineStopsAProductMidStep) {
+  // The 12 factors multiply out to 3^12 = 531,441 disjuncts. A product
+  // samples the deadline every 1,024 disjuncts it builds, so a deadline
+  // that expires inside a product step trips there, not at the fold's
+  // check before the next step. Grouped in two halves of 729 disjuncts,
+  // nearly all the work is one 729 x 729 product: about a second in a
+  // Release build, while the halves take under 0.15 s even under ASan, so
+  // a 300 ms deadline expires inside it. (In the flat chain the deadline
+  // can also expire between steps, while a step's input is freed.)
+  EvalOptions opts;
+  opts.deadline_ms = 300;
+  ResultSet r = Run("SELECT DSK FROM Desk DSK WHERE SAT((" +
+                        ProductQuery(1, 6) + ") and (" + ProductQuery(7, 12) +
+                        "))",
+                    opts);
+  EXPECT_TRUE(r.governor_status().IsDeadlineExceeded())
+      << r.governor_status();
+  EXPECT_EQ(r.governor_report().site, "existential.and");
+  EXPECT_NE(r.ToString().find("PARTIAL"), std::string::npos);
+}
+
+// -- End-to-end: memory budget in the solver --------------------------------
+
+TEST_F(GovernorTest, TableauIsChargedBeforeTheSolve) {
+  // Building `x >= 0 and x <= 4` folds two one-by-one products, charging
+  // 1 + 2 atoms. Its LP has 2 rows over 4 columns (x+, x-, two slacks),
+  // so its tableau with one artificial per row takes 2 * (4 + 2)
+  // Rationals. A budget that covers the building but not the tableau
+  // trips at the tableau before the LP is counted or a row is built.
+  EvalOptions opts;
+  opts.memory_budget = 3 * sizeof(LinearConstraint);
+  ASSERT_LT(*opts.memory_budget, 2 * (4 + 2) * sizeof(Rational));
+  obs::Counter& lp_solves =
+      obs::Registry::Global().GetCounter("simplex.lp_solves");
+  const uint64_t solves_before = lp_solves.value();
+  ResultSet r =
+      Run("SELECT DSK FROM Desk DSK WHERE SAT(x >= 0 and x <= 4)", opts);
+  EXPECT_TRUE(r.governor_status().IsResourceExhausted())
+      << r.governor_status();
+  EXPECT_EQ(r.governor_report().tripped, LimitKind::kMemory);
+  EXPECT_EQ(r.governor_report().site, "simplex.tableau");
+  EXPECT_EQ(lp_solves.value(), solves_before);
+  EXPECT_EQ(r.size(), 0u);
+}
+
+TEST_F(GovernorTest, MemoryBudgetTripsEntailmentQuery) {
+  EvalOptions opts;
+  opts.memory_budget = 1;
+  // Entailment into a box of inequalities forces simplex runs, and
+  // building its formulas multiplies nothing, so the first charge is the
+  // first tableau. It is charged before a row is built, so no pivot runs.
+  // (An entailment over equalities, such as the drawer center's `p = -2`,
+  // is decided by substitution with no tableau at all.)
   ResultSet r = Run(kExtentEntailment, opts);
   EXPECT_TRUE(r.governor_status().IsResourceExhausted())
       << r.governor_status();
-  EXPECT_EQ(r.governor_report().tripped, LimitKind::kPivots);
-  EXPECT_GE(r.governor_report().pivots_used, 1u);
+  EXPECT_EQ(r.governor_report().tripped, LimitKind::kMemory);
+  EXPECT_EQ(r.governor_report().site, "simplex.tableau");
+  EXPECT_GE(r.governor_report().memory_used, 1u);
+  EXPECT_EQ(r.governor_report().pivots_used, 0u);
 
   // The cache must not have memoized any verdict from the aborted solve:
   // the unlimited rerun still answers correctly.
@@ -318,6 +402,7 @@ TEST_F(GovernorTest, MemoryBudgetTripsTableauAccounting) {
   EXPECT_TRUE(r.governor_status().IsResourceExhausted())
       << r.governor_status();
   EXPECT_EQ(r.governor_report().tripped, LimitKind::kMemory);
+  EXPECT_EQ(r.governor_report().site, "simplex.tableau");
   EXPECT_GE(r.governor_report().memory_used, 1u);
 }
 
@@ -347,8 +432,6 @@ TEST_F(GovernorTest, GenerousLimitsDoNotPerturbResults) {
   EvalOptions governed;
   governed.deadline_ms = 60'000;
   governed.memory_budget = 1ull << 32;
-  governed.max_pivots = 10'000'000;
-  governed.max_disjuncts = 1'000'000;
   ResultSet g = Run(kFigure2Query, governed);
   ResultSet u = Run(kFigure2Query, EvalOptions{});
   EXPECT_TRUE(g.governor_status().ok());

@@ -240,28 +240,31 @@ TEST(ServerE2E, DiagnosticsTravel) {
 
 TEST(ServerE2E, PartialTrailerTravels) {
   Database db = MakeDb(12);
-  // A pivot budget small enough that the scan trips mid-flight: the
+  // A memory budget small enough that the scan trips mid-flight: the
   // response must carry the partial rows, the governor code, and the
   // "-- PARTIAL" trailer in the rendered table, matching direct
-  // evaluation modulo the elapsed-ms token.
+  // evaluation modulo the elapsed-ms token. The first row's tableaux take
+  // 4,800 bytes, so 6,000 trips at the second row's.
+  constexpr uint64_t kBudget = 6000;
   net::ServerOptions sopts;
-  sopts.eval.max_pivots = 20;
-  // The governor report counts pivots actually spent, and a solver-cache
-  // hit spends none — disable memoization on both sides so the counts in
-  // the compared reports are run-order independent.
+  sopts.eval.memory_budget = kBudget;
+  // The governor report counts the tableaux and pivots actually spent,
+  // and a solver-cache hit spends none — disable memoization on both
+  // sides so the counts in the compared reports are run-order
+  // independent.
   const size_t cache_capacity = SolverCache::Global().capacity();
   SolverCache::Global().set_capacity(0);
   net::Server server(&db, sopts);
   ASSERT_TRUE(server.Start().ok());
 
   // The entailment is over each catalog extent, a box of inequalities,
-  // so every row costs pivots; a location is a point, which substitution
-  // decides with none.
+  // so every row charges tableaux; a location is a point, which
+  // substitution decides with none.
   const std::string query =
       "SELECT O FROM Object_in_Room O WHERE O.catalog_object[C] and "
       "C.extent[E] and E(w, z) |= w <= 12";
   EvalOptions direct;
-  direct.max_pivots = 20;
+  direct.memory_budget = kBudget;
   net::QueryResponse want = DirectEval(&db, query, direct);
   ASSERT_TRUE(want.status.ok());
   ASSERT_NE(want.governor_code, 0) << "budget did not trip; raise the scale";
